@@ -67,12 +67,6 @@ def _order(specs: tuple[BaseGraphSpec, ...]) -> int:
     return n
 
 
-def even_order_names(max_vertices: int = 4096) -> list[str]:
-    """Catalog names with an even vertex count up to ``max_vertices``."""
-    return [name for name, specs in CATALOG.items()
-            if _order(specs) % 2 == 0 and _order(specs) <= max_vertices]
-
-
 def tiny_names(max_vertices: int = 12) -> list[str]:
     """Catalog names small enough for exhaustive cross-checks."""
     return [name for name, specs in CATALOG.items()

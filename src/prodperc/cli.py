@@ -12,9 +12,9 @@ import argparse
 import json
 import sys
 
-from .experiments import (ConfigError, ExperimentConfig, emit_report,
-                          render_report, resolve_product, run_trials,
-                          verify_all)
+from .experiments import (CONFIG_KEYS, ConfigError, ExperimentConfig,
+                          emit_report, render_report, resolve_product,
+                          run_trials, verify_all)
 from .graph_core import GraphBuildError, build_product
 
 _KIND_BY_COMMAND = {
@@ -77,10 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the cross-module invariant battery")
     add_common(sp, trials=False)
-    sp.add_argument("--fault-injection", dest="fault_injection",
-                    choices=("matching",),
-                    help="test hook: corrupt one module to prove the battery "
-                         "catches it")
     return parser
 
 
@@ -96,12 +92,8 @@ def _load_config(args, kind: str) -> ExperimentConfig:
                 f"config kind {data['kind']!r} does not match the "
                 f"{args.command} subcommand ({kind})")
     data["kind"] = kind
-    overrides = (("product", "product"), ("seed", "seed"), ("trials", "trials"),
-                 ("p", "p"), ("omega", "omega"), ("u_max", "u_max"),
-                 ("component_threshold", "component_threshold"),
-                 ("tau3_mode", "tau3_mode"), ("out", "out"), ("fmt", "format"),
-                 ("workers", "workers"), ("fault_injection", "fault_injection"))
-    for attr, key in overrides:
+    # Each flag's dest is the config field it overrides.
+    for key, attr in {"product": "product", **CONFIG_KEYS}.items():
         value = getattr(args, attr, None)
         if value is not None:
             data[key] = value

@@ -35,7 +35,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 from .catalog import build_catalog_product, catalog_specs, tiny_names
@@ -68,11 +68,6 @@ _COLUMNS = {
     "isoperimetry": ("k", "f_star", "f_exact"),
     "verify_all": ("suite", "instances", "counterexamples", "status", "detail"),
 }
-
-_CONFIG_KEYS = {"kind", "product", "trials", "seed", "p", "omega", "u_max",
-                "component_threshold", "tau3_mode", "out", "format", "workers",
-                "fault_injection"}
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -134,7 +129,6 @@ class ExperimentConfig:
     out: str | None = None
     fmt: str = "csv"
     workers: int | None = None
-    fault_injection: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -169,14 +163,12 @@ class ExperimentConfig:
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
-        if self.fault_injection not in (None, "matching"):
-            raise ConfigError(f"unknown fault_injection hook {self.fault_injection!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config must be an object, got {type(data).__name__}")
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - {"kind", "product", *CONFIG_KEYS}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kind = data.get("kind")
@@ -190,15 +182,7 @@ class ExperimentConfig:
             specs, catalog_name = resolve_product(data["product"])
         elif kind != "verify_all":
             raise ConfigError("missing config key: product")
-        kwargs = {}
-        for key, attr in (("trials", "trials"), ("seed", "seed"), ("p", "p"),
-                          ("omega", "omega"), ("u_max", "u_max"),
-                          ("component_threshold", "component_threshold"),
-                          ("tau3_mode", "tau3_mode"), ("out", "out"),
-                          ("format", "fmt"), ("workers", "workers"),
-                          ("fault_injection", "fault_injection")):
-            if key in data:
-                kwargs[attr] = data[key]
+        kwargs = {attr: data[key] for key, attr in CONFIG_KEYS.items() if key in data}
         return cls(kind=kind, specs=specs, catalog_name=catalog_name, **kwargs)
 
     def canonical_dict(self) -> dict:
@@ -223,8 +207,6 @@ class ExperimentConfig:
             out["u_max"] = self.u_max
             if self.component_threshold is not None:
                 out["component_threshold"] = self.component_threshold
-        if self.fault_injection is not None:
-            out["fault_injection"] = self.fault_injection
         return out
 
     def config_hash(self) -> str:
@@ -249,6 +231,14 @@ class ExperimentConfig:
         if self.omega is not None:
             return critical_p(pg, self.omega)
         raise ConfigError("neither p nor omega configured")
+
+
+# Config key -> ExperimentConfig field for every field a config sets
+# directly; "kind" and "product" (which resolves to specs and
+# catalog_name) are read separately.
+CONFIG_KEYS = {("format" if f.name == "fmt" else f.name): f.name
+               for f in fields(ExperimentConfig)
+               if f.name not in ("kind", "specs", "catalog_name")}
 
 
 @dataclass(frozen=True)
@@ -400,13 +390,7 @@ def _aggregate_obstructions(rows) -> dict:
     }
 
 
-def _run_isoperimetry(config: ExperimentConfig, pg: ProductGraph):
-    if pg.d is None:
-        raise ConfigError("isoperimetry experiments need a regular product")
-    p = config.p
-    if config.omega is not None:
-        p = critical_p(pg, config.omega)
-    params = BoundParams.from_product(pg, p if p is not None else 0.5)
+def _run_isoperimetry(pg: ProductGraph, p: float | None, params: BoundParams):
     exact: tuple[int, ...] | None = None
     symmetry_ok = 1
     if pg.n <= 24:
@@ -451,8 +435,17 @@ def run_trials(config: ExperimentConfig) -> TrialSummary:
             raise ConfigError(
                 f"obstruction enumeration needs n <= 16 or u_max <= 3 "
                 f"(n={pg.n}, u_max={config.u_max})")
+        # Derive p and the bound parameters before any worker starts, so
+        # a value outside their domain is a config error, not a traceback.
+        try:
+            p = (None if config.p is None and config.omega is None
+                 else config.effective_p(pg))
+            if config.kind == "isoperimetry":
+                params = BoundParams.from_product(pg, 0.5 if p is None else p)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if config.kind == "isoperimetry":
-            rows, aggregates = _run_isoperimetry(config, pg)
+            rows, aggregates = _run_isoperimetry(pg, p, params)
         else:
             rows = _trial_rows(config, pg)
             if config.kind == "hitting_times":
@@ -518,7 +511,7 @@ def verify_all(config: ExperimentConfig) -> tuple[int, TrialSummary]:
     return summary.aggregates["exit_status"], summary
 
 
-def _suite_oracle_equivalence(seed: int, fault: str | None):
+def _suite_oracle_equivalence(seed: int):
     """Solver deficiency vs subset enumeration on random masks and the
     small catalog."""
     instances = 0
@@ -535,10 +528,7 @@ def _suite_oracle_equivalence(seed: int, fault: str | None):
             hosts[order] = host
         p = 0.2 + 0.6 * gen.next_double()
         mask = bytes(1 if gen.next_double() < p else 0 for _ in range(host.m))
-        solver = tutte_berge_deficiency(host, mask)
-        if fault == "matching":
-            solver += 1
-        if solver != brute_deficiency(host, mask):
+        if tutte_berge_deficiency(host, mask) != brute_deficiency(host, mask):
             counterexamples += 1
             if not detail:
                 detail = f"random mask K{order} trial {i} seed {trial_seed}"
@@ -550,10 +540,7 @@ def _suite_oracle_equivalence(seed: int, fault: str | None):
             sample_seed = derive_trial_seed(derive_trial_seed(seed, 1000 + j), k)
             masks.append(sample_percolation(pg, 0.55, sample_seed).mask)
         for k, mask in enumerate(masks):
-            solver = tutte_berge_deficiency(pg, mask)
-            if fault == "matching":
-                solver += 1
-            if solver != brute_deficiency(pg, mask):
+            if tutte_berge_deficiency(pg, mask) != brute_deficiency(pg, mask):
                 counterexamples += 1
                 if not detail:
                     detail = f"catalog {name} mask {k}"
@@ -613,7 +600,7 @@ def _suite_tree_bounds():
             bound = rooted_tree_bound(pg.d, k)
             for v in range(pg.n):
                 instances += 1
-                if count_rooted_trees(pg, v, k) > bound + 1e-9:
+                if count_rooted_trees(pg, v, k) > bound:
                     counterexamples += 1
                     if not detail:
                         detail = f"{name} v={v} k={k}"
@@ -638,20 +625,25 @@ def _suite_star_identity():
     return instances, counterexamples, detail
 
 
-def _suite_obstruction_properties(seed: int):
-    """Three-component and shared-W+S+B checks on seeded small samples."""
+def _suite_obstruction_properties(seed: int, samples: int = 48,
+                                  u_max: int | None = 4):
+    """Three-component and shared-W+S+B checks on seeded small samples.
+
+    Each sample scans removal sets up to min(u_max, (n - 1) / 2);
+    ``u_max=None`` scans to (n - 1) / 2, beyond which no set obstructs.
+    """
     instances = 0
     counterexamples = 0
     detail = ""
     names = [name for name in tiny_names(14) if name != "Q2"]
     products = [build_catalog_product(name) for name in names]
-    for i in range(48):
+    for i in range(samples):
         pg = products[i % len(products)]
         trial_seed = derive_trial_seed(seed, i)
         gen = Xoshiro256StarStar(trial_seed)
         p = 0.2 + 0.5 * gen.next_double()
         sample = sample_percolation(pg, p, derive_trial_seed(trial_seed, 1))
-        u_cap = min(4, (pg.n - 1) // 2)
+        u_cap = (pg.n - 1) // 2 if u_max is None else min(u_max, (pg.n - 1) // 2)
         minimal = find_minimal_obstructions(pg, sample, u_max=u_cap)
         for record in minimal:
             instances += 1
@@ -675,8 +667,9 @@ def _suite_obstruction_properties(seed: int):
     return instances, counterexamples, detail
 
 
-def _suite_coupling(seed: int):
-    """Two-round union inclusion frequency within 4 sigma of p per edge."""
+def _suite_coupling(seed: int, sigmas: float = 4.0):
+    """Two-round union inclusion frequency within ``sigmas`` standard
+    deviations of p per edge."""
     pg = build_catalog_product("Q4")
     p = 0.5
     rounds = 10_000
@@ -691,7 +684,7 @@ def _suite_coupling(seed: int):
     counterexamples = 0
     detail = ""
     for eid, total in enumerate(counts):
-        if abs(total / rounds - p) > 4 * sigma:
+        if abs(total / rounds - p) > sigmas * sigma:
             counterexamples += 1
             if not detail:
                 detail = f"edge {eid} freq {total / rounds:.5f}"
@@ -727,8 +720,7 @@ def _run_battery(config: ExperimentConfig):
     """Run every suite; rows name each suite with its counterexample count."""
     suites = (
         ("oracle_equivalence",
-         lambda: _suite_oracle_equivalence(derive_trial_seed(config.seed, 1),
-                                           config.fault_injection)),
+         lambda: _suite_oracle_equivalence(derive_trial_seed(config.seed, 1))),
         ("isoperimetry_bounds", _suite_isoperimetry_bounds),
         ("edge_connectivity", _suite_edge_connectivity),
         ("tree_bounds", _suite_tree_bounds),

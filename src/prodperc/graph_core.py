@@ -474,11 +474,3 @@ def bipartition_signature(g) -> tuple[int, int] | None:
 def full_mask(pg: ProductGraph) -> bytes:
     """Edge mask with every edge present."""
     return b"\x01" * pg.m
-
-
-def mask_from_edges(pg: ProductGraph, pairs) -> bytes:
-    """Edge mask from explicit endpoint pairs."""
-    mask = bytearray(pg.m)
-    for u, v in pairs:
-        mask[pg.edge_id(u, v)] = 1
-    return bytes(mask)

@@ -10,8 +10,8 @@ with e Euler's constant and C the largest base-graph order; f* extends
 to k > n/2 by the symmetry f(k) = f(n - k) and accepts real arguments
 because the component-counting bounds evaluate it at real split points.
 The module also provides the exact global minimum cut (maximum adjacency
-orderings), exact counts of rooted subtrees against the (e*d)**(k-1)
-bound, and a search for sets whose boundary does not exceed a budget.
+orderings) and exact counts of rooted subtrees against the (e*d)**(k-1)
+bound.
 """
 
 import heapq
@@ -153,34 +153,6 @@ def f_star(params: BoundParams, k: float) -> float:
     degree_branch = k * (d - (C - 1) * math.log(k, C))
     expansion_branch = k * (math.e / C) * math.log(n / k)
     return max(degree_branch, expansion_branch)
-
-
-def f_star_s(params: BoundParams, ell2: int, s: float) -> float:
-    """Boundary bound for ell2 mid-size components with s vertices total.
-
-    Value: 3 * (d - 1) * (ell2 - 1) + f*(s - 3 * (ell2 - 1)).
-    """
-    if ell2 < 1:
-        raise ValueError(f"ell2 must be at least 1, got {ell2}")
-    if s < 3 * ell2:
-        raise ValueError(f"need s >= 3 * ell2, got s={s}, ell2={ell2}")
-    return 3.0 * (params.d - 1) * (ell2 - 1) + f_star(params, s - 3.0 * (ell2 - 1))
-
-
-def f_star_b(params: BoundParams, ell3: int, b: float) -> float:
-    """Boundary bound for ell3 large components with b vertices total.
-
-    Value: (ell3 - 1) * n * ln(d) / d**(C**3/p)
-           + min(n / C, f*(b - (ell3 - 1) * n / d**(C**3/p))).
-    """
-    if ell3 < 1:
-        raise ValueError(f"ell3 must be at least 1, got {ell3}")
-    threshold = params.s_threshold
-    if b < ell3 * threshold or b <= 0:
-        raise ValueError(f"need b >= ell3 * threshold ({ell3 * threshold:.6g}) and b > 0, got {b}")
-    lead = (ell3 - 1) * threshold * math.log(params.d)
-    rest = b - (ell3 - 1) * threshold
-    return lead + min(params.n / params.C, f_star(params, rest))
 
 
 def edge_connectivity(pg: ProductGraph) -> int:
@@ -335,29 +307,3 @@ def _connected_ksets(pg: ProductGraph, root: int, k: int):
 def rooted_tree_bound(d: int, k: int) -> float:
     """The analytic ceiling (e * d) ** (k - 1) for rooted subtree counts."""
     return (math.e * d) ** (k - 1)
-
-
-def find_bad_expansion_sets(pg: ProductGraph, size: int, budget: float) -> list[frozenset]:
-    """All vertex sets of the given size whose boundary does not exceed
-    the budget (exhaustive; n <= 20)."""
-    n = pg.n
-    if n > 20:
-        raise TooLargeError(f"bad-expansion search capped at 20 vertices, got {n}")
-    if not 1 <= size <= n:
-        raise ValueError(f"set size must be in [1, {n}], got {size}")
-    from itertools import combinations
-    nbr = [0] * n
-    for u, v in pg.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    out = []
-    for combo in combinations(range(n), size):
-        chosen = 0
-        for v in combo:
-            chosen |= 1 << v
-        boundary = 0
-        for v in combo:
-            boundary += (nbr[v] & ~chosen).bit_count()
-        if boundary <= budget:
-            out.append(frozenset(combo))
-    return out

@@ -148,15 +148,6 @@ def maximum_matching(pg: ProductGraph, mask=None) -> MatchingState:
     return MatchingState(mate=tuple(mate), size=size)
 
 
-def has_augmenting_path(pg: ProductGraph, mask, mate) -> bool:
-    """Re-scan check: is there an augmenting path for this matching?"""
-    work = list(mate)
-    for root in range(pg.n):
-        if work[root] < 0 and _augment_once(pg, mask, list(work), root):
-            return True
-    return False
-
-
 def tutte_berge_deficiency(pg: ProductGraph, mask=None) -> int:
     """Number of vertices left exposed by a maximum matching."""
     return pg.n - 2 * maximum_matching(pg, mask).size

@@ -26,8 +26,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .graph_core import ProductGraph
-from .matching import (brute_deficiency, components_from_bitmasks,
-                       maximum_matching, _neighbor_bitmasks)
+from .matching import components_from_bitmasks, _neighbor_bitmasks
 from .process import PercolationSample
 
 
@@ -91,25 +90,6 @@ class DeterminationReport:
     @property
     def ok(self) -> bool:
         return not self.violating_groups
-
-
-@dataclass(frozen=True)
-class DeficiencyReport:
-    """Cross-checks between the matching solver and subset enumeration."""
-
-    deficiency: int
-    brute: int
-    isolated_count: int
-    giant: int
-    non_giant_all_isolated: bool
-    obstruction_free: bool | None
-    structure_consistent: bool | None
-
-    @property
-    def ok(self) -> bool:
-        if self.deficiency != self.brute:
-            return False
-        return self.structure_consistent is not False
 
 
 def default_threshold(pg: ProductGraph, p: float) -> int:
@@ -217,18 +197,13 @@ def find_minimal_obstructions(pg: ProductGraph, sample: PercolationSample,
 
 
 def verify_three_components(pg: ProductGraph, sample: PercolationSample,
-                            record: ObstructionRecord,
-                            adjacency: str = "sample") -> ThreeComponentReport:
-    """Check that every vertex of a minimal obstruction sees three
-    components of the subgraph induced on V1 + S + B.
+                            record: ObstructionRecord) -> ThreeComponentReport:
+    """Check that every vertex of a minimal obstruction has sampled
+    edges into three components of the subgraph induced on V1 + S + B.
 
-    ``adjacency`` selects which edges count as seeing a component:
-    "sample" (default) uses the sampled edges, "host" uses every edge of
-    the product graph.  Minimal obstructions of size 1 are outside the
-    property's scope and are reported as skipped, not as failures.
+    Minimal obstructions of size 1 are outside the property's scope and
+    are reported as skipped, not as failures.
     """
-    if adjacency not in ("sample", "host"):
-        raise ValueError(f"unknown adjacency mode: {adjacency!r}")
     if not record.is_minimal:
         raise ValueError("three-component check applies to minimal obstructions")
     if record.u < 2:
@@ -244,7 +219,7 @@ def verify_three_components(pg: ProductGraph, sample: PercolationSample,
         seen = set()
         off, flat, eids = pg.adj_off, pg.adj_flat, pg.adj_eid
         for k in range(off[v], off[v + 1]):
-            if adjacency == "sample" and not sample.mask[eids[k]]:
+            if not sample.mask[eids[k]]:
                 continue
             idx = comp_of.get(flat[k])
             if idx is not None:
@@ -285,42 +260,3 @@ def verify_determination(pg: ProductGraph, sample: PercolationSample,
     return DeterminationReport(minimal_size=u, group_count=len(groups),
                                max_group=max_group, out_of_scope=False,
                                violating_groups=violating)
-
-
-def deficiency_consistency(pg: ProductGraph, sample: PercolationSample,
-                           u_max: int | None = None) -> DeficiencyReport:
-    """Cross-check the solver deficiency against subset enumeration.
-
-    Always checks solver deficiency == brute maximum of
-    odd(G - U) - |U|.  When the sample has no obstruction of any size
-    (the scan up to (n - 1) / 2 is exhaustive: an obstruction needs
-    u + 1 components on n - u vertices) and every non-giant component
-    is an isolated vertex, additionally checks the structural
-    prediction deficiency == (non-giant component count) + (giant
-    parity): obstruction-freeness forces the giant to carry a
-    perfect or near-perfect matching.
-    """
-    n = pg.n
-    if n > 16:
-        raise ValueError(f"deficiency consistency capped at 16 vertices, got {n}")
-    deficiency = n - 2 * maximum_matching(pg, sample.mask).size
-    brute = brute_deficiency(pg, sample.mask)
-    nbr = _neighbor_bitmasks(pg, sample.mask)
-    comp_masks = components_from_bitmasks(nbr, (1 << n) - 1)
-    sizes = sorted((c.bit_count() for c in comp_masks), reverse=True)
-    giant = sizes[0]
-    isolated_count = sum(1 for s in sizes if s == 1)
-    non_giant_all_isolated = all(s == 1 for s in sizes[1:])
-    scan_cap = (n - 1) // 2
-    obstruction_free: bool | None = None
-    structure_consistent: bool | None = None
-    if u_max is None or u_max >= scan_cap:
-        minimal = find_minimal_obstructions(pg, sample, u_max=scan_cap)
-        obstruction_free = not minimal
-        if obstruction_free and non_giant_all_isolated:
-            structure_consistent = deficiency == (len(sizes) - 1) + giant % 2
-    return DeficiencyReport(deficiency=deficiency, brute=brute,
-                            isolated_count=isolated_count, giant=giant,
-                            non_giant_all_isolated=non_giant_all_isolated,
-                            obstruction_free=obstruction_free,
-                            structure_consistent=structure_consistent)

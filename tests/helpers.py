@@ -1,0 +1,93 @@
+"""Oracles and helpers shared by the test modules."""
+
+import hashlib
+import math
+from dataclasses import dataclass
+
+from prodperc.catalog import CATALOG
+from prodperc.graph_core import ProductGraph, build_base
+from prodperc.matching import (brute_deficiency, components_from_bitmasks,
+                               maximum_matching, _neighbor_bitmasks)
+from prodperc.obstructions import find_minimal_obstructions
+from prodperc.process import PercolationSample
+
+
+def report_digest(text: str) -> str:
+    """sha256 of a CSV or JSON report without its generated_at line."""
+    kept = [line for line in text.splitlines(keepends=True)
+            if not line.startswith("# generated_at=")
+            and '"generated_at"' not in line]
+    return hashlib.sha256("".join(kept).encode("utf-8")).hexdigest()
+
+
+def mask_from_edges(pg: ProductGraph, pairs) -> bytes:
+    """Edge mask from explicit endpoint pairs."""
+    mask = bytearray(pg.m)
+    for u, v in pairs:
+        mask[pg.edge_id(u, v)] = 1
+    return bytes(mask)
+
+
+def even_order_names(max_vertices: int) -> list[str]:
+    """Catalog names with an even vertex count up to ``max_vertices``."""
+    orders = {name: math.prod(build_base(spec).order for spec in specs)
+              for name, specs in CATALOG.items()}
+    return [name for name, n in orders.items() if n % 2 == 0 and n <= max_vertices]
+
+
+@dataclass(frozen=True)
+class DeficiencyReport:
+    """Cross-checks between the matching solver and subset enumeration."""
+
+    deficiency: int
+    brute: int
+    isolated_count: int
+    giant: int
+    non_giant_all_isolated: bool
+    obstruction_free: bool | None
+    structure_consistent: bool | None
+
+    @property
+    def ok(self) -> bool:
+        if self.deficiency != self.brute:
+            return False
+        return self.structure_consistent is not False
+
+
+def deficiency_consistency(pg: ProductGraph, sample: PercolationSample,
+                           u_max: int | None = None) -> DeficiencyReport:
+    """Cross-check the solver deficiency against subset enumeration.
+
+    Always checks solver deficiency == brute maximum of
+    odd(G - U) - |U|.  When the sample has no obstruction of any size
+    (the scan up to (n - 1) / 2 is exhaustive: an obstruction needs
+    u + 1 components on n - u vertices) and every non-giant component
+    is an isolated vertex, additionally checks the structural
+    prediction deficiency == (non-giant component count) + (giant
+    parity): obstruction-freeness forces the giant to carry a
+    perfect or near-perfect matching.
+    """
+    n = pg.n
+    if n > 16:
+        raise ValueError(f"deficiency consistency capped at 16 vertices, got {n}")
+    deficiency = n - 2 * maximum_matching(pg, sample.mask).size
+    brute = brute_deficiency(pg, sample.mask)
+    nbr = _neighbor_bitmasks(pg, sample.mask)
+    comp_masks = components_from_bitmasks(nbr, (1 << n) - 1)
+    sizes = sorted((c.bit_count() for c in comp_masks), reverse=True)
+    giant = sizes[0]
+    isolated_count = sum(1 for s in sizes if s == 1)
+    non_giant_all_isolated = all(s == 1 for s in sizes[1:])
+    scan_cap = (n - 1) // 2
+    obstruction_free: bool | None = None
+    structure_consistent: bool | None = None
+    if u_max is None or u_max >= scan_cap:
+        minimal = find_minimal_obstructions(pg, sample, u_max=scan_cap)
+        obstruction_free = not minimal
+        if obstruction_free and non_giant_all_isolated:
+            structure_consistent = deficiency == (len(sizes) - 1) + giant % 2
+    return DeficiencyReport(deficiency=deficiency, brute=brute,
+                            isolated_count=isolated_count, giant=giant,
+                            non_giant_all_isolated=non_giant_all_isolated,
+                            obstruction_free=obstruction_free,
+                            structure_consistent=structure_consistent)

@@ -1,8 +1,10 @@
 """End-to-end acceptance battery: thirteen numbered criteria.
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` and on
-failure) and asserts the criterion at its stated tolerance.  Measured
-rates and margins are also written to ``tests/_artifacts/
+failure) and asserts the criterion at its stated tolerance.  Criteria
+1-6, 11 and 12 run the ``prodperc verify`` suites, which are the one
+definition of each invariant, at this module's seed and tolerances.
+Measured rates are also written to the untracked ``tests/_artifacts/
 acceptance_metrics.json`` for regression tracking.  Everything is
 seeded; the whole battery targets well under fifteen minutes.
 """
@@ -13,21 +15,17 @@ import os
 
 import pytest
 
-from prodperc.catalog import (build_catalog_product, catalog_names,
-                              even_order_names)
-from prodperc.experiments import ExperimentConfig, render_report, run_trials
-from prodperc.graph_core import (BaseGraphSpec, bipartition_signature,
-                                 build_product, cartesian_product, star)
-from prodperc.isoperimetry import (BoundParams, count_rooted_trees,
-                                   edge_connectivity, exhaustive_profile,
-                                   f_star, rooted_tree_bound)
-from prodperc.matching import brute_deficiency, maximum_matching, tutte_berge_deficiency
-from prodperc.obstructions import (find_minimal_obstructions,
-                                   verify_determination,
-                                   verify_three_components)
-from prodperc.process import (double_exposure, run_process, sample_ordering,
-                              sample_percolation)
-from prodperc.rng import Xoshiro256StarStar, derive_trial_seed
+from helpers import even_order_names, report_digest
+from prodperc.catalog import build_catalog_product
+from prodperc.experiments import (ExperimentConfig, render_report, run_trials,
+                                  _suite_coupling, _suite_edge_connectivity,
+                                  _suite_isoperimetry_bounds,
+                                  _suite_obstruction_properties,
+                                  _suite_oracle_equivalence,
+                                  _suite_star_identity, _suite_tree_bounds)
+from prodperc.matching import maximum_matching
+from prodperc.process import run_process, sample_ordering
+from prodperc.rng import derive_trial_seed
 
 BASE_SEED = 2026
 WORKERS = min(8, os.cpu_count() or 1)
@@ -51,97 +49,41 @@ def _report(number: int, ok: bool, detail: str):
     assert ok, f"criterion {number}: {detail}"
 
 
-def _catalog_products(max_vertices: int):
-    out = []
-    for name in catalog_names():
-        pg = build_catalog_product(name)
-        if pg.n <= max_vertices:
-            out.append((name, pg))
-    return out
+def _report_suite(number: int, claim: str, result: tuple[int, int, str]):
+    instances, counterexamples, detail = result
+    _report(number, counterexamples == 0,
+            f"{claim}: {counterexamples} counterexamples in {instances} "
+            f"instances{'; first: ' + detail if detail else ''}")
 
 
 def test_criterion_01_matching_oracle_equivalence():
-    mismatches = 0
-    for i in range(200):
-        gen = Xoshiro256StarStar(derive_trial_seed(BASE_SEED, i))
-        order = 4 + gen.next_below(7)
-        host = build_product((BaseGraphSpec.complete(order),))
-        p = 0.15 + 0.7 * gen.next_double()
-        mask = bytes(1 if gen.next_double() < p else 0 for _ in range(host.m))
-        if tutte_berge_deficiency(host, mask) != brute_deficiency(host, mask):
-            mismatches += 1
-    small = _catalog_products(12)
-    for _, pg in small:
-        if tutte_berge_deficiency(pg) != brute_deficiency(pg):
-            mismatches += 1
-    _report(1, mismatches == 0,
-            f"solver vs enumeration on 200 random graphs (n <= 10) and "
-            f"{len(small)} catalog products (n <= 12): {mismatches} mismatches")
+    _report_suite(1, "solver vs enumeration on 200 random masks (n <= 10) "
+                     "and on full and sampled masks of the catalog (n <= 12)",
+                  _suite_oracle_equivalence(BASE_SEED))
 
 
 def test_criterion_02_profile_dominates_analytic_bound():
-    violations = 0
-    asymmetries = 0
-    for name in ("Q4", "K3xK3", "C4xK3", "C5xK2"):
-        pg = build_catalog_product(name)
-        profile = exhaustive_profile(pg, keep_witnesses=False)
-        params = BoundParams.from_product(pg, 0.5)
-        for k in range(1, pg.n):
-            if profile.f_of(k) < f_star(params, k) - 1e-9:
-                violations += 1
-            if profile.f_of(k) != profile.f_of(pg.n - k):
-                asymmetries += 1
-    _report(2, violations == 0 and asymmetries == 0,
-            f"f >= f* and f(k) = f(n-k) on Q4, K3xK3, C4xK3, C5xK2: "
-            f"{violations} bound violations, {asymmetries} asymmetries")
-
-
-def test_criterion_03_cube_profile_spot_values():
-    profile = exhaustive_profile(build_catalog_product("Q3"))
-    expected = (3, 4, 5, 4, 5, 4, 3)
-    _report(3, profile.f == expected,
-            f"Q3 exhaustive profile {profile.f} == {expected}")
+    # Also criterion 3: the suite checks the exact Q3 profile
+    # (3, 4, 5, 4, 5, 4, 3).
+    _report_suite(2, "f >= f* and f(k) = f(n-k) on Q4, K3xK3, C4xK3, C5xK2, "
+                     "and the Q3 spot profile",
+                  _suite_isoperimetry_bounds())
 
 
 def test_criterion_04_minimum_cut_meets_degree():
-    bad = []
-    for name in ("K3xK3", "Q4", "C5xC5", "K4xK3"):
-        pg = build_catalog_product(name)
-        cut = edge_connectivity(pg)
-        if cut != pg.d:
-            bad.append((name, cut, pg.d))
-    _report(4, not bad, f"global min cut equals degree on 4 products: "
-                        f"{'ok' if not bad else bad}")
+    _report_suite(4, "global min cut equals degree on K3xK3, Q4, C5xC5, K4xK3",
+                  _suite_edge_connectivity())
 
 
 def test_criterion_05_rooted_tree_counts_below_ceiling():
-    violations = 0
-    checked = 0
-    for name in ("petersen", "Q3", "K5", "K3xK3"):
-        pg = build_catalog_product(name)
-        for v in range(pg.n):
-            for k in range(1, 6):
-                checked += 1
-                if count_rooted_trees(pg, v, k) > rooted_tree_bound(pg.d, k):
-                    violations += 1
-    _report(5, violations == 0,
-            f"subtree counts vs (e*d)^(k-1) over {checked} (v, k) pairs: "
-            f"{violations} violations")
+    _report_suite(5, "subtree counts <= (e*d)^(k-1) for every root and "
+                     "k <= 5 on petersen, Q3, K5, K3xK3",
+                  _suite_tree_bounds())
 
 
 def test_criterion_06_star_product_side_imbalance():
-    bad = []
-    for leaves in (2, 3, 4):
-        base = star(leaves)
-        for t in range(1, 6):
-            pg = cartesian_product([base] * t, require_regular=False)
-            sig = bipartition_signature(pg)
-            expected = (1 - leaves) ** t
-            if sig is None or sig[0] - sig[1] != expected:
-                bad.append((leaves, t, sig))
-    _report(6, not bad,
-            f"|O| - |E| = (1-s)^t over s in 2..4, t in 1..5: "
-            f"{'all 15 exact' if not bad else bad}")
+    _report_suite(6, "|O| - |E| = (1-s)^t over s in 2..4, t in 1..5",
+                  _suite_star_identity())
 
 
 def test_criterion_07_perfect_matchings_on_even_products():
@@ -211,69 +153,52 @@ def test_criterion_11_double_exposure_union_frequencies():
     # sigma, two sided), so a fresh seed fails somewhere on 32 edges
     # with probability about 1 - (1 - 0.0027)^32, roughly 8 percent;
     # the base seed is pinned and verified to pass.
-    pg = build_catalog_product("Q4")
-    trials = 10_000
-    p = 0.5
-    tolerance = 3.0 * math.sqrt(p * (1.0 - p) / trials)
-    counts = [0] * pg.m
-    for i in range(trials):
-        _, _, union = double_exposure(pg, p, derive_trial_seed(BASE_SEED, i))
-        for eid, bit in enumerate(union.mask):
-            if bit:
-                counts[eid] += 1
-    worst = max(abs(count / trials - p) for count in counts)
-    METRICS["coupling_worst_deviation"] = worst
-    METRICS["coupling_tolerance"] = tolerance
-    _report(11, worst <= tolerance,
-            f"union inclusion frequency across {pg.m} edges, {trials} "
-            f"exposures: worst |freq - p| = {worst:.4f} <= {tolerance:.4f}")
+    _report_suite(11, "union = first | second and union inclusion frequency "
+                      "within 3 sigma of p on every Q4 edge over 10000 exposures",
+                  _suite_coupling(BASE_SEED, sigmas=3.0))
 
 
 def test_criterion_12_obstruction_properties_hold_on_samples():
-    small = _catalog_products(14)
-    probabilities = (0.2, 0.35, 0.5)
-    checked_vertices = 0
-    three_counterexamples = 0
-    oversize_groups = 0
-    for i in range(500):
-        _, pg = small[i % len(small)]
-        sample = sample_percolation(pg, probabilities[i % len(probabilities)],
-                                    derive_trial_seed(BASE_SEED, i))
-        minimal = find_minimal_obstructions(pg, sample, u_max=(pg.n - 1) // 2)
-        for record in minimal:
-            report = verify_three_components(pg, sample, record)
-            if not report.skipped_out_of_scope:
-                checked_vertices += report.checked_vertices
-                three_counterexamples += len(report.counterexamples)
-        det = verify_determination(pg, sample, minimal=minimal)
-        if not det.out_of_scope and det.max_group > 2:
-            oversize_groups += 1
-    METRICS["obstruction_checked_vertices"] = checked_vertices
-    _report(12, three_counterexamples == 0 and oversize_groups == 0,
-            f"500 samples over {len(small)} products (n <= 14): "
-            f"{three_counterexamples} three-component counterexamples "
-            f"({checked_vertices} vertices checked), {oversize_groups} "
-            f"W+S+B groups above two")
+    _report_suite(12, "500 samples over the catalog (4 < n <= 14), full "
+                      "obstruction scan: banding partitions, three-component "
+                      "property, W+S+B groups of at most two",
+                  _suite_obstruction_properties(BASE_SEED, samples=500,
+                                                u_max=None))
 
 
-def _stripped(text: str) -> str:
-    return "\n".join(line for line in text.splitlines()
-                     if not line.startswith("# generated_at=")
-                     and '"generated_at"' not in line)
+# sha256 of each report without its generated_at line.  Regenerate only
+# for an intended report change, and say why in CHANGES.md.
+PINNED_DIGESTS = {
+    "hitting_times": {
+        "csv": "98065d7cb852ea28f48d880f90f14e9fdddef4ab4a31d9f26b21efde49f8aeff",
+        "json": "dfe24f818d4dfb4cd8f3aeb15dae928a28b27ee866bbff5a74e3c4499852468e"},
+    "percolation_profile": {
+        "csv": "58ea1dc284b3efaa87b7f3d35ce6513af404f77fae96f55e9fd8527fa3e677f1",
+        "json": "323a8a91c35c6b22871fad61b77d49af39bf0cb29d0047e1056ffa540a388d3e"},
+    "obstructions": {
+        "csv": "20ec525d95581e309a607c4880edc82412e8275e9f7c843fb22bee3ecb681bed",
+        "json": "e0e27b28a0eac6b47f595cc93d2655640dccb31968eaf371ac0c1009572e45d1"},
+    "isoperimetry": {
+        "csv": "54d6162d131e7b2037c122be22e74752c7ecde63e7b5f1739a7cf83ad1e462a1",
+        "json": "e999e6fd03dfb6ede45ad6c3eab8538b0be81cfa49f4b16908e9f18a80399252"},
+}
 
 
 def test_criterion_13_reports_are_byte_reproducible():
-    process_cfg = {"kind": "hitting_times", "product": "Q5",
-                   "seed": BASE_SEED, "trials": 20}
-    percolate_cfg = {"kind": "percolation_profile", "product": "Q4",
-                     "seed": BASE_SEED, "trials": 20, "p": 0.4}
-    mismatches = 0
-    for data, fmt in ((process_cfg, "csv"), (process_cfg, "json"),
-                      (percolate_cfg, "csv"), (percolate_cfg, "json")):
-        first = render_report(run_trials(ExperimentConfig.from_dict(data)), fmt)
-        second = render_report(run_trials(ExperimentConfig.from_dict(data)), fmt)
-        if _stripped(first) != _stripped(second):
-            mismatches += 1
-    _report(13, mismatches == 0,
-            "process and percolate reports identical across reruns "
-            "(timestamp excluded) in csv and json")
+    configs = (
+        {"kind": "hitting_times", "product": "Q5", "trials": 20},
+        {"kind": "percolation_profile", "product": "Q4", "trials": 20, "p": 0.4},
+        {"kind": "obstructions", "product": "Q3", "trials": 20, "p": 0.35},
+        {"kind": "isoperimetry", "product": "Q4", "p": 0.5},
+    )
+    mismatches = []
+    for data in configs:
+        summary = run_trials(ExperimentConfig.from_dict(dict(data, seed=BASE_SEED)))
+        for fmt in ("csv", "json"):
+            if report_digest(render_report(summary, fmt)) != \
+                    PINNED_DIGESTS[data["kind"]][fmt]:
+                mismatches.append(f"{data['kind']} {fmt}")
+    _report(13, not mismatches,
+            "process, percolate, obstruct and iso reports match their pinned "
+            f"digests (timestamp excluded) in csv and json: "
+            f"{'all 8' if not mismatches else mismatches}")

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from helpers import report_digest
+from prodperc import experiments
 from prodperc.cli import main
 from prodperc.experiments import (ConfigError, ExperimentConfig, emit_report,
                                   render_report, resolve_product, round9,
@@ -53,7 +55,7 @@ def hitting(product="Q2", **kwargs):
     {"kind": "obstructions", "product": "Q2", "seed": 0, "p": 0.5,
      "component_threshold": 0.0},
     {"kind": "verify_all", "seed": 0, "p": 0.5},
-    {"kind": "verify_all", "seed": 0, "fault_injection": "rng"},
+    {"kind": "verify_all", "seed": 0, "fault_injection": "matching"},  # removed key
 ])
 def test_rejected_configs(data):
     with pytest.raises(ConfigError):
@@ -255,6 +257,14 @@ def test_render_report_rejects_unknown_format():
 
 # --- verification battery ---------------------------------------------------------
 
+@pytest.fixture
+def broken_matching(monkeypatch):
+    """Make the battery's matching solver report one vertex too many."""
+    solver = experiments.tutte_berge_deficiency
+    monkeypatch.setattr(experiments, "tutte_berge_deficiency",
+                        lambda pg, mask=None: solver(pg, mask) + 1)
+
+
 def test_battery_passes_clean():
     status, summary = verify_all(make(kind="verify_all", seed=11))
     assert status == 0
@@ -263,11 +273,14 @@ def test_battery_passes_clean():
     assert len(summary.rows) == 8
     assert all(row[3] == "ok" for row in summary.rows)
     assert all(row[2] == 0 for row in summary.rows)
+    # pinned report digest (generated_at excluded): the battery's rows
+    # must not change unless a suite is meant to
+    assert report_digest(render_report(summary, "csv")) == \
+        "bfa65c8bcf9c8334777526902c1b89303825a2ee9e4c259f0bba60eed83c11cb"
 
 
-def test_battery_catches_injected_fault():
-    status, summary = verify_all(make(kind="verify_all", seed=11,
-                                      fault_injection="matching"))
+def test_battery_catches_injected_fault(broken_matching):
+    status, summary = verify_all(make(kind="verify_all", seed=11))
     assert status == 1
     failing = {row[0] for row in summary.rows if row[3] == "fail"}
     assert "oracle_equivalence" in failing
@@ -348,8 +361,18 @@ def test_cli_bad_probability(capsys):
     assert main(["percolate", "--product", "Q2", "--p", "0"]) == 2
 
 
-def test_cli_fault_injection_exits_nonzero(capsys):
-    assert main(["verify", "--fault-injection", "matching", "--seed", "1"]) == 1
+@pytest.mark.parametrize("argv", [
+    ["percolate", "--product", "Q4", "--omega", "100"],
+    ["percolate", "--product", "Q4", "--omega", "100", "--workers", "2"],
+    ["iso", "--product", "Q4", "--p", "1.0"],
+])
+def test_cli_rejects_out_of_domain_probability(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_fault_injection_exits_nonzero(broken_matching, capsys):
+    assert main(["verify", "--seed", "1"]) == 1
 
 
 def test_cli_respects_size_cap(monkeypatch, capsys):

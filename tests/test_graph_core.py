@@ -3,13 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import mask_from_edges
 from prodperc.graph_core import (BaseGraphSpec, DisconnectedError,
                                  GraphBuildError, MalformedEdgeListError,
                                  NonRegularError, TooLargeError, TooSmallError,
                                  base_from_edges, bipartition_signature,
                                  build_base, build_product, cartesian_product,
-                                 full_mask, mask_from_edges, read_edge_list,
-                                 star)
+                                 full_mask, read_edge_list, star)
 
 
 def product_of(*specs):

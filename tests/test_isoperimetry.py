@@ -10,8 +10,7 @@ from prodperc.graph_core import (BaseGraph, BaseGraphSpec, TooLargeError,
                                  build_product, cartesian_product)
 from prodperc.isoperimetry import (BoundParams, count_rooted_trees,
                                    edge_boundary, edge_connectivity,
-                                   exhaustive_profile, f_star, f_star_b,
-                                   f_star_s, find_bad_expansion_sets,
+                                   exhaustive_profile, f_star,
                                    rooted_tree_bound)
 
 
@@ -79,41 +78,6 @@ def test_f_star_folds_above_half():
         f_star(params, 0)
     with pytest.raises(ValueError):
         f_star(params, params.n)
-
-
-def test_f_star_s_values_and_preconditions():
-    params = BoundParams.from_product(build_catalog_product("Q4"), 0.5)
-    # single component degenerates to the plain bound
-    assert f_star_s(params, 1, 5.0) == f_star(params, 5.0)
-    expected = 3 * (params.d - 1) + f_star(params, 4.0)
-    assert math.isclose(f_star_s(params, 2, 7.0), expected, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        f_star_s(params, 0, 5.0)
-    with pytest.raises(ValueError):
-        f_star_s(params, 2, 5.0)
-
-
-def test_f_star_s_convexity_form():
-    params = BoundParams.from_product(build_catalog_product("Q6"), 0.4)
-    for ell2, s in ((2, 8.0), (3, 11.0), (4, 20.0)):
-        value = f_star_s(params, ell2, s)
-        split = (ell2 - 1) * f_star(params, 3) + f_star(params, s - 3 * (ell2 - 1))
-        # merging the small components into the analytic term only loses slack
-        assert value >= split - 1e-9 or math.isclose(value, split, rel_tol=1e-9)
-
-
-def test_f_star_b_values_and_preconditions():
-    params = BoundParams.from_product(build_catalog_product("Q4"), 0.5)
-    thr = params.s_threshold
-    assert f_star_b(params, 1, 8.0) == min(params.n / params.C, f_star(params, 8.0))
-    lead = thr * math.log(params.d)
-    rest = 12.0 - thr
-    expected = lead + min(params.n / params.C, f_star(params, rest))
-    assert math.isclose(f_star_b(params, 2, 12.0), expected, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        f_star_b(params, 0, 8.0)
-    with pytest.raises(ValueError):
-        f_star_b(params, 2, thr)  # below ell3 * threshold
 
 
 def test_bound_params_validation():
@@ -193,21 +157,3 @@ def test_rooted_tree_count_is_root_invariant_on_transitive_graph(root):
     # Q4 is vertex transitive, so the count cannot depend on the root
     pg = build_catalog_product("Q4")
     assert count_rooted_trees(pg, root, 4) == count_rooted_trees(pg, 0, 4)
-
-
-# --- bad expansion search ----------------------------------------------------------
-
-def test_bad_expansion_sets_frozen_counts():
-    q4 = build_catalog_product("Q4")
-    assert find_bad_expansion_sets(q4, 4, 7.0) == []
-    squares = find_bad_expansion_sets(q4, 4, 8.0)
-    assert len(squares) == 24
-    for subset in squares:
-        assert edge_boundary(q4, subset) == 8
-    k5 = build_catalog_product("K5")
-    assert len(find_bad_expansion_sets(k5, 2, 6.0)) == 10
-
-
-def test_bad_expansion_sets_cap():
-    with pytest.raises(TooLargeError):
-        find_bad_expansion_sets(build_catalog_product("Q5"), 3, 10.0)

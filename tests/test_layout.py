@@ -1,0 +1,31 @@
+"""Package layout: src/ holds no code that only tests reach."""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+import prodperc
+
+SRC = Path(prodperc.__file__).parent
+
+
+def test_every_top_level_name_is_used_or_exported():
+    """Each top-level function or class in src/prodperc is listed in
+    ``prodperc.__all__`` or referenced somewhere in src/ outside its own
+    body."""
+    defined = []
+    referenced_at = defaultdict(set)  # name -> {(module, top-level name)}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            site = (path.name, getattr(node, "name", None))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(site)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    referenced_at[sub.id].add(site)
+                elif isinstance(sub, ast.Attribute):
+                    referenced_at[sub.attr].add(site)
+    unused = [f"{module}:{name}" for module, name in defined
+              if name not in prodperc.__all__
+              and not referenced_at[name] - {(module, name)}]
+    assert unused == []

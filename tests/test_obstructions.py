@@ -5,11 +5,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import deficiency_consistency, mask_from_edges
 from prodperc.catalog import build_catalog_product
 from prodperc.graph_core import (BaseGraphSpec, build_product,
-                                 cartesian_product, mask_from_edges, star)
+                                 cartesian_product, star)
 from prodperc.obstructions import (classify_removal, default_threshold,
-                                   deficiency_consistency,
                                    find_minimal_obstructions,
                                    verify_determination,
                                    verify_three_components)
@@ -162,11 +162,10 @@ def test_theta_sample_has_unique_minimal_pair():
 def test_three_components_on_theta_fixture():
     pg, sample = theta_sample()
     record = find_minimal_obstructions(pg, sample)[0]
-    for mode in ("sample", "host"):
-        report = verify_three_components(pg, sample, record, adjacency=mode)
-        assert report.ok
-        assert report.checked_vertices == 2
-        assert not report.skipped_out_of_scope
+    report = verify_three_components(pg, sample, record)
+    assert report.ok
+    assert report.checked_vertices == 2
+    assert not report.skipped_out_of_scope
 
 
 def test_three_components_skips_singletons():
@@ -194,9 +193,6 @@ def test_three_components_requires_minimal_flag():
     record = classify_removal(pg, sample, {0, 4})
     with pytest.raises(ValueError):
         verify_three_components(pg, sample, record)
-    with pytest.raises(ValueError):
-        verify_three_components(pg, sample, replace(record, is_minimal=True),
-                                adjacency="both")
 
 
 # --- determination ---------------------------------------------------------------

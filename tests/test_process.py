@@ -5,9 +5,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import mask_from_edges
 from prodperc.catalog import build_catalog_product
 from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product,
-                                 mask_from_edges, star)
+                                 star)
 from prodperc.matching import maximum_matching
 from prodperc.process import (EdgeOrdering, HittingTimes, PercolationSample,
                               component_profile, critical_p, double_exposure,
