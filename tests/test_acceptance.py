@@ -23,6 +23,7 @@ from prodperc.experiments import (ExperimentConfig, render_report, run_trials,
                                   _suite_obstruction_properties,
                                   _suite_oracle_equivalence,
                                   _suite_star_identity, _suite_tree_bounds)
+from prodperc.isoperimetry import exhaustive_profile
 from prodperc.matching import maximum_matching
 from prodperc.process import run_process, sample_ordering
 from prodperc.rng import derive_trial_seed
@@ -63,11 +64,16 @@ def test_criterion_01_matching_oracle_equivalence():
 
 
 def test_criterion_02_profile_dominates_analytic_bound():
-    # Also criterion 3: the suite checks the exact Q3 profile
-    # (3, 4, 5, 4, 5, 4, 3).
     _report_suite(2, "f >= f* and f(k) = f(n-k) on Q4, K3xK3, C4xK3, C5xK2, "
                      "and the Q3 spot profile",
                   _suite_isoperimetry_bounds())
+
+
+def test_criterion_03_cube_profile_spot_values():
+    profile = exhaustive_profile(build_catalog_product("Q3"))
+    expected = (3, 4, 5, 4, 5, 4, 3)
+    _report(3, profile.f == expected,
+            f"Q3 exhaustive profile {profile.f} == {expected}")
 
 
 def test_criterion_04_minimum_cut_meets_degree():
