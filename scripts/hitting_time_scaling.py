@@ -21,8 +21,6 @@ def parse_args(argv=None):
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--tau3-mode", choices=("bisect", "incremental"),
-                        default="bisect")
     parser.add_argument("--out-dir", help="write one CSV report per dimension")
     return parser.parse_args(argv)
 
@@ -39,8 +37,7 @@ def main(argv=None) -> int:
     for t in range(args.min_dim, args.max_dim + 1):
         config = ExperimentConfig.from_dict({
             "kind": "hitting_times", "product": f"Q{t}", "seed": args.seed,
-            "trials": args.trials, "tau3_mode": args.tau3_mode,
-            "workers": args.workers})
+            "trials": args.trials, "workers": args.workers})
         summary = run_trials(config)
         agg = summary.aggregates
         print(f"{t:>3} {2 ** t:>6} {agg['coincidence_rate']:>12.3f} "

@@ -16,6 +16,7 @@ from .experiments import (CONFIG_KEYS, ConfigError, ExperimentConfig,
                           emit_report, render_report, resolve_product,
                           run_trials, verify_all)
 from .graph_core import GraphBuildError, build_product
+from .process import TAU3_MODES
 
 _KIND_BY_COMMAND = {
     "process": "hitting_times",
@@ -50,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("process", help="hitting-time trials")
     add_common(sp)
-    sp.add_argument("--tau3-mode", dest="tau3_mode",
-                    choices=("bisect", "incremental"))
+    sp.add_argument("--tau3-mode", dest="tau3_mode", choices=TAU3_MODES,
+                    help="accepted for config-hash compatibility; no effect on rows")
 
     sp = sub.add_parser("percolate", help="percolation component-profile trials")
     add_common(sp)

@@ -44,11 +44,12 @@ from .graph_core import (BaseGraphSpec, GraphBuildError, ProductGraph,
                          cartesian_product, full_mask, star)
 from .isoperimetry import (BoundParams, count_rooted_trees, edge_connectivity,
                            exhaustive_profile, f_star, rooted_tree_bound)
-from .matching import brute_deficiency, tutte_berge_deficiency
+from .matching import (brute_deficiency, maximum_matching,
+                       tutte_berge_deficiency)
 from .obstructions import (find_minimal_obstructions, verify_determination,
                            verify_three_components)
-from .process import (component_profile, critical_p, double_exposure,
-                      incremental_matching_sizes, run_process,
+from .process import (TAU3_MODES, EdgeOrdering, component_profile,
+                      critical_p, double_exposure, run_process,
                       sample_ordering, sample_percolation)
 from .rng import Xoshiro256StarStar, derive_trial_seed
 
@@ -157,7 +158,7 @@ class ExperimentConfig:
             raise ConfigError(f"u_max must be at least 1, got {self.u_max}")
         if self.component_threshold is not None and self.component_threshold <= 0:
             raise ConfigError("component_threshold must be positive")
-        if self.tau3_mode not in ("bisect", "incremental"):
+        if self.tau3_mode not in TAU3_MODES:
             raise ConfigError(f"unknown tau3_mode {self.tau3_mode!r}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
@@ -691,25 +692,45 @@ def _suite_coupling(seed: int, sigmas: float = 4.0):
     return pg.m, counterexamples, detail
 
 
+def _tau3_oracle(pg: ProductGraph, ordering: EdgeOrdering) -> int | None:
+    """First prefix of the ordering whose maximum matching has floor(n/2)
+    edges, or None: bisection over from-scratch ``maximum_matching``
+    solves that share nothing between probes."""
+    target = pg.n // 2
+
+    def reaches(length: int) -> bool:
+        mask = bytearray(pg.m)
+        for eid in ordering.permutation[:length]:
+            mask[eid] = 1
+        return maximum_matching(pg, mask).size >= target
+
+    if not reaches(pg.m):
+        return None
+    lo, hi = 0, pg.m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _suite_hitting_sanity(seed: int):
-    """Order invariants and bisect/incremental agreement on small runs."""
+    """Order invariants and tau3 against the prefix oracle on small runs."""
     instances = 0
     counterexamples = 0
     detail = ""
     for name_index, name in enumerate(("Q4", "K3xK3", "C4xK3")):
         pg = build_catalog_product(name)
-        target = pg.n // 2
         for i in range(10):
             trial_seed = derive_trial_seed(derive_trial_seed(seed, name_index), i)
             ordering = sample_ordering(pg, trial_seed)
-            times = run_process(pg, ordering, tau3_mode="bisect")
-            sizes = incremental_matching_sizes(pg, ordering, stop_at=target)
-            incremental = next((idx + 1 for idx, size in enumerate(sizes)
-                                if size >= target), None)
+            times = run_process(pg, ordering)
             instances += 1
             bad_order = times.tau1 > times.tau2 or (
                 pg.n % 2 == 0 and times.tau3 is not None and times.tau1 > times.tau3)
-            if bad_order or times.tau3 != incremental:
+            if bad_order or times.tau3 != _tau3_oracle(pg, ordering):
                 counterexamples += 1
                 if not detail:
                     detail = f"{name} trial {i} seed {trial_seed}"

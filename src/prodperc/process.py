@@ -11,10 +11,10 @@ Two sampling modes share one generator stack (see rng):
 
 Hitting times are indexed from 1: tau = i means the property first holds
 after the i-th edge is added.  tau1 is minimum degree one, tau2 is
-connectivity, tau3 is a matching of size floor(n / 2).  tau3 is located
-by binary search over prefixes with a full matching computation per
-probe; an incremental mode re-derives it by augmenting after every edge
-and exists to cross-check the binary search.
+connectivity, tau3 is a matching of size floor(n / 2).  tau3 is found
+with one matching solve at the first prefix with few enough vertices of
+degree zero, then, if that falls short, by one augmenting search per
+added edge.
 """
 
 from dataclasses import dataclass
@@ -22,6 +22,9 @@ from dataclasses import dataclass
 from .graph_core import ProductGraph
 from .matching import _augment_once, _solve
 from .rng import Xoshiro256StarStar, split_seeds
+
+# Accepted tau3_mode values; all run the same algorithm.
+TAU3_MODES = ("bisect", "incremental")
 
 
 @dataclass(frozen=True)
@@ -164,108 +167,61 @@ def critical_p(pg: ProductGraph, omega: float = 1.0) -> float:
     return 1.0 - (omega / pg.n) ** (1.0 / pg.d)
 
 
-def _prefix_mask(pg: ProductGraph, permutation, length: int) -> bytearray:
-    mask = bytearray(pg.m)
-    for i in range(length):
-        mask[permutation[i]] = 1
-    return mask
-
-
-def _tau3_bisect(pg: ProductGraph, permutation, target: int) -> int | None:
+def _tau3(pg: ProductGraph, permutation, lower: int, target: int) -> int | None:
     """Smallest prefix whose maximum matching reaches ``target``.
 
-    Matchings found at earlier probes are recycled: a matching of a
-    shorter prefix is a valid partial matching of any longer prefix, and
-    a matching of a longer prefix stays valid after dropping the edges
-    beyond the probe.  Feasibility probes stop augmenting at ``target``.
+    ``lower`` is the first prefix that leaves at most n - 2 * target
+    vertices of degree zero; no shorter prefix can hold the matching.
+    One solve at ``lower`` usually succeeds.  Otherwise edges are added
+    one at a time: each raises the maximum matching by at most one, and
+    a new augmenting path must cross the new edge, so one search from an
+    exposed endpoint (or from each remaining exposed vertex when both
+    endpoints are matched) restores maximality.
     """
-    m = pg.m
-    rank = [0] * m
-    for pos, eid in enumerate(permutation):
-        rank[eid] = pos
-    mate_full, size_full = _solve(pg, None, stop_at=target)
-    if size_full < target:
-        return None
-    known: list[tuple[int, list[int]]] = []
-
-    def feasible(length: int) -> bool:
-        mask = _prefix_mask(pg, permutation, length)
-        best_mate = None
-        best_size = -1
-        for probed_len, probed_mate in known:
-            cand = list(probed_mate)
-            if probed_len > length:
-                # drop matched edges that lie beyond this prefix
-                for v in range(pg.n):
-                    w = cand[v]
-                    if w > v and rank[pg.edge_id(v, w)] >= length:
-                        cand[v] = -1
-                        cand[w] = -1
-            cand_size = sum(1 for x in cand if x >= 0) // 2
-            if cand_size > best_size:
-                best_size = cand_size
-                best_mate = cand
-        mate, size = _solve(pg, mask, mate=best_mate, stop_at=target)
-        known.append((length, mate))
-        return size >= target
-
-    lo, hi = target, m
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def incremental_matching_sizes(pg: ProductGraph, ordering: EdgeOrdering,
-                               stop_at: int | None = None) -> list[int]:
-    """Maximum matching size after each prefix of the ordering.
-
-    Maintains a maximum matching and, after each edge arrival, restores
-    maximality with at most one augmentation (adding one edge grows the
-    maximum by at most one, and any new augmenting path must cross the
-    new edge).  Used by the incremental tau3 mode and the monotonicity
-    property checks.
-    """
-    n = pg.n
     mask = bytearray(pg.m)
-    mate = [-1] * n
-    size = 0
-    sizes = []
-    for eid in ordering.permutation:
+    for eid in permutation[:lower]:
+        mask[eid] = 1
+    mate, size = _solve(pg, mask, stop_at=target)
+    if size >= target:
+        return lower
+    exposed = [v for v in range(pg.n) if mate[v] < 0]
+    for i in range(lower, pg.m):
+        eid = permutation[i]
         mask[eid] = 1
         u, v = pg.edges[eid]
         if mate[u] < 0 and mate[v] < 0:
             mate[u] = v
             mate[v] = u
-            size += 1
+            grew = True
         elif mate[u] < 0 or mate[v] < 0:
-            root = u if mate[u] < 0 else v
-            if _augment_once(pg, mask, mate, root):
-                size += 1
+            grew = _augment_once(pg, mask, mate, u if mate[u] < 0 else v)
         else:
-            for root in range(n):
-                if mate[root] < 0 and _augment_once(pg, mask, mate, root):
-                    size += 1
-                    break
-        sizes.append(size)
-        if stop_at is not None and size >= stop_at:
-            break
-    return sizes
+            grew = any(_augment_once(pg, mask, mate, root) for root in exposed)
+        if grew:
+            size += 1
+            if size >= target:
+                return i + 1
+            exposed = [x for x in exposed if mate[x] < 0]
+    return None
 
 
 def run_process(pg: ProductGraph, ordering: EdgeOrdering,
                 tau3_mode: str = "bisect") -> HittingTimes:
-    """Hitting times of minimum degree 1, connectivity, and matching."""
-    if tau3_mode not in ("bisect", "incremental"):
+    """Hitting times of minimum degree 1, connectivity, and matching.
+
+    ``tau3_mode`` is kept for configuration compatibility: every mode in
+    ``TAU3_MODES`` runs the same algorithm.
+    """
+    if tau3_mode not in TAU3_MODES:
         raise ValueError(f"unknown tau3 mode: {tau3_mode!r}")
     n = pg.n
     perm = ordering.permutation
+    target = n // 2
+    slack = n - 2 * target
     degree = [0] * n
     uncovered = n
     dsu = DisjointSet(n)
+    lower = None
     tau1 = None
     tau2 = None
     for i, eid in enumerate(perm, start=1):
@@ -276,6 +232,8 @@ def run_process(pg: ProductGraph, ordering: EdgeOrdering,
             uncovered -= 1
         degree[u] += 1
         degree[v] += 1
+        if lower is None and uncovered <= slack:
+            lower = i
         if tau1 is None and uncovered == 0:
             tau1 = i
         dsu.union(u, v)
@@ -285,18 +243,7 @@ def run_process(pg: ProductGraph, ordering: EdgeOrdering,
             break
     if tau1 is None or tau2 is None:
         raise AssertionError("process ended before connectivity; ordering incomplete?")
-
-    target = n // 2
-    if tau3_mode == "bisect":
-        tau3 = _tau3_bisect(pg, perm, target)
-    else:
-        sizes = incremental_matching_sizes(pg, ordering, stop_at=target)
-        tau3 = None
-        for i, s in enumerate(sizes, start=1):
-            if s >= target:
-                tau3 = i
-                break
-    return HittingTimes(tau1=tau1, tau2=tau2, tau3=tau3)
+    return HittingTimes(tau1=tau1, tau2=tau2, tau3=_tau3(pg, perm, lower, target))
 
 
 def component_profile(pg: ProductGraph, sample: PercolationSample) -> ComponentProfile:

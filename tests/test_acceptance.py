@@ -22,7 +22,8 @@ from prodperc.experiments import (ExperimentConfig, render_report, run_trials,
                                   _suite_isoperimetry_bounds,
                                   _suite_obstruction_properties,
                                   _suite_oracle_equivalence,
-                                  _suite_star_identity, _suite_tree_bounds)
+                                  _suite_star_identity, _suite_tree_bounds,
+                                  _tau3_oracle)
 from prodperc.isoperimetry import exhaustive_profile
 from prodperc.matching import maximum_matching
 from prodperc.process import run_process, sample_ordering
@@ -113,17 +114,16 @@ def test_criterion_08_hitting_time_sanity():
             order_violations += 1
     hosts = [build_catalog_product(name) for name in even_order_names(64)]
     hosts = [g for g in hosts if g.n <= 64]
-    mode_disagreements = 0
+    oracle_disagreements = 0
     for i in range(100):
         g = hosts[i % len(hosts)]
         ordering = sample_ordering(g, derive_trial_seed(BASE_SEED + 1, i))
-        if run_process(g, ordering, tau3_mode="bisect") != \
-                run_process(g, ordering, tau3_mode="incremental"):
-            mode_disagreements += 1
-    _report(8, order_violations == 0 and mode_disagreements == 0,
+        if run_process(g, ordering).tau3 != _tau3_oracle(g, ordering):
+            oracle_disagreements += 1
+    _report(8, order_violations == 0 and oracle_disagreements == 0,
             f"tau1 <= tau2, tau1 <= tau3 in 1000/1000 Q6 trials "
-            f"({order_violations} violations); bisect == incremental on "
-            f"100 cross-checks ({mode_disagreements} disagreements)")
+            f"({order_violations} violations); tau3 == prefix oracle on "
+            f"100 cross-checks ({oracle_disagreements} disagreements)")
 
 
 def test_criterion_09_coincidence_rate_grows_with_dimension():

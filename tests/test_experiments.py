@@ -279,13 +279,6 @@ def test_battery_passes_clean():
         "bfa65c8bcf9c8334777526902c1b89303825a2ee9e4c259f0bba60eed83c11cb"
 
 
-def test_battery_catches_injected_fault(broken_matching):
-    status, summary = verify_all(make(kind="verify_all", seed=11))
-    assert status == 1
-    failing = {row[0] for row in summary.rows if row[3] == "fail"}
-    assert "oracle_equivalence" in failing
-
-
 def test_verify_all_rejects_other_kinds():
     with pytest.raises(ConfigError):
         verify_all(hitting("Q2"))
@@ -372,7 +365,10 @@ def test_cli_rejects_out_of_domain_probability(argv, capsys):
 
 
 def test_cli_fault_injection_exits_nonzero(broken_matching, capsys):
-    assert main(["verify", "--seed", "1"]) == 1
+    assert main(["verify", "--seed", "11"]) == 1
+    rows = dict(line.split(",", 1) for line in capsys.readouterr().out.splitlines()
+                if line and not line.startswith("#"))
+    assert rows["oracle_equivalence"].split(",")[2] == "fail"
 
 
 def test_cli_respects_size_cap(monkeypatch, capsys):

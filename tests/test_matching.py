@@ -67,6 +67,19 @@ def test_blossom_contraction_path():
         assert tutte_berge_deficiency(c5, mask) == brute_deficiency(c5, mask)
 
 
+def test_augment_contracts_blossom():
+    # from root 6 the search runs 6-3, 3=0, then meets the odd cycle
+    # 0-1=2-0; only by contracting it can the path leave through 1-4
+    pg = build_catalog_product("K3xK3")
+    mask = mask_from_edges(pg, [(6, 3), (3, 0), (0, 1), (0, 2), (1, 2), (1, 4)])
+    mate = [-1] * pg.n
+    for u, v in ((3, 0), (1, 2)):
+        mate[u], mate[v] = v, u
+    assert _augment_once(pg, mask, mate, root=6)
+    size = sum(1 for v, w in enumerate(mate) if w > v)
+    assert size == (pg.n - brute_deficiency(pg, mask)) // 2 == 3
+
+
 # --- oracle equivalence --------------------------------------------------
 
 def test_oracle_equivalence_random_masks():

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import mask_from_edges
+import prodperc.process as process
 from prodperc.catalog import build_catalog_product
+from prodperc.experiments import _tau3_oracle
 from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product,
                                  star)
 from prodperc.matching import maximum_matching
 from prodperc.process import (EdgeOrdering, HittingTimes, PercolationSample,
                               component_profile, critical_p, double_exposure,
-                              incremental_matching_sizes, run_process,
-                              sample_ordering, sample_percolation)
+                              run_process, sample_ordering, sample_percolation)
 from prodperc.rng import split_seeds
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -47,10 +48,9 @@ def test_incomplete_ordering_rejected():
 def test_tau3_none_when_target_unreachable():
     host = cartesian_product([star(3)], require_regular=False)
     assert maximum_matching(host).size == 1  # below floor(4/2)
-    times = run_process(host, sample_ordering(host, 5))
-    assert times.tau3 is None
-    times = run_process(host, sample_ordering(host, 5), tau3_mode="incremental")
-    assert times.tau3 is None
+    ordering = sample_ordering(host, 5)
+    assert run_process(host, ordering).tau3 is None
+    assert _tau3_oracle(host, ordering) is None
 
 
 # --- ordering sampler ------------------------------------------------------
@@ -63,27 +63,28 @@ def test_sample_ordering_shape():
     assert ordering.permutation != sample_ordering(pg, 43).permutation
 
 
-def test_bisect_matches_incremental():
+def test_tau3_matches_prefix_oracle():
     pg = build_catalog_product("K3xK3")
     for seed in range(30):
         ordering = sample_ordering(pg, seed)
-        a = run_process(pg, ordering, tau3_mode="bisect")
-        b = run_process(pg, ordering, tau3_mode="incremental")
-        assert a == b
+        assert run_process(pg, ordering).tau3 == _tau3_oracle(pg, ordering)
 
 
-def test_incremental_sizes_are_monotone_unit_steps():
-    pg = build_catalog_product("C5xK2")
-    ordering = sample_ordering(pg, 11)
-    sizes = incremental_matching_sizes(pg, ordering)
-    assert len(sizes) == pg.m
-    assert sizes[0] == 1
-    for prev, cur in zip(sizes, sizes[1:]):
-        assert cur in (prev, prev + 1)
-    assert sizes[-1] == maximum_matching(pg).size
-    prefix = incremental_matching_sizes(pg, ordering, stop_at=3)
-    assert prefix == sizes[:len(prefix)]
-    assert prefix[-1] == 3
+def test_one_matching_solve_per_trial(monkeypatch):
+    # tau3 is one solve at the degree lower bound plus per-edge
+    # augmentation; a probe loop over prefixes would solve again
+    calls = []
+    solve = process._solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(process, "_solve", counting)
+    pg = build_catalog_product("Q8")
+    for seed in range(20):
+        run_process(pg, sample_ordering(pg, seed))
+        assert len(calls) == seed + 1
 
 
 # --- percolation sampling ---------------------------------------------------
@@ -200,6 +201,31 @@ def test_hitting_order_even_product(seed):
     assert times.tau1 <= times.tau2
     assert times.tau3 is not None and times.tau1 <= times.tau3
     assert 1 <= times.tau1 and times.tau2 <= pg.m
+
+
+@settings(deadline=None, max_examples=60)
+@given(U64, st.sampled_from(("Q3", "Q4", "K3xK3", "C5xK2", "C4xK3", "K5",
+                             "petersen", "C5xC5")))
+def test_tau3_equals_prefix_oracle(seed, name):
+    pg = build_catalog_product(name)
+    ordering = sample_ordering(pg, seed)
+    times = run_process(pg, ordering)
+    assert times.tau3 == _tau3_oracle(pg, ordering)
+    if pg.n % 2 == 0:
+        assert times.tau3 is not None and times.tau1 <= times.tau3
+
+
+@settings(deadline=None, max_examples=40)
+@given(U64, st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_percolation_nested_across_p(seed, p, q):
+    # edge k is kept iff the k-th uniform is below p, so one seed couples
+    # every p: the sample at the smaller p is a subgraph of the larger
+    pg = build_catalog_product("C4xK3")
+    low, high = sorted((p, q))
+    small = sample_percolation(pg, low, seed).mask
+    large = sample_percolation(pg, high, seed).mask
+    assert all(a <= b for a, b in zip(small, large))
 
 
 @settings(deadline=None, max_examples=30)
