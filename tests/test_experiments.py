@@ -279,6 +279,13 @@ def test_battery_passes_clean():
         "bfa65c8bcf9c8334777526902c1b89303825a2ee9e4c259f0bba60eed83c11cb"
 
 
+def test_battery_catches_injected_fault(broken_matching):
+    status, summary = verify_all(make(kind="verify_all", seed=11))
+    assert status == 1
+    failing = {row[0] for row in summary.rows if row[3] == "fail"}
+    assert "oracle_equivalence" in failing
+
+
 def test_verify_all_rejects_other_kinds():
     with pytest.raises(ConfigError):
         verify_all(hitting("Q2"))
