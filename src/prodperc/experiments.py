@@ -304,29 +304,27 @@ def _compute_row(config: ExperimentConfig, pg: ProductGraph, index: int) -> tupl
     raise ConfigError(f"kind {config.kind!r} has no per-trial rows")
 
 
-_WORKER_STATE: dict[str, tuple[ExperimentConfig, ProductGraph]] = {}
+_WORKER: tuple[ExperimentConfig, ProductGraph] | None = None
 
 
-def _worker_row(payload: tuple[str, int]) -> tuple:
-    blob, index = payload
-    state = _WORKER_STATE.get(blob)
-    if state is None:
-        config = ExperimentConfig.from_dict(json.loads(blob))
-        state = (config, config.build())
-        _WORKER_STATE[blob] = state
-    config, pg = state
+def _init_worker(config: ExperimentConfig) -> None:
+    """Pool initializer: build the product once per worker process."""
+    global _WORKER
+    _WORKER = (config, config.build())
+
+
+def _worker_row(index: int) -> tuple:
+    config, pg = _WORKER
     return _compute_row(config, pg, index)
 
 
 def _trial_rows(config: ExperimentConfig, pg: ProductGraph) -> list[tuple]:
     workers = config.workers if config.workers is not None else os.cpu_count() or 1
     if workers > 1 and config.trials > 1:
-        blob = json.dumps(config.canonical_dict(), sort_keys=True)
         chunk = max(1, config.trials // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_worker_row,
-                                 ((blob, i) for i in range(config.trials)),
-                                 chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(config,)) as pool:
+            return list(pool.map(_worker_row, range(config.trials), chunksize=chunk))
     return [_compute_row(config, pg, i) for i in range(config.trials)]
 
 

@@ -6,16 +6,19 @@ vertex id is its coordinate in base graph i, with digit 0 least
 significant.  Two product vertices are adjacent when they differ in
 exactly one coordinate and that pair of digits is an edge of the
 corresponding base graph.  Edges carry canonical ids: sort all pairs
-(u, v) with u < v lexicographically and number them from 0.
+(u, v) with u < v lexicographically and number them from 0.  They are
+filled in one walk over the sorted rows with u rising (see ProductGraph),
+and ``edge_id`` finds one by bisecting a row.
 
 The module also hosts the edge-list file parser, the size cap that
-protects against accidentally huge products, and a bipartiteness probe
-used by the parity checks.
+protects against accidentally huge products, a bipartiteness probe used
+by the parity checks, and the neighbour bitmasks the exact oracles use.
 """
 
 import math
 import os
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 
 DEFAULT_MAX_VERTICES = 1 << 26
 MAX_VERTICES_ENV = "PPL_MAX_VERTICES"
@@ -307,15 +310,17 @@ def star(leaves: int) -> BaseGraph:
     return base_from_edges(leaves + 1, edges, label=f"Star{leaves}", require_regular=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProductGraph:
     """Cartesian product of base graphs with flat adjacency arrays.
 
     ``adj_off``, ``adj_flat`` and ``adj_eid`` form a compressed
     adjacency: the neighbours of v are ``adj_flat[adj_off[v]:adj_off[v+1]]``
-    and the incident edge ids sit at the same positions in ``adj_eid``.
-    Instances are immutable after construction and safe to share across
-    worker processes.
+    in increasing order, and the incident edge ids sit at the same
+    positions in ``adj_eid``.  With u rising, each forward slot (v > u)
+    of row u takes the next id, which also fills the next free slot of
+    row v; ``edge_id`` is a bisect into a row.  Instances are immutable
+    after construction and safe to share across worker processes.
     """
 
     bases: tuple[BaseGraph, ...]
@@ -328,7 +333,6 @@ class ProductGraph:
     adj_flat: list[int]
     adj_eid: list[int]
     edges: list[tuple[int, int]]
-    _eid_index: dict = field(repr=False, default_factory=dict)
 
     @property
     def m(self) -> int:
@@ -362,11 +366,13 @@ class ProductGraph:
         return self.adj_off[v + 1] - self.adj_off[v]
 
     def edge_id(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        eid = self._eid_index.get(key)
-        if eid is None:
-            raise GraphBuildError(f"({u}, {v}) is not an edge of the product")
-        return eid
+        """Canonical id of edge {u, v}, found by bisecting the sorted row of u."""
+        if 0 <= u < self.n and 0 <= v < self.n:
+            lo, hi = self.adj_off[u], self.adj_off[u + 1]
+            k = bisect_left(self.adj_flat, v, lo, hi)
+            if k < hi and self.adj_flat[k] == v:
+                return self.adj_eid[k]
+        raise GraphBuildError(f"({u}, {v}) is not an edge of the product")
 
     def label(self) -> str:
         return "x".join(b.label or "?" for b in self.bases)
@@ -387,53 +393,43 @@ def cartesian_product(bases, max_vertices: int | None = None,
     if n > cap:
         raise TooLargeError(f"product would have {n} vertices, cap is {cap}")
     radices = tuple(b.order for b in bases)
-    strides = []
-    acc = 1
-    for r in radices:
-        strides.append(acc)
-        acc *= r
-    strides = tuple(strides)
+    strides = tuple(math.prod(radices[:i]) for i in range(len(radices)))
     d = None
     if all(b.degree is not None for b in bases):
         d = sum(b.degree for b in bases)
 
     adj_off = [0] * (n + 1)
     adj_flat: list[int] = []
-    neighbor_lists: list[list[int]] = []
     for v in range(n):
         rest = v
-        nbrs = []
+        row = []
         for base, stride, radix in zip(bases, strides, radices):
             digit = rest % radix
             rest //= radix
             anchor = v - digit * stride
             for w in base.adjacency[digit]:
-                nbrs.append(anchor + w * stride)
-        nbrs.sort()
-        neighbor_lists.append(nbrs)
-        adj_off[v + 1] = adj_off[v] + len(nbrs)
-
-    # canonical edge ids: lexicographic over (u, v) with u < v
-    edges: list[tuple[int, int]] = []
-    eid_index: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        for v in neighbor_lists[u]:
-            if v > u:
-                eid_index[(u, v)] = len(edges)
-                edges.append((u, v))
-
-    adj_eid: list[int] = []
-    for u in range(n):
-        row = neighbor_lists[u]
+                row.append(anchor + w * stride)
+        row.sort()
         adj_flat.extend(row)
-        for v in row:
-            key = (u, v) if u < v else (v, u)
-            adj_eid.append(eid_index[key])
+        adj_off[v + 1] = len(adj_flat)
+
+    # u rises and rows are sorted, so forward slots (v > u) come in (u, v)
+    # order; fill[v] is the next slot of row v still waiting for its id
+    edges: list[tuple[int, int]] = []
+    adj_eid = [0] * len(adj_flat)
+    fill = adj_off[:n]
+    for u in range(n):
+        for k in range(adj_off[u], adj_off[u + 1]):
+            v = adj_flat[k]
+            if v > u:
+                adj_eid[k] = adj_eid[fill[v]] = len(edges)
+                fill[v] += 1
+                edges.append((u, v))
 
     C = max(radices)
     return ProductGraph(bases=bases, n=n, d=d, C=C, radices=radices, strides=strides,
                         adj_off=adj_off, adj_flat=adj_flat, adj_eid=adj_eid,
-                        edges=edges, _eid_index=eid_index)
+                        edges=edges)
 
 
 def build_product(specs, max_vertices: int | None = None) -> ProductGraph:
@@ -469,6 +465,38 @@ def bipartition_signature(g) -> tuple[int, int] | None:
                 elif color[w] == cu:
                     return None
     return counts[0], counts[1]
+
+
+def neighbor_bitmasks(pg: ProductGraph, mask=None) -> list[int]:
+    """Bit w of entry v is set when edge {v, w} is present in the view."""
+    nbr = [0] * pg.n
+    for eid, (u, v) in enumerate(pg.edges):
+        if mask is None or mask[eid]:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+    return nbr
+
+
+def components_from_bitmasks(nbr: list[int], avail: int) -> list[int]:
+    """Connected components (as bitmasks) of the vertices in ``avail``."""
+    comps = []
+    rem = avail
+    while rem:
+        comp = rem & -rem
+        frontier = comp
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                low = f & -f
+                f ^= low
+                nxt |= nbr[low.bit_length() - 1]
+            nxt &= rem & ~comp
+            comp |= nxt
+            frontier = nxt
+        comps.append(comp)
+        rem &= ~comp
+    return comps
 
 
 def full_mask(pg: ProductGraph) -> bytes:

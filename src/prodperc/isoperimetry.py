@@ -18,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .graph_core import ProductGraph, TooLargeError
+from .graph_core import ProductGraph, TooLargeError, neighbor_bitmasks
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,7 @@ def exhaustive_profile(pg: ProductGraph, keep_witnesses: bool | None = None) -> 
         raise TooLargeError(f"exhaustive profile capped at 24 vertices, got {n}")
     if keep_witnesses is None:
         keep_witnesses = n <= 16
-    nbr = [0] * n
-    for u, v in pg.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = neighbor_bitmasks(pg)
     deg = [pg.degree_of(v) for v in range(n)]
     best = [None] * (n + 1)
     wit = [None] * (n + 1) if keep_witnesses else None

@@ -14,7 +14,7 @@ and serves as the independent oracle for the solver.
 
 from dataclasses import dataclass
 
-from .graph_core import ProductGraph
+from .graph_core import ProductGraph, components_from_bitmasks, neighbor_bitmasks
 
 
 @dataclass(frozen=True)
@@ -153,43 +153,12 @@ def tutte_berge_deficiency(pg: ProductGraph, mask=None) -> int:
     return pg.n - 2 * maximum_matching(pg, mask).size
 
 
-def _neighbor_bitmasks(pg: ProductGraph, mask) -> list[int]:
-    nbr = [0] * pg.n
-    for eid, (u, v) in enumerate(pg.edges):
-        if mask is None or mask[eid]:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-    return nbr
-
-
-def components_from_bitmasks(nbr: list[int], avail: int) -> list[int]:
-    """Connected components (as bitmasks) of the vertices in ``avail``."""
-    comps = []
-    rem = avail
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                nxt |= nbr[low.bit_length() - 1]
-            nxt &= rem & ~comp
-            comp |= nxt
-            frontier = nxt
-        comps.append(comp)
-        rem &= ~comp
-    return comps
-
-
 def brute_deficiency(pg: ProductGraph, mask=None) -> int:
     """Deficiency by enumerating every vertex subset U (oracle, n <= 20)."""
     n = pg.n
     if n > 20:
         raise ValueError(f"brute-force deficiency capped at 20 vertices, got {n}")
-    nbr = _neighbor_bitmasks(pg, mask)
+    nbr = neighbor_bitmasks(pg, mask)
     all_mask = (1 << n) - 1
     best = 0
     for u_mask in range(1 << n):

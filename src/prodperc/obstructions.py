@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .graph_core import ProductGraph
-from .matching import components_from_bitmasks, _neighbor_bitmasks
+from .graph_core import ProductGraph, components_from_bitmasks, neighbor_bitmasks
 from .process import PercolationSample
 
 
@@ -113,7 +112,7 @@ def classify_removal(pg: ProductGraph, sample: PercolationSample, u_set,
         raise ValueError("removal set contains an out-of-range vertex")
     if threshold is None:
         threshold = default_threshold(pg, sample.p)
-    nbr = _neighbor_bitmasks(pg, sample.mask)
+    nbr = neighbor_bitmasks(pg, sample.mask)
     u_mask = 0
     for v in u_frozen:
         u_mask |= 1 << v
@@ -177,7 +176,7 @@ def find_minimal_obstructions(pg: ProductGraph, sample: PercolationSample,
         raise ValueError(f"enumeration needs n <= 16 or u_max <= 3 (n={n}, u_max={u_max})")
     if threshold is None:
         threshold = default_threshold(pg, sample.p)
-    nbr = _neighbor_bitmasks(pg, sample.mask)
+    nbr = neighbor_bitmasks(pg, sample.mask)
     all_mask = (1 << n) - 1
     effective_max = min(u_max, (n - 1) // 2)
     for u in range(1, effective_max + 1):

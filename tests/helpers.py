@@ -5,9 +5,9 @@ import math
 from dataclasses import dataclass
 
 from prodperc.catalog import CATALOG
-from prodperc.graph_core import ProductGraph, build_base
-from prodperc.matching import (brute_deficiency, components_from_bitmasks,
-                               maximum_matching, _neighbor_bitmasks)
+from prodperc.graph_core import (ProductGraph, build_base,
+                                 components_from_bitmasks, neighbor_bitmasks)
+from prodperc.matching import brute_deficiency, maximum_matching
 from prodperc.obstructions import find_minimal_obstructions
 from prodperc.process import PercolationSample
 
@@ -72,7 +72,7 @@ def deficiency_consistency(pg: ProductGraph, sample: PercolationSample,
         raise ValueError(f"deficiency consistency capped at 16 vertices, got {n}")
     deficiency = n - 2 * maximum_matching(pg, sample.mask).size
     brute = brute_deficiency(pg, sample.mask)
-    nbr = _neighbor_bitmasks(pg, sample.mask)
+    nbr = neighbor_bitmasks(pg, sample.mask)
     comp_masks = components_from_bitmasks(nbr, (1 << n) - 1)
     sizes = sorted((c.bit_count() for c in comp_masks), reverse=True)
     giant = sizes[0]

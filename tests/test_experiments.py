@@ -143,10 +143,15 @@ def test_hitting_rows_are_reproducible_and_seeded_per_trial():
     assert a.config_hash == config.config_hash()
 
 
-def test_workers_do_not_change_rows():
-    base = hitting("Q4", trials=8, seed=77)
-    parallel = hitting("Q4", trials=8, seed=77, workers=2)
-    assert run_trials(base).rows == run_trials(parallel).rows
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "hitting_times", "product": "Q4"},
+    {"kind": "percolation_profile", "product": "Q4", "omega": 1.0},
+    {"kind": "obstructions", "product": "Q3", "p": 0.35},
+], ids=["hitting", "percolation", "obstructions"])
+def test_workers_do_not_change_rows(kwargs):
+    serial = make(trials=8, seed=77, workers=1, **kwargs)
+    parallel = make(trials=8, seed=77, workers=2, **kwargs)
+    assert run_trials(serial).rows == run_trials(parallel).rows
 
 
 def test_percolation_profile_run():

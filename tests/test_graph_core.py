@@ -142,15 +142,17 @@ def test_edge_ids_are_lexicographic_ranks():
 
 def test_edge_id_rejects_non_edges():
     pg = product_of(BaseGraphSpec.cycle(4))
-    with pytest.raises(GraphBuildError):
-        pg.edge_id(0, 2)
+    for u, v in ((0, 2), (1, 1), (-1, 0), (0, -1), (0, pg.n), (pg.n, 0)):
+        with pytest.raises(GraphBuildError):
+            pg.edge_id(u, v)
 
 
 def test_incident_edges_match_neighbor_positions():
-    pg = product_of(BaseGraphSpec.cycle(5), BaseGraphSpec.complete(2))
-    for v in range(pg.n):
-        for w, eid in zip(pg.neighbors(v), pg.incident_edges(v)):
-            assert pg.edges[eid] == (min(v, w), max(v, w))
+    for pg in (product_of(BaseGraphSpec.cycle(5), BaseGraphSpec.complete(2)),
+               cartesian_product([star(3), star(2)], require_regular=False)):
+        for v in range(pg.n):
+            for w, eid in zip(pg.neighbors(v), pg.incident_edges(v)):
+                assert pg.edges[eid] == (min(v, w), max(v, w))
 
 
 def test_single_factor_product_is_the_base():
@@ -255,7 +257,13 @@ def test_product_structural_invariants(specs):
     assert pg.d == sum(b.degree for b in pg.bases)
     assert pg.C == max(base_orders)
     assert 2 * pg.m == sum(pg.degree_of(v) for v in range(pg.n))
-    assert pg.edges == sorted(pg.edges)
+    assert all(a < b for a, b in zip(pg.edges, pg.edges[1:]))
+    # every slot's edge id names its endpoints, and edge_id finds it from both ends
+    for v in range(pg.n):
+        for k in range(pg.adj_off[v], pg.adj_off[v + 1]):
+            w, eid = pg.adj_flat[k], pg.adj_eid[k]
+            assert pg.edges[eid] == (min(v, w), max(v, w))
+            assert pg.edge_id(v, w) == pg.edge_id(w, v) == eid
     # neighbor relation is symmetric and derived from one-coordinate moves
     for v in range(0, pg.n, max(1, pg.n // 7)):
         for w in pg.neighbors(v):

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from helpers import mask_from_edges
 from prodperc.catalog import build_catalog_product, tiny_names
 from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product,
-                                 full_mask, star)
-from prodperc.matching import (brute_deficiency, components_from_bitmasks,
-                               maximum_matching, tutte_berge_deficiency,
-                               _augment_once, _neighbor_bitmasks)
+                                 components_from_bitmasks, full_mask,
+                                 neighbor_bitmasks, star)
+from prodperc.matching import (brute_deficiency, maximum_matching,
+                               tutte_berge_deficiency, _augment_once)
 from prodperc.rng import Xoshiro256StarStar, derive_trial_seed
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -151,7 +151,7 @@ def test_brute_deficiency_cap():
 def test_components_from_bitmasks():
     pg = build_product((BaseGraphSpec.cycle(4),))
     mask = mask_from_edges(pg, [(0, 1)])
-    nbr = _neighbor_bitmasks(pg, mask)
+    nbr = neighbor_bitmasks(pg, mask)
     comps = components_from_bitmasks(nbr, 0b1111)
     sizes = sorted(c.bit_count() for c in comps)
     assert sizes == [1, 1, 2]
