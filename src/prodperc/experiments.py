@@ -308,9 +308,11 @@ _WORKER: tuple[ExperimentConfig, ProductGraph] | None = None
 
 
 def _init_worker(config: ExperimentConfig) -> None:
-    """Pool initializer: build the product once per worker process."""
+    """Pool initializer.  A forked worker inherits the parent's product
+    through ``_WORKER``; under spawn or forkserver it builds its own."""
     global _WORKER
-    _WORKER = (config, config.build())
+    if _WORKER is None:
+        _WORKER = (config, config.build())
 
 
 def _worker_row(index: int) -> tuple:
@@ -319,12 +321,18 @@ def _worker_row(index: int) -> tuple:
 
 
 def _trial_rows(config: ExperimentConfig, pg: ProductGraph) -> list[tuple]:
+    global _WORKER
     workers = config.workers if config.workers is not None else os.cpu_count() or 1
     if workers > 1 and config.trials > 1:
         chunk = max(1, config.trials // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(config,)) as pool:
-            return list(pool.map(_worker_row, range(config.trials), chunksize=chunk))
+        _WORKER = (config, pg)
+        try:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                     initargs=(config,)) as pool:
+                return list(pool.map(_worker_row, range(config.trials),
+                                     chunksize=chunk))
+        finally:
+            _WORKER = None
     return [_compute_row(config, pg, i) for i in range(config.trials)]
 
 
@@ -526,7 +534,7 @@ def _suite_oracle_equivalence(seed: int):
             host = build_product((BaseGraphSpec.complete(order),))
             hosts[order] = host
         p = 0.2 + 0.6 * gen.next_double()
-        mask = bytes(1 if gen.next_double() < p else 0 for _ in range(host.m))
+        mask = gen.bernoulli_mask(host.m, p)
         if tutte_berge_deficiency(host, mask) != brute_deficiency(host, mask):
             counterexamples += 1
             if not detail:

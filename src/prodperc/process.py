@@ -4,7 +4,7 @@ Two sampling modes share one generator stack (see rng):
 
 * ``sample_percolation`` keeps each edge independently: edge k is present
   iff the k-th uniform double of the stream is below p, in canonical
-  edge-id order.
+  edge-id order (``Xoshiro256StarStar.bernoulli_mask``).
 * ``sample_ordering`` draws a uniform permutation of the edge ids by
   Fisher-Yates shuffle; the process at time i consists of the first i
   edges of the permutation.
@@ -15,9 +15,14 @@ connectivity, tau3 is a matching of size floor(n / 2).  tau3 is found
 with one matching solve at the first prefix with few enough vertices of
 degree zero, then, if that falls short, by one augmenting search per
 added edge.
+
+``component_profile`` unions every kept edge in one
+``DisjointSet.union_all`` pass and reads the components off the roots;
+``run_process`` unions edge by edge because it stops at connectivity.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .graph_core import ProductGraph
 from .matching import _augment_once, _solve
@@ -108,6 +113,25 @@ class DisjointSet:
         self.components -= 1
         return True
 
+    def union_all(self, pairs) -> None:
+        """``union(a, b)`` for every pair in order, with find and union
+        run in local variables."""
+        parent = self.parent
+        size = self.size
+        merged = 0
+        for a, b in pairs:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                merged += 1
+        self.components -= merged
+
 
 def sample_ordering(pg: ProductGraph, seed: int) -> EdgeOrdering:
     """Uniform edge ordering from the documented generator stack."""
@@ -121,12 +145,7 @@ def sample_percolation(pg: ProductGraph, p: float, seed: int) -> PercolationSamp
     """Keep each edge independently with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    gen = Xoshiro256StarStar(seed)
-    next_double = gen.next_double
-    mask = bytearray(pg.m)
-    for k in range(pg.m):
-        if next_double() < p:
-            mask[k] = 1
+    mask = Xoshiro256StarStar(seed).bernoulli_mask(pg.m, p)
     return PercolationSample(mask=bytes(mask), p=p, seed=seed)
 
 
@@ -248,19 +267,13 @@ def run_process(pg: ProductGraph, ordering: EdgeOrdering,
 
 def component_profile(pg: ProductGraph, sample: PercolationSample) -> ComponentProfile:
     """Component sizes, isolated vertices, and their host-graph spacing."""
-    n = pg.n
-    dsu = DisjointSet(n)
-    for eid, bit in enumerate(sample.mask):
-        if bit:
-            u, v = pg.edges[eid]
-            dsu.union(u, v)
-    roots: dict[int, int] = {}
-    for v in range(n):
-        r = dsu.find(v)
-        roots[r] = roots.get(r, 0) + 1
-    sizes = tuple(sorted(roots.values(), reverse=True))
+    dsu = DisjointSet(pg.n)
+    dsu.union_all(compress(pg.edges, sample.mask))
+    # a root's size is its component's; an isolated vertex is a root of size 1
+    roots = [v for v, up in enumerate(dsu.parent) if up == v]
+    sizes = tuple(sorted((dsu.size[r] for r in roots), reverse=True))
     giant = sizes[0]
-    isolated = tuple(v for v in range(n) if dsu.size[dsu.find(v)] == 1)
+    isolated = tuple(r for r in roots if dsu.size[r] == 1)
     mid = sum(1 for s in sizes if 2 <= s < giant)
     min_dist = _min_isolated_distance(pg, isolated)
     return ComponentProfile(sizes=sizes, giant=giant, isolated=isolated,

@@ -16,7 +16,24 @@ implementation in any language can reproduce every experiment stream:
   bound.  No bias, no platform dependence.
 * Shuffles are Fisher-Yates from the last index downwards, with
   ``j = next_below(i + 1)``.
+
+``next_u64``, ``next_double`` and ``next_below`` are the one-step
+reference.  The loops that draw many words, ``bernoulli_mask`` and
+``shuffle``, keep the four state words in local variables and write
+them back at the end, so the stream continues exactly as after the same
+number of ``next_u64`` calls.  They consume the same words and decide
+the same way:
+
+* ``(x >> 11) * 2**-53 < p`` holds iff ``x < ceil(p * 2**53) << 11``:
+  both products by powers of two are exact and ``x >> 11`` is an
+  integer, so the mask compares each raw word with one threshold.
+* The rejection threshold ``(2**64 // b) * b`` is ``2**64 - (2**64 % b)``,
+  above ``2**64 - n`` for every bound ``b <= n``; a shuffle of n items
+  accepts any word below ``2**64 - n`` at once and computes the exact
+  threshold only for the rare word above it.
 """
+
+import math
 
 MASK64 = (1 << 64) - 1
 
@@ -94,8 +111,47 @@ class Xoshiro256StarStar:
             if x < threshold:
                 return x % n
 
+    def bernoulli_mask(self, count: int, p: float) -> bytearray:
+        """Byte k is 1 iff the k-th of the next ``count`` doubles is < p."""
+        threshold = math.ceil(p * 9007199254740992.0) << 11  # 2**53
+        s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
+        mask = bytearray(count)
+        for k in range(count):
+            x = (s1 * 5) & MASK64
+            if (((x << 7) | (x >> 57)) & MASK64) * 9 & MASK64 < threshold:
+                mask[k] = 1
+            t = (s1 << 17) & MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
+        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+        return mask
+
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, last index downwards."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+        n = len(items)
+        safe = (1 << 64) - n
+        s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
+        for i in range(n - 1, 0, -1):
+            bound = i + 1
+            x = (s1 * 5) & MASK64
+            x = (((x << 7) | (x >> 57)) & MASK64) * 9 & MASK64
+            t = (s1 << 17) & MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
+            if x < safe or x < ((1 << 64) // bound) * bound:
+                j = x % bound
+            else:
+                # rejected: continue the draw with the one-step reference
+                self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+                j = self.next_below(bound)
+                s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
             items[i], items[j] = items[j], items[i]
+        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3

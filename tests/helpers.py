@@ -28,6 +28,20 @@ def mask_from_edges(pg: ProductGraph, pairs) -> bytes:
     return bytes(mask)
 
 
+def reference_mask(gen, count: int, p: float) -> bytes:
+    """Byte k is 1 iff the k-th ``next_double()`` is below p, one draw at
+    a time (reference for ``Xoshiro256StarStar.bernoulli_mask``)."""
+    return bytes(1 if gen.next_double() < p else 0 for _ in range(count))
+
+
+def reference_shuffle(gen, items: list) -> None:
+    """Fisher-Yates from the last index down with ``j = next_below(i + 1)``
+    (reference for ``Xoshiro256StarStar.shuffle``)."""
+    for i in range(len(items) - 1, 0, -1):
+        j = gen.next_below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 def even_order_names(max_vertices: int) -> list[str]:
     """Catalog names with an even vertex count up to ``max_vertices``."""
     orders = {name: math.prod(build_base(spec).order for spec in specs)

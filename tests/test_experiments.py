@@ -154,6 +154,23 @@ def test_workers_do_not_change_rows(kwargs):
     assert run_trials(serial).rows == run_trials(parallel).rows
 
 
+def test_pool_workers_reuse_the_parent_product(monkeypatch):
+    # a worker that builds again raises in its initializer and breaks the
+    # pool; spawn and forkserver workers start unpatched and build their own
+    kwargs = dict(kind="percolation_profile", product="Q4", seed=9, trials=8,
+                  omega=1.0)
+    config = make(workers=2, **kwargs)
+    pg = config.build()
+    serial = experiments._trial_rows(make(workers=1, **kwargs), pg)
+
+    def build_again(self):
+        raise AssertionError("product built twice")
+
+    monkeypatch.setattr(ExperimentConfig, "build", build_again)
+    assert experiments._trial_rows(config, pg) == serial
+    assert experiments._WORKER is None
+
+
 def test_percolation_profile_run():
     config = make(kind="percolation_profile", product="Q4", seed=4,
                   trials=12, omega=1.0)

@@ -16,8 +16,7 @@ U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 
 def random_mask(pg, seed, p=0.5):
-    gen = Xoshiro256StarStar(seed)
-    return bytes(1 if gen.next_double() < p else 0 for _ in range(pg.m))
+    return bytes(Xoshiro256StarStar(seed).bernoulli_mask(pg.m, p))
 
 
 # --- exact sizes on known graphs ----------------------------------------
@@ -89,7 +88,7 @@ def test_oracle_equivalence_random_masks():
         order = 4 + gen.next_below(7)
         host = build_product((BaseGraphSpec.complete(order),))
         p = 0.2 + 0.6 * gen.next_double()
-        mask = bytes(1 if gen.next_double() < p else 0 for _ in range(host.m))
+        mask = gen.bernoulli_mask(host.m, p)
         assert tutte_berge_deficiency(host, mask) == brute_deficiency(host, mask)
 
 
@@ -132,7 +131,7 @@ def test_deficiency_parity_and_range(seed):
 def test_adding_one_edge_grows_matching_by_at_most_one(seed):
     pg = build_catalog_product("Q3")
     gen = Xoshiro256StarStar(seed)
-    mask = bytearray(1 if gen.next_double() < 0.4 else 0 for _ in range(pg.m))
+    mask = gen.bernoulli_mask(pg.m, 0.4)
     absent = [e for e in range(pg.m) if not mask[e]]
     before = maximum_matching(pg, bytes(mask)).size
     if absent:

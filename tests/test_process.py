@@ -10,6 +10,7 @@ import prodperc.process as process
 from prodperc.catalog import build_catalog_product
 from prodperc.experiments import _tau3_oracle
 from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product,
+                                 components_from_bitmasks, neighbor_bitmasks,
                                  star)
 from prodperc.matching import maximum_matching
 from prodperc.process import (EdgeOrdering, HittingTimes, PercolationSample,
@@ -232,7 +233,14 @@ def test_percolation_nested_across_p(seed, p, q):
 @given(U64, st.floats(min_value=0.05, max_value=0.95))
 def test_profile_partition(seed, p):
     pg = build_catalog_product("C4xK3")
-    prof = component_profile(pg, sample_percolation(pg, p, seed))
+    sample = sample_percolation(pg, p, seed)
+    prof = component_profile(pg, sample)
     assert sum(prof.sizes) == pg.n
     assert prof.sizes == tuple(sorted(prof.sizes, reverse=True))
     assert len(prof.isolated) == sum(1 for s in prof.sizes if s == 1)
+    # the union-find components against a bitmask flood fill
+    comps = components_from_bitmasks(neighbor_bitmasks(pg, sample.mask),
+                                     (1 << pg.n) - 1)
+    assert prof.sizes == tuple(sorted((c.bit_count() for c in comps), reverse=True))
+    assert prof.isolated == tuple(sorted(c.bit_length() - 1 for c in comps
+                                         if c.bit_count() == 1))

@@ -1,12 +1,31 @@
 """Generator stack: fixed vectors, ranges, and derivation rules."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from prodperc.rng import (Xoshiro256StarStar, derive_trial_seed, split_seeds,
-                          splitmix64)
+from helpers import reference_mask, reference_shuffle
+from prodperc.rng import (MASK64, Xoshiro256StarStar, derive_trial_seed,
+                          split_seeds, splitmix64)
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+PROBABILITIES = st.one_of(st.sampled_from((0.0, 1.0, 1e-12, 1.0 - 1e-12)),
+                          st.floats(min_value=0.0, max_value=1.0))
+
+
+def state(gen):
+    return gen.s0, gen.s1, gen.s2, gen.s3
+
+
+def generator_whose_next_word_is(word: int) -> Xoshiro256StarStar:
+    """Generator whose next ``next_u64`` returns ``word``: the output is
+    rotl(s1 * 5, 7) * 9, so s1 = rotr(word / 9, 7) / 5 mod 2**64."""
+    x = (word * pow(9, -1, 1 << 64)) & MASK64
+    x = ((x >> 7) | (x << 57)) & MASK64
+    gen = Xoshiro256StarStar(0)
+    gen.s0, gen.s1, gen.s2, gen.s3 = 1, (x * pow(5, -1, 1 << 64)) & MASK64, 2, 3
+    return gen
 
 
 def test_splitmix64_reference_vector():
@@ -83,6 +102,67 @@ def test_shuffle_is_permutation(seed, size):
     items = list(range(size))
     gen.shuffle(items)
     assert sorted(items) == list(range(size))
+
+
+@given(U64, st.integers(min_value=0, max_value=300), PROBABILITIES)
+def test_bernoulli_mask_matches_per_draw_loop(seed, count, p):
+    bulk = Xoshiro256StarStar(seed)
+    assert bulk.bernoulli_mask(count, p) == reference_mask(
+        Xoshiro256StarStar(seed), count, p)
+    # one word per byte: the stream continues as after count next_u64 calls
+    stepped = Xoshiro256StarStar(seed)
+    for _ in range(count):
+        stepped.next_u64()
+    assert state(bulk) == state(stepped)
+
+
+@pytest.mark.parametrize("p", [0.5, 1 / 3, 1e-12, 1.0 - 1e-12])
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_bernoulli_mask_at_the_threshold_word(p, offset):
+    # the largest word kept and the smallest word dropped
+    word = ((math.ceil(p * 2**53) << 11) + offset) & MASK64
+    one_step = generator_whose_next_word_is(word).next_double() < p
+    assert one_step == (offset < 0)
+    assert generator_whose_next_word_is(word).bernoulli_mask(1, p) == bytes([one_step])
+
+
+@given(U64, st.integers(min_value=0, max_value=200))
+def test_shuffle_matches_next_below_fisher_yates(seed, size):
+    bulk = Xoshiro256StarStar(seed)
+    reference = Xoshiro256StarStar(seed)
+    items = list(range(size))
+    expected = list(range(size))
+    bulk.shuffle(items)
+    reference_shuffle(reference, expected)
+    assert items == expected
+    assert state(bulk) == state(reference)
+
+
+def test_next_below_rejects_the_top_word():
+    # 2**64 % 3 == 1, so the rejection threshold for 3 is 2**64 - 1
+    gen = generator_whose_next_word_is(MASK64)
+    probe = generator_whose_next_word_is(MASK64)
+    assert probe.next_u64() == MASK64
+    second = probe.next_u64()
+    assert second < MASK64
+    assert gen.next_below(3) == second % 3
+    assert state(gen) == state(probe)
+
+
+@pytest.mark.parametrize("size, word", [(3, MASK64), (3, MASK64 - 1),
+                                        (3, MASK64 - 2), (7, MASK64 - 1)])
+def test_shuffle_near_the_rejection_threshold(size, word):
+    # the first draw has bound = size and every word here is at or above the
+    # safe bound 2**64 - size; 2**64 % 3 == 1 rejects only the top word for
+    # 3 items, 2**64 % 7 == 2 also rejects the one below it for 7
+    gen = generator_whose_next_word_is(word)
+    reference = generator_whose_next_word_is(word)
+    items = list("abcdefg"[:size])
+    expected = list(items)
+    gen.shuffle(items)
+    reference_shuffle(reference, expected)
+    assert items == expected
+    assert state(gen) == state(reference)
 
 
 def test_trial_seed_derivation_rule():
