@@ -6,7 +6,9 @@ graph on 4 vertices and one on 3, ``Q6`` is the 6-dimensional hypercube
 product.
 """
 
-from .graph_core import BaseGraphSpec, ProductGraph, build_product
+import math
+
+from .graph_core import BaseGraphSpec, ProductGraph, build_base, build_product
 
 K2 = BaseGraphSpec.complete(2)
 K3 = BaseGraphSpec.complete(3)
@@ -50,24 +52,7 @@ def build_catalog_product(name: str) -> ProductGraph:
     return build_product(catalog_specs(name))
 
 
-def _spec_order(spec: BaseGraphSpec) -> int:
-    if spec.kind in ("complete", "cycle", "circulant"):
-        return spec.m
-    if spec.kind == "complete_bipartite_balanced":
-        return 2 * spec.r
-    if spec.kind == "petersen":
-        return 10
-    raise ValueError(f"no closed-form order for kind {spec.kind!r}")
-
-
-def _order(specs: tuple[BaseGraphSpec, ...]) -> int:
-    n = 1
-    for spec in specs:
-        n *= _spec_order(spec)
-    return n
-
-
 def tiny_names(max_vertices: int = 12) -> list[str]:
     """Catalog names small enough for exhaustive cross-checks."""
     return [name for name, specs in CATALOG.items()
-            if _order(specs) <= max_vertices]
+            if math.prod(build_base(s).order for s in specs) <= max_vertices]

@@ -7,8 +7,7 @@ significant.  Two product vertices are adjacent when they differ in
 exactly one coordinate and that pair of digits is an edge of the
 corresponding base graph.  Edges carry canonical ids: sort all pairs
 (u, v) with u < v lexicographically and number them from 0.  They are
-filled in one walk over the sorted rows with u rising (see ProductGraph),
-and ``edge_id`` finds one by bisecting a row.
+filled in one walk over the sorted rows with u rising (see ProductGraph).
 
 The module also hosts the edge-list file parser, the size cap that
 protects against accidentally huge products, a bipartiteness probe used
@@ -17,7 +16,6 @@ by the parity checks, and the neighbour bitmasks the exact oracles use.
 
 import math
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 
 DEFAULT_MAX_VERTICES = 1 << 26
@@ -163,9 +161,6 @@ class BaseGraph:
     degree: int | None
     adjacency: tuple[tuple[int, ...], ...]
     label: str = ""
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
 
 def base_from_edges(order: int, edges, label: str = "",
@@ -319,8 +314,8 @@ class ProductGraph:
     in increasing order, and the incident edge ids sit at the same
     positions in ``adj_eid``.  With u rising, each forward slot (v > u)
     of row u takes the next id, which also fills the next free slot of
-    row v; ``edge_id`` is a bisect into a row.  Instances are immutable
-    after construction and safe to share across worker processes.
+    row v.  Instances are immutable after construction and safe to share
+    across worker processes.
     """
 
     bases: tuple[BaseGraph, ...]
@@ -338,48 +333,17 @@ class ProductGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def coordinates(self, v: int) -> tuple[int, ...]:
-        """Mixed-radix digits of v, digit 0 least significant."""
-        out = []
-        for r in self.radices:
-            v, digit = divmod(v, r)
-            out.append(digit)
-        return tuple(out)
-
-    def encode(self, coords) -> int:
-        if len(coords) != len(self.radices):
-            raise GraphBuildError(f"expected {len(self.radices)} coordinates, got {len(coords)}")
-        v = 0
-        for digit, radix, stride in zip(coords, self.radices, self.strides):
-            if not 0 <= digit < radix:
-                raise GraphBuildError(f"coordinate {digit} out of range for radix {radix}")
-            v += digit * stride
-        return v
-
     def neighbors(self, v: int) -> list[int]:
         return self.adj_flat[self.adj_off[v]:self.adj_off[v + 1]]
 
-    def incident_edges(self, v: int) -> list[int]:
-        return self.adj_eid[self.adj_off[v]:self.adj_off[v + 1]]
-
     def degree_of(self, v: int) -> int:
         return self.adj_off[v + 1] - self.adj_off[v]
-
-    def edge_id(self, u: int, v: int) -> int:
-        """Canonical id of edge {u, v}, found by bisecting the sorted row of u."""
-        if 0 <= u < self.n and 0 <= v < self.n:
-            lo, hi = self.adj_off[u], self.adj_off[u + 1]
-            k = bisect_left(self.adj_flat, v, lo, hi)
-            if k < hi and self.adj_flat[k] == v:
-                return self.adj_eid[k]
-        raise GraphBuildError(f"({u}, {v}) is not an edge of the product")
 
     def label(self) -> str:
         return "x".join(b.label or "?" for b in self.bases)
 
 
-def cartesian_product(bases, max_vertices: int | None = None,
-                      require_regular: bool = True) -> ProductGraph:
+def cartesian_product(bases, require_regular: bool = True) -> ProductGraph:
     """Assemble the Cartesian product of validated base graphs."""
     bases = tuple(bases)
     if not bases:
@@ -388,7 +352,7 @@ def cartesian_product(bases, max_vertices: int | None = None,
         for b in bases:
             if b.degree is None:
                 raise NonRegularError(f"{b.label or 'base'}: irregular base in product pipeline")
-    cap = max_vertices if max_vertices is not None else max_vertices_cap()
+    cap = max_vertices_cap()
     n = math.prod(b.order for b in bases)
     if n > cap:
         raise TooLargeError(f"product would have {n} vertices, cap is {cap}")
@@ -432,38 +396,31 @@ def cartesian_product(bases, max_vertices: int | None = None,
                         edges=edges)
 
 
-def build_product(specs, max_vertices: int | None = None) -> ProductGraph:
+def build_product(specs) -> ProductGraph:
     """Convenience: build bases from specs, then the product."""
-    return cartesian_product([build_base(s) for s in specs], max_vertices=max_vertices)
+    return cartesian_product([build_base(s) for s in specs])
 
 
-def bipartition_signature(g) -> tuple[int, int] | None:
-    """(|O|, |E|) when the graph is bipartite, else None.
+def bipartition_signature(pg: ProductGraph) -> tuple[int, int] | None:
+    """(|O|, |E|) when the product is bipartite, else None.
 
-    Any graph with ``order``-like size and a ``neighbors`` method is
-    accepted, regular or not.  For a connected graph O is the side of
-    vertex 0.  For a disconnected graph the sides are accumulated per
-    component, with each component's minimum vertex counted in O.
+    O is the side of vertex 0.  One search from vertex 0 reaches every
+    vertex, since a product of connected bases is connected.
     """
-    n = g.order if hasattr(g, "order") else g.n
-    color = [-1] * n
-    counts = [0, 0]
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        counts[0] += 1
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            cu = color[u]
-            for w in g.neighbors(u):
-                if color[w] == -1:
-                    color[w] = 1 - cu
-                    counts[1 - cu] += 1
-                    queue.append(w)
-                elif color[w] == cu:
-                    return None
+    color = [-1] * pg.n
+    color[0] = 0
+    counts = [1, 0]
+    queue = [0]
+    while queue:
+        u = queue.pop()
+        cu = color[u]
+        for w in pg.neighbors(u):
+            if color[w] == -1:
+                color[w] = 1 - cu
+                counts[1 - cu] += 1
+                queue.append(w)
+            elif color[w] == cu:
+                return None
     return counts[0], counts[1]
 
 

@@ -27,13 +27,6 @@ class MatchingState:
     mate: tuple[int, ...]
     size: int
 
-    @property
-    def exposed(self) -> tuple[int, ...]:
-        return tuple(v for v, w in enumerate(self.mate) if w < 0)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(v, w) for v, w in enumerate(self.mate) if w > v]
-
 
 def _greedy_extend(pg: ProductGraph, mask, mate: list[int]) -> int:
     """Greedily match exposed vertices along present edges; returns gain."""
@@ -123,15 +116,10 @@ def _augment_once(pg: ProductGraph, mask, mate: list[int], root: int) -> bool:
     return False
 
 
-def _solve(pg: ProductGraph, mask, mate: list[int] | None = None,
-           stop_at: int | None = None) -> tuple[list[int], int]:
+def _solve(pg: ProductGraph, mask, stop_at: int | None = None) -> tuple[list[int], int]:
     """Grow a maximum matching, optionally stopping at a target size."""
-    if mate is None:
-        mate = [-1] * pg.n
-        size = 0
-    else:
-        size = sum(1 for v in range(pg.n) if mate[v] >= 0) // 2
-    size += _greedy_extend(pg, mask, mate)
+    mate = [-1] * pg.n
+    size = _greedy_extend(pg, mask, mate)
     for root in range(pg.n):
         if stop_at is not None and size >= stop_at:
             break

@@ -51,14 +51,6 @@ class ObstructionRecord:
     def u(self) -> int:
         return len(self.u_set)
 
-    @property
-    def ell(self) -> int:
-        return self.ell1 + self.ell2 + self.ell3
-
-    @property
-    def w_count(self) -> int:
-        return len(self.w_set) // 2
-
     def wsb_key(self) -> frozenset:
         return self.w_set | self.s_set | self.b_set
 
@@ -71,10 +63,6 @@ class ThreeComponentReport:
     skipped_out_of_scope: bool
     counterexamples: tuple[tuple[int, int], ...]  # (vertex, components seen)
 
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
 
 @dataclass(frozen=True)
 class DeterminationReport:
@@ -85,10 +73,6 @@ class DeterminationReport:
     max_group: int
     out_of_scope: bool
     violating_groups: tuple[frozenset, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violating_groups
 
 
 def default_threshold(pg: ProductGraph, p: float) -> int:

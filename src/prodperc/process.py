@@ -48,13 +48,6 @@ class PercolationSample:
     p: float
     seed: int
 
-    @property
-    def count(self) -> int:
-        return sum(self.mask)
-
-    def edge_ids(self) -> list[int]:
-        return [k for k, bit in enumerate(self.mask) if bit]
-
 
 @dataclass(frozen=True)
 class HittingTimes:

@@ -63,14 +63,7 @@ def split_seeds(seed: int, count: int) -> list[int]:
     Used to derive independent sub-stream seeds, e.g. the two exposure
     rounds of a double exposure.
     """
-    out = []
-    state = seed & MASK64
-    for _ in range(count):
-        state = (state + _GOLDEN) & MASK64
-        z = ((state ^ (state >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        out.append(z ^ (z >> 31))
-    return out
+    return [splitmix64((seed + k * _GOLDEN) & MASK64) for k in range(count)]
 
 
 class Xoshiro256StarStar:

@@ -24,8 +24,17 @@ def mask_from_edges(pg: ProductGraph, pairs) -> bytes:
     """Edge mask from explicit endpoint pairs."""
     mask = bytearray(pg.m)
     for u, v in pairs:
-        mask[pg.edge_id(u, v)] = 1
+        mask[pg.edges.index((min(u, v), max(u, v)))] = 1
     return bytes(mask)
+
+
+def coordinates(pg: ProductGraph, v: int) -> tuple[int, ...]:
+    """Mixed-radix digits of product vertex v, digit 0 least significant."""
+    out = []
+    for radix in pg.radices:
+        v, digit = divmod(v, radix)
+        out.append(digit)
+    return tuple(out)
 
 
 def reference_mask(gen, count: int, p: float) -> bytes:

@@ -281,10 +281,15 @@ def test_render_report_rejects_unknown_format():
 
 @pytest.fixture
 def broken_matching(monkeypatch):
-    """Make the battery's matching solver report one vertex too many."""
+    """Make the battery's matching solver report one vertex too many.
+
+    The coupling suite never calls the solver, so it is stubbed out to
+    keep the fault tests fast.
+    """
     solver = experiments.tutte_berge_deficiency
     monkeypatch.setattr(experiments, "tutte_berge_deficiency",
                         lambda pg, mask=None: solver(pg, mask) + 1)
+    monkeypatch.setattr(experiments, "_suite_coupling", lambda seed: (1, 0, ""))
 
 
 def test_battery_passes_clean():

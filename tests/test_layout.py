@@ -1,7 +1,7 @@
 """Package layout: src/ holds no code that only tests reach."""
 
 import ast
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import prodperc
@@ -29,3 +29,29 @@ def test_every_top_level_name_is_used_or_exported():
               if name not in prodperc.__all__
               and not referenced_at[name] - {(module, name)}]
     assert unused == []
+
+
+def test_every_class_member_is_read_in_src():
+    """Each method or property defined in a class body in src/prodperc is
+    read as an attribute somewhere in src/ outside its own body.  Dunders
+    and ``@classmethod`` constructors are exempt."""
+    members = []  # (module, class name, member node)
+    reads = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads.update(_attribute_reads(tree))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                members += [(path.name, cls.name, node) for node in cls.body
+                            if isinstance(node, ast.FunctionDef)
+                            and not node.name.startswith("__")
+                            and not any(isinstance(dec, ast.Name) and dec.id == "classmethod"
+                                        for dec in node.decorator_list)]
+    unused = [f"{module}:{cls}.{node.name}" for module, cls, node in members
+              if reads[node.name] == _attribute_reads(node)[node.name]]
+    assert unused == []
+
+
+def _attribute_reads(tree) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(tree)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))

@@ -32,16 +32,17 @@ def test_odd_cycle_matching():
     c5 = build_product((BaseGraphSpec.cycle(5),))
     state = maximum_matching(c5)
     assert state.size == 2
-    assert len(state.exposed) == 1
+    assert state.mate.count(-1) == 1
 
 
 def test_matching_state_is_consistent():
     pg = build_catalog_product("Q3")
     state = maximum_matching(pg)
-    for v, w in state.pairs():
+    pairs = [(v, w) for v, w in enumerate(state.mate) if w > v]
+    for v, w in pairs:
         assert state.mate[v] == w and state.mate[w] == v
         assert w in pg.neighbors(v)
-    assert len(state.pairs()) == state.size
+    assert len(pairs) == state.size
 
 
 def test_star_deficiency():

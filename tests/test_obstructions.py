@@ -60,7 +60,7 @@ def test_default_threshold_domain():
 def test_classify_empty_square():
     pg = build_catalog_product("Q2")
     record = classify_removal(pg, _sample(pg, bytes(pg.m)), {0})
-    assert record.ell1 == 3 and record.ell == 3
+    assert record.ell1 == 3 and record.ell1 + record.ell2 + record.ell3 == 3
     assert record.v1 == frozenset({1, 2, 3})
     assert record.is_obstruction and not record.is_trivial
 
@@ -68,7 +68,7 @@ def test_classify_empty_square():
 def test_classify_full_cube_vertex():
     pg = build_catalog_product("Q3")
     record = classify_removal(pg, sample_percolation(pg, 1.0, 0), {0})
-    assert record.ell == 1 and record.ell3 == 1
+    assert record.ell1 + record.ell2 + record.ell3 == 1 and record.ell3 == 1
     assert not record.is_obstruction
 
 
@@ -94,7 +94,7 @@ def test_classify_trivial_obstruction():
     record = classify_removal(pg, sample, {1})
     assert record.is_obstruction and record.is_trivial
     assert record.ell1 == 1 and record.ell3 == 1
-    assert record.w_count == 0
+    assert not record.w_set
 
 
 def test_classify_removal_domain():
@@ -117,7 +117,7 @@ def test_bands_partition_the_vertices(seed, p):
     union = frozenset().union(*pieces)
     assert len(union) == pg.n
     assert record.ell1 == len(record.v1)
-    assert record.w_count * 2 == len(record.w_set)
+    assert len(record.w_set) % 2 == 0
     assert sum(len(c) for c in record.components) == pg.n - record.u
 
 
@@ -163,7 +163,7 @@ def test_three_components_on_theta_fixture():
     pg, sample = theta_sample()
     record = find_minimal_obstructions(pg, sample)[0]
     report = verify_three_components(pg, sample, record)
-    assert report.ok
+    assert not report.counterexamples
     assert report.checked_vertices == 2
     assert not report.skipped_out_of_scope
 
@@ -172,7 +172,7 @@ def test_three_components_skips_singletons():
     pg = build_catalog_product("Q2")
     record = find_minimal_obstructions(pg, _sample(pg, bytes(pg.m)))[0]
     report = verify_three_components(pg, _sample(pg, bytes(pg.m)), record)
-    assert report.skipped_out_of_scope and report.ok
+    assert report.skipped_out_of_scope and not report.counterexamples
     assert report.checked_vertices == 0
 
 
@@ -185,7 +185,6 @@ def test_three_components_flags_forced_record():
     forced = replace(record, is_minimal=True)
     report = verify_three_components(pg, sample, forced)
     assert report.counterexamples == ((0, 1), (1, 1))
-    assert not report.ok
 
 
 def test_three_components_requires_minimal_flag():
@@ -203,7 +202,7 @@ def test_determination_on_theta_fixture():
     assert report.minimal_size == 2
     assert report.group_count == 1 and report.max_group == 1
     assert not report.out_of_scope
-    assert report.ok
+    assert not report.violating_groups
 
 
 def test_determination_out_of_scope_for_singletons():
@@ -221,7 +220,7 @@ def test_determination_no_obstructions():
     report = verify_determination(pg, sample)
     assert report.minimal_size is None
     assert report.group_count == 0 and report.max_group == 0
-    assert report.ok
+    assert not report.violating_groups
 
 
 def test_determination_group_bound_with_synthetic_records():
@@ -229,12 +228,11 @@ def test_determination_group_bound_with_synthetic_records():
     base = find_minimal_obstructions(pg, sample)[0]
     pair = [base, replace(base, u_set=frozenset({0, 1}))]
     report = verify_determination(pg, sample, minimal=pair)
-    assert report.max_group == 2 and report.ok
+    assert report.max_group == 2 and not report.violating_groups
     triple = pair + [replace(base, u_set=frozenset({1, 4}))]
     report = verify_determination(pg, sample, minimal=triple)
     assert report.max_group == 3
     assert report.violating_groups == (base.wsb_key(),)
-    assert not report.ok
 
 
 # --- deficiency cross-checks -------------------------------------------------------

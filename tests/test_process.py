@@ -92,8 +92,8 @@ def test_one_matching_solve_per_trial(monkeypatch):
 
 def test_percolation_extremes():
     pg = build_catalog_product("Q4")
-    assert sample_percolation(pg, 0.0, 1).count == 0
-    assert sample_percolation(pg, 1.0, 1).count == pg.m
+    assert sum(sample_percolation(pg, 0.0, 1).mask) == 0
+    assert sum(sample_percolation(pg, 1.0, 1).mask) == pg.m
     with pytest.raises(ValueError):
         sample_percolation(pg, -0.1, 1)
     with pytest.raises(ValueError):
@@ -105,8 +105,6 @@ def test_percolation_reproducible():
     a = sample_percolation(pg, 0.3, 9)
     b = sample_percolation(pg, 0.3, 9)
     assert a.mask == b.mask
-    assert a.edge_ids() == [k for k, bit in enumerate(a.mask) if bit]
-    assert a.count == sum(a.mask)
 
 
 def test_double_exposure_probability_split():
