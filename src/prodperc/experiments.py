@@ -4,6 +4,9 @@ An :class:`ExperimentConfig` names a product (catalog entry or explicit
 base list), an experiment kind, a trial count, and a base seed.  Trial
 i derives its own seed as splitmix64(base_seed XOR i), so any row can
 be reproduced in isolation and results do not depend on scheduling.
+Trials run in groups of at most ``GROUP_LANES`` consecutive indices;
+a percolation kind draws the masks of a group in lockstep, with the
+bytes each trial's own generator gives.
 
 Kinds:
 
@@ -48,15 +51,18 @@ from .matching import (brute_deficiency, maximum_matching,
                        tutte_berge_deficiency)
 from .obstructions import (find_minimal_obstructions, verify_determination,
                            verify_three_components)
-from .process import (TAU3_MODES, EdgeOrdering, component_profile,
-                      critical_p, double_exposure, run_process,
-                      sample_ordering, sample_percolation)
-from .rng import Xoshiro256StarStar, derive_trial_seed
+from .process import (TAU3_MODES, EdgeOrdering, PercolationSample,
+                      component_profile, critical_p, double_exposures,
+                      run_process, sample_ordering, sample_percolation)
+from .rng import Xoshiro256StarStar, bernoulli_masks, derive_trial_seed
 
 KINDS = ("hitting_times", "percolation_profile", "isoperimetry",
          "obstructions", "verify_all")
 _PERCOLATION_KINDS = ("percolation_profile", "obstructions")
 _TRIAL_KINDS = ("hitting_times", "percolation_profile", "obstructions")
+# Most trials one group draws in lockstep: more lanes barely lower the
+# cost per draw, and every lane holds its whole mask until its row.
+GROUP_LANES = 32
 
 _COLUMNS = {
     "hitting_times": ("trial", "seed", "tau1", "tau2", "tau3", "coincident"),
@@ -261,47 +267,88 @@ def _percentile(values, q: float):
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
-def _compute_row(config: ExperimentConfig, pg: ProductGraph, index: int) -> tuple:
+def _hitting_row(config: ExperimentConfig, pg: ProductGraph, index: int) -> tuple:
     trial_seed = derive_trial_seed(config.seed, index)
+    ordering = sample_ordering(pg, trial_seed)
+    times = run_process(pg, ordering, tau3_mode=config.tau3_mode)
+    tau3 = -1 if times.tau3 is None else times.tau3
+    coincident = int(times.tau3 is not None
+                     and times.tau1 == times.tau2 == times.tau3)
+    return (index, trial_seed, times.tau1, times.tau2, tau3, coincident)
+
+
+def _percolation_row(config: ExperimentConfig, pg: ProductGraph, index: int,
+                     sample: PercolationSample) -> tuple:
+    prof = component_profile(pg, sample)
+    non_singletons = sum(1 for size in prof.sizes if size >= 2)
+    non_giant_isolated = int(non_singletons <= 1)
+    dist = prof.min_isolated_distance
+    dist_cell = -1 if dist is None else dist
+    structure_ok = int(non_giant_isolated and (dist is None or dist >= 2))
+    return (index, sample.seed, round9(sample.p), len(prof.sizes), prof.giant,
+            len(prof.isolated), prof.mid_components, non_giant_isolated,
+            dist_cell, structure_ok)
+
+
+def _obstruction_row(config: ExperimentConfig, pg: ProductGraph, index: int,
+                     sample: PercolationSample) -> tuple:
+    minimal = find_minimal_obstructions(pg, sample, u_max=config.u_max,
+                                        threshold=config.component_threshold)
+    three_checked = 0
+    three_cx = 0
+    for record in minimal:
+        report = verify_three_components(pg, sample, record)
+        if not report.skipped_out_of_scope:
+            three_checked += report.checked_vertices
+            three_cx += len(report.counterexamples)
+    det = verify_determination(pg, sample, u_max=config.u_max,
+                               threshold=config.component_threshold,
+                               minimal=minimal)
+    minimal_size = minimal[0].u if minimal else -1
+    return (index, sample.seed, round9(sample.p), minimal_size, len(minimal),
+            three_checked, three_cx, det.group_count, det.max_group,
+            len(det.violating_groups))
+
+
+def _compute_rows(config: ExperimentConfig, pg: ProductGraph, indices) -> list[tuple]:
+    """Rows of the given trial indices, in order.
+
+    A percolation kind draws the masks of all the indices in lockstep
+    (``rng.bernoulli_masks``); each row still depends only on the config
+    and its own index.
+    """
     if config.kind == "hitting_times":
-        ordering = sample_ordering(pg, trial_seed)
-        times = run_process(pg, ordering, tau3_mode=config.tau3_mode)
-        tau3 = -1 if times.tau3 is None else times.tau3
-        coincident = int(times.tau3 is not None
-                         and times.tau1 == times.tau2 == times.tau3)
-        return (index, trial_seed, times.tau1, times.tau2, tau3, coincident)
+        return [_hitting_row(config, pg, index) for index in indices]
     if config.kind == "percolation_profile":
-        p = config.effective_p(pg)
-        sample = sample_percolation(pg, p, trial_seed)
-        prof = component_profile(pg, sample)
-        non_singletons = sum(1 for size in prof.sizes if size >= 2)
-        non_giant_isolated = int(non_singletons <= 1)
-        dist = prof.min_isolated_distance
-        dist_cell = -1 if dist is None else dist
-        structure_ok = int(non_giant_isolated and (dist is None or dist >= 2))
-        return (index, trial_seed, round9(p), len(prof.sizes), prof.giant,
-                len(prof.isolated), prof.mid_components, non_giant_isolated,
-                dist_cell, structure_ok)
-    if config.kind == "obstructions":
-        p = config.effective_p(pg)
-        sample = sample_percolation(pg, p, trial_seed)
-        minimal = find_minimal_obstructions(pg, sample, u_max=config.u_max,
-                                            threshold=config.component_threshold)
-        three_checked = 0
-        three_cx = 0
-        for record in minimal:
-            report = verify_three_components(pg, sample, record)
-            if not report.skipped_out_of_scope:
-                three_checked += report.checked_vertices
-                three_cx += len(report.counterexamples)
-        det = verify_determination(pg, sample, u_max=config.u_max,
-                                   threshold=config.component_threshold,
-                                   minimal=minimal)
-        minimal_size = minimal[0].u if minimal else -1
-        return (index, trial_seed, round9(p), minimal_size, len(minimal),
-                three_checked, three_cx, det.group_count, det.max_group,
-                len(det.violating_groups))
-    raise ConfigError(f"kind {config.kind!r} has no per-trial rows")
+        row = _percolation_row
+    elif config.kind == "obstructions":
+        row = _obstruction_row
+    else:
+        raise ConfigError(f"kind {config.kind!r} has no per-trial rows")
+    p = config.effective_p(pg)
+    seeds = [derive_trial_seed(config.seed, index) for index in indices]
+    masks = bernoulli_masks([Xoshiro256StarStar(seed) for seed in seeds], pg.m, p)
+    rows = []
+    for lane, (index, seed) in enumerate(zip(indices, seeds)):
+        sample = PercolationSample(mask=bytes(masks[lane]), p=p, seed=seed)
+        masks[lane] = None
+        rows.append(row(config, pg, index, sample))
+    return rows
+
+
+def _trial_groups(trials: int, workers: int) -> list[range]:
+    """Consecutive index ranges of near-equal size, at most GROUP_LANES
+    long, as many as a multiple of ``workers`` allows."""
+    count = -(-trials // GROUP_LANES)
+    count = min(trials, -(-count // workers) * workers)
+    size, extra = divmod(trials, count)
+    groups = []
+    start = 0
+    for g in range(count):
+        stop = start + size + (g < extra)
+        groups.append(range(start, stop))
+        start = stop
+    return groups
 
 
 _WORKER: tuple[ExperimentConfig, ProductGraph] | None = None
@@ -315,25 +362,24 @@ def _init_worker(config: ExperimentConfig) -> None:
         _WORKER = (config, config.build())
 
 
-def _worker_row(index: int) -> tuple:
+def _worker_rows(indices: range) -> list[tuple]:
     config, pg = _WORKER
-    return _compute_row(config, pg, index)
+    return _compute_rows(config, pg, indices)
 
 
 def _trial_rows(config: ExperimentConfig, pg: ProductGraph) -> list[tuple]:
     global _WORKER
     workers = config.workers if config.workers is not None else os.cpu_count() or 1
+    groups = _trial_groups(config.trials, workers)
     if workers > 1 and config.trials > 1:
-        chunk = max(1, config.trials // (workers * 4))
         _WORKER = (config, pg)
         try:
             with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                      initargs=(config,)) as pool:
-                return list(pool.map(_worker_row, range(config.trials),
-                                     chunksize=chunk))
+                return [row for rows in pool.map(_worker_rows, groups) for row in rows]
         finally:
             _WORKER = None
-    return [_compute_row(config, pg, i) for i in range(config.trials)]
+    return [row for group in groups for row in _compute_rows(config, pg, group)]
 
 
 def _aggregate_hitting(pg: ProductGraph, rows) -> dict:
@@ -681,12 +727,14 @@ def _suite_coupling(seed: int, sigmas: float = 4.0):
     p = 0.5
     rounds = 10_000
     counts = [0] * pg.m
-    for i in range(rounds):
-        first, second, union = double_exposure(pg, p, derive_trial_seed(seed, i))
-        if bytes(a | b for a, b in zip(first.mask, second.mask)) != union.mask:
-            return 1, 1, f"union mismatch at trial {i}"
-        for eid, bit in enumerate(union.mask):
-            counts[eid] += bit
+    for start in range(0, rounds, GROUP_LANES):
+        batch = range(start, min(start + GROUP_LANES, rounds))
+        exposures = double_exposures(pg, p, [derive_trial_seed(seed, i) for i in batch])
+        for i, (first, second, union) in zip(batch, exposures):
+            if bytes(a | b for a, b in zip(first.mask, second.mask)) != union.mask:
+                return 1, 1, f"union mismatch at trial {i}"
+            for eid, bit in enumerate(union.mask):
+                counts[eid] += bit
     sigma = math.sqrt(p * (1 - p) / rounds)
     counterexamples = 0
     detail = ""

@@ -9,6 +9,11 @@ Two sampling modes share one generator stack (see rng):
   Fisher-Yates shuffle; the process at time i consists of the first i
   edges of the permutation.
 
+``double_exposures`` splits G_p into two independent rounds for many
+seeds at once.  Each round's masks are drawn in lockstep
+(``rng.bernoulli_masks``) with the bytes ``sample_percolation`` gives
+for that round's seed; ``double_exposure`` is its one-seed case.
+
 Hitting times are indexed from 1: tau = i means the property first holds
 after the i-th edge is added.  tau1 is minimum degree one, tau2 is
 connectivity, tau3 is a matching of size floor(n / 2).  tau3 is found
@@ -26,7 +31,7 @@ from itertools import compress
 
 from .graph_core import ProductGraph
 from .matching import _augment_once, _solve
-from .rng import Xoshiro256StarStar, split_seeds
+from .rng import Xoshiro256StarStar, bernoulli_masks, split_seeds
 
 # Accepted tau3_mode values; all run the same algorithm.
 TAU3_MODES = ("bisect", "incremental")
@@ -152,18 +157,29 @@ def double_exposure(pg: ProductGraph, p: float, seed: int
     outputs of the splitmix64 sequence started at ``seed``, so each
     round is reproducible on its own.
     """
+    return double_exposures(pg, p, [seed])[0]
+
+
+def double_exposures(pg: ProductGraph, p: float, seeds
+                     ) -> list[tuple[PercolationSample, PercolationSample, PercolationSample]]:
+    """``double_exposure(pg, p, seed)`` for every seed, with each round's
+    masks drawn in lockstep (``rng.bernoulli_masks``)."""
     if pg.d is None:
         raise ValueError("double exposure needs a regular product")
     p2 = 1.0 / (pg.d * pg.d)
     if p < p2:
         raise ValueError(f"double exposure needs p >= 1/d^2 = {p2}, got {p}")
     p1 = 1.0 - (1.0 - p) / (1.0 - p2)
-    seed1, seed2 = split_seeds(seed, 2)
-    first = sample_percolation(pg, p1, seed1)
-    second = sample_percolation(pg, p2, seed2)
-    union_mask = bytes(a | b for a, b in zip(first.mask, second.mask))
-    union = PercolationSample(mask=union_mask, p=p, seed=seed)
-    return first, second, union
+    round_seeds = [split_seeds(seed, 2) for seed in seeds]
+    firsts = bernoulli_masks([Xoshiro256StarStar(s1) for s1, _ in round_seeds], pg.m, p1)
+    seconds = bernoulli_masks([Xoshiro256StarStar(s2) for _, s2 in round_seeds], pg.m, p2)
+    out = []
+    for seed, (seed1, seed2), mask1, mask2 in zip(seeds, round_seeds, firsts, seconds):
+        first = PercolationSample(mask=bytes(mask1), p=p1, seed=seed1)
+        second = PercolationSample(mask=bytes(mask2), p=p2, seed=seed2)
+        union_mask = bytes(a | b for a, b in zip(mask1, mask2))
+        out.append((first, second, PercolationSample(mask=union_mask, p=p, seed=seed)))
+    return out
 
 
 def critical_p(pg: ProductGraph, omega: float = 1.0) -> float:

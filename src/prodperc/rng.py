@@ -31,6 +31,33 @@ the same way:
   above ``2**64 - n`` for every bound ``b <= n``; a shuffle of n items
   accepts any word below ``2**64 - n`` at once and computes the exact
   threshold only for the rare word above it.
+
+``bernoulli_masks(gens, count, p)`` draws the masks of several
+independent generators in lockstep.  It returns exactly
+``[g.bernoulli_mask(count, p) for g in gens]`` and leaves every
+generator in the state its own call would:
+
+* Lane i holds its four state words in bits [128 i, 128 i + 64) of four
+  packed ints.  One packed step runs the reference update on all lanes
+  and masks each result to the low 64 bits of every lane.  No
+  intermediate (``s1 * 5``, ``* 9``, ``s1 << 17``, the rotations)
+  reaches past bit 127 of its lane, so no carry or shifted bit crosses
+  into the next lane.
+* The keep test is a borrow into a guard bit: bit 64 of
+  ``2**64 + T - 1 - word`` is set iff ``word < T``.  That holds for
+  every threshold from T = 0 (p = 0) to T = 2**64 (p = 1), and the
+  difference is never negative, so it borrows nothing from the next
+  lane.
+* The guard bits of up to 64 steps are shifted into one accumulator,
+  turned into bytes once per block, and expanded through a table from a
+  byte to its 8 bits as bytes; each lane's block is slice-assigned
+  into its mask.
+* The trial runner and the coupling suite cap a group at 32 lanes.  On
+  a 2-vCPU x86 VM (Python 3.11), one generator costs about 1.1 us per
+  draw, 32 lanes about 150 ns per draw, and 256 or more still about
+  120 ns.  Wider groups gain little, while every lane's mask is held
+  until its trial is computed and fewer, larger groups balance worse
+  over pool workers.
 """
 
 import math
@@ -148,3 +175,65 @@ class Xoshiro256StarStar:
                 s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
             items[i], items[j] = items[j], items[i]
         self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+
+
+_LANE_BITS = 128
+_LANE_BYTES = _LANE_BITS // 8
+# byte -> its 8 bits as 8 bytes of 0 or 1, least significant bit first
+_BITS_OF_BYTE = [bytes((b >> j) & 1 for j in range(8)) for b in range(256)]
+_ONE_PER_LANE = (1).to_bytes(_LANE_BYTES, "little")
+
+
+def _pack(words) -> int:
+    """One int holding ``words[i]`` in bits [128 i, 128 i + 64)."""
+    return int.from_bytes(b"".join(w.to_bytes(_LANE_BYTES, "little") for w in words),
+                          "little")
+
+
+def _unpack(packed: int, lanes: int) -> list[int]:
+    blob = packed.to_bytes(_LANE_BYTES * lanes, "little")
+    return [int.from_bytes(blob[_LANE_BYTES * i:_LANE_BYTES * i + 8], "little")
+            for i in range(lanes)]
+
+
+def bernoulli_masks(gens, count: int, p: float) -> list[bytearray]:
+    """``[g.bernoulli_mask(count, p) for g in gens]``, drawn in lockstep.
+
+    Every generator ends in the state its own ``bernoulli_mask`` call
+    would leave.  See the module docstring for the lane layout.
+    """
+    lanes = len(gens)
+    masks = [bytearray(count) for _ in range(lanes)]
+    threshold = math.ceil(p * 9007199254740992.0) << 11  # 2**53
+    ones = int.from_bytes(_ONE_PER_LANE * lanes, "little")
+    lane = MASK64 * ones
+    guard = ones << 64
+    bias = ((1 << 64) + threshold - 1) * ones
+    s0 = _pack([g.s0 for g in gens])
+    s1 = _pack([g.s1 for g in gens])
+    s2 = _pack([g.s2 for g in gens])
+    s3 = _pack([g.s3 for g in gens])
+    table = _BITS_OF_BYTE.__getitem__
+    width = _LANE_BYTES * lanes
+    for start in range(0, count, 64):
+        steps = min(64, count - start)
+        acc = 0
+        for _ in range(steps):
+            x = (s1 * 5) & lane
+            word = (((x << 7) | (x >> 57)) & lane) * 9 & lane
+            acc = (acc >> 1) | ((bias - word) & guard)
+            t = (s1 << 17) & lane
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & lane
+        # step k's bit now sits at bit 65 - steps + k of its lane
+        bits = b"".join(map(table, (acc >> (65 - steps)).to_bytes(width, "little")))
+        stop = start + steps
+        for i, mask in enumerate(masks):
+            mask[start:stop] = bits[_LANE_BITS * i:_LANE_BITS * i + steps]
+    for g, *state in zip(gens, *(_unpack(s, lanes) for s in (s0, s1, s2, s3))):
+        g.s0, g.s1, g.s2, g.s3 = state
+    return masks

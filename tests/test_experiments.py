@@ -10,7 +10,8 @@ from prodperc.cli import main
 from prodperc.experiments import (ConfigError, ExperimentConfig, emit_report,
                                   render_report, resolve_product, round9,
                                   run_trials, verify_all, _percentile)
-from prodperc.process import critical_p
+from prodperc.process import critical_p, sample_percolation
+from prodperc.rng import derive_trial_seed
 
 K2 = {"kind": "complete", "m": 2}
 
@@ -152,6 +153,30 @@ def test_workers_do_not_change_rows(kwargs):
     serial = make(trials=8, seed=77, workers=1, **kwargs)
     parallel = make(trials=8, seed=77, workers=2, **kwargs)
     assert run_trials(serial).rows == run_trials(parallel).rows
+
+
+@pytest.mark.parametrize("kwargs, row_function", [
+    ({"kind": "percolation_profile", "product": "Q4", "omega": 1.0}, "_percolation_row"),
+    ({"kind": "obstructions", "product": "Q3", "p": 0.35}, "_obstruction_row"),
+], ids=["percolation", "obstructions"])
+def test_trial_groups_do_not_change_rows(kwargs, row_function, monkeypatch):
+    # 70 trials run as 3 lockstep groups serially and as 4 with two workers
+    rows = run_trials(make(trials=70, seed=31, workers=2, **kwargs)).rows
+    assert run_trials(make(trials=5, seed=31, workers=1, **kwargs)).rows == rows[:5]
+    masks = {}
+    compute = getattr(experiments, row_function)
+
+    def recording(config, pg, index, sample):
+        masks[index] = sample.mask
+        return compute(config, pg, index, sample)
+
+    monkeypatch.setattr(experiments, row_function, recording)
+    config = make(trials=70, seed=31, workers=1, **kwargs)
+    assert run_trials(config).rows == rows
+    pg = config.build()
+    p = config.effective_p(pg)
+    assert [masks[i] for i in range(70)] == [
+        sample_percolation(pg, p, derive_trial_seed(31, i)).mask for i in range(70)]
 
 
 def test_pool_workers_reuse_the_parent_product(monkeypatch):

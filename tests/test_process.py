@@ -15,7 +15,8 @@ from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product
 from prodperc.matching import maximum_matching
 from prodperc.process import (EdgeOrdering, HittingTimes, PercolationSample,
                               component_profile, critical_p, double_exposure,
-                              run_process, sample_ordering, sample_percolation)
+                              double_exposures, run_process, sample_ordering,
+                              sample_percolation)
 from prodperc.rng import split_seeds
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -123,6 +124,13 @@ def test_double_exposure_round_seeds_are_replayable():
     s1, s2 = split_seeds(123, 2)
     assert first == sample_percolation(pg, first.p, s1)
     assert second == sample_percolation(pg, second.p, s2)
+    # a batch draws in lockstep and gives every seed its own rounds
+    seeds = [123, 5, 123, (1 << 64) - 1]
+    for seed, (first, second, _) in zip(seeds, double_exposures(pg, 0.4, seeds),
+                                        strict=True):
+        s1, s2 = split_seeds(seed, 2)
+        assert first == sample_percolation(pg, first.p, s1)
+        assert second == sample_percolation(pg, second.p, s2)
     with pytest.raises(ValueError):
         double_exposure(pg, 1.0 / (pg.d * pg.d) - 1e-6, 1)
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import reference_mask, reference_shuffle
-from prodperc.rng import (MASK64, Xoshiro256StarStar, derive_trial_seed,
-                          split_seeds, splitmix64)
+from prodperc.rng import (MASK64, Xoshiro256StarStar, bernoulli_masks,
+                          derive_trial_seed, split_seeds, splitmix64)
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 PROBABILITIES = st.one_of(st.sampled_from((0.0, 1.0, 1e-12, 1.0 - 1e-12)),
@@ -124,6 +124,31 @@ def test_bernoulli_mask_at_the_threshold_word(p, offset):
     one_step = generator_whose_next_word_is(word).next_double() < p
     assert one_step == (offset < 0)
     assert generator_whose_next_word_is(word).bernoulli_mask(1, p) == bytes([one_step])
+
+
+@given(st.lists(st.one_of(U64, st.integers(min_value=0, max_value=3)), max_size=40),
+       st.integers(min_value=0, max_value=300), PROBABILITIES)
+def test_bernoulli_masks_match_one_generator_at_a_time(seeds, count, p):
+    # small seeds repeat often: equal lanes must stay equal
+    lockstep = [Xoshiro256StarStar(seed) for seed in seeds]
+    reference = [Xoshiro256StarStar(seed) for seed in seeds]
+    assert bernoulli_masks(lockstep, count, p) == [
+        gen.bernoulli_mask(count, p) for gen in reference]
+    assert [state(gen) for gen in lockstep] == [state(gen) for gen in reference]
+
+
+@pytest.mark.parametrize("p", [0.5, 1 / 3, 1e-12, 1.0 - 1e-12])
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_bernoulli_masks_at_the_threshold_word(p, offset):
+    # the threshold word in a middle lane, with ordinary lanes either side
+    word = ((math.ceil(p * 2**53) << 11) + offset) & MASK64
+    lanes = [Xoshiro256StarStar(seed) for seed in (1, 2, 3, 4)]
+    lanes.insert(2, generator_whose_next_word_is(word))
+    masks = bernoulli_masks(lanes, 3, p)
+    assert masks[2][0] == (offset < 0)
+    reference = [Xoshiro256StarStar(seed) for seed in (1, 2, 3, 4)]
+    reference.insert(2, generator_whose_next_word_is(word))
+    assert masks == [gen.bernoulli_mask(3, p) for gen in reference]
 
 
 @given(U64, st.integers(min_value=0, max_value=200))
