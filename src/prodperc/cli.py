@@ -84,13 +84,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object in a config file; ConfigError if it cannot be read,
+    decoded or parsed."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError("config file must contain a JSON object")
+    return data
+
+
 def _load_config(args, kind: str) -> ExperimentConfig:
     data = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ConfigError("config file must contain a JSON object")
+        data = _read_config(args.config)
         if "kind" in data and data["kind"] != kind:
             raise ConfigError(
                 f"config kind {data['kind']!r} does not match the "
@@ -109,11 +119,7 @@ def _load_config(args, kind: str) -> ExperimentConfig:
 def _cmd_product(args) -> int:
     product = None
     if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ConfigError("config file must contain a JSON object")
-        product = data.get("product")
+        product = _read_config(args.config).get("product")
     if args.product is not None:
         product = args.product
     if product is None:
@@ -147,8 +153,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(render_report(summary, config.fmt))
         return status
-    except (ConfigError, GraphBuildError, json.JSONDecodeError,
-            FileNotFoundError) as exc:
+    except (ConfigError, GraphBuildError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

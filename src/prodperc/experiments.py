@@ -44,7 +44,7 @@ from datetime import datetime, timezone
 from .catalog import build_catalog_product, catalog_specs, tiny_names
 from .graph_core import (BaseGraphSpec, GraphBuildError, ProductGraph,
                          bipartition_signature, build_product,
-                         cartesian_product, full_mask, star)
+                         cartesian_product, full_mask, is_integer, star)
 from .isoperimetry import (BoundParams, count_rooted_trees, edge_connectivity,
                            exhaustive_profile, f_star, rooted_tree_bound)
 from .matching import (brute_deficiency, maximum_matching,
@@ -53,13 +53,13 @@ from .obstructions import (find_minimal_obstructions, verify_determination,
                            verify_three_components)
 from .process import (TAU3_MODES, EdgeOrdering, PercolationSample,
                       component_profile, critical_p, double_exposures,
-                      run_process, sample_ordering, sample_percolation)
+                      run_process, sample_ordering, sample_percolation,
+                      sample_percolations)
 from .rng import Xoshiro256StarStar, bernoulli_masks, derive_trial_seed
 
 KINDS = ("hitting_times", "percolation_profile", "isoperimetry",
          "obstructions", "verify_all")
 _PERCOLATION_KINDS = ("percolation_profile", "obstructions")
-_TRIAL_KINDS = ("hitting_times", "percolation_profile", "obstructions")
 # Most trials one group draws in lockstep: more lanes barely lower the
 # cost per draw, and every lane holds its whole mask until its row.
 GROUP_LANES = 32
@@ -142,11 +142,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; known: {', '.join(KINDS)}")
         if not self.specs and self.kind != "verify_all":
             raise ConfigError(f"kind {self.kind!r} needs a product")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed must be an integer")
+        for name in ("seed", "trials", "u_max", "workers"):
+            value = getattr(self, name)
+            if not (is_integer(value) or value is None and name == "workers"):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("p", "omega", "component_threshold"):
+            value = getattr(self, name)
+            if value is not None and not (is_integer(value) or isinstance(value, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         given = [name for name, value in (("p", self.p), ("omega", self.omega))
                  if value is not None]
@@ -313,8 +321,8 @@ def _obstruction_row(config: ExperimentConfig, pg: ProductGraph, index: int,
 def _compute_rows(config: ExperimentConfig, pg: ProductGraph, indices) -> list[tuple]:
     """Rows of the given trial indices, in order.
 
-    A percolation kind draws the masks of all the indices in lockstep
-    (``rng.bernoulli_masks``); each row still depends only on the config
+    A percolation kind draws the samples of all the indices in one
+    ``sample_percolations`` call; each row still depends only on the config
     and its own index.
     """
     if config.kind == "hitting_times":
@@ -325,15 +333,9 @@ def _compute_rows(config: ExperimentConfig, pg: ProductGraph, indices) -> list[t
         row = _obstruction_row
     else:
         raise ConfigError(f"kind {config.kind!r} has no per-trial rows")
-    p = config.effective_p(pg)
     seeds = [derive_trial_seed(config.seed, index) for index in indices]
-    masks = bernoulli_masks([Xoshiro256StarStar(seed) for seed in seeds], pg.m, p)
-    rows = []
-    for lane, (index, seed) in enumerate(zip(indices, seeds)):
-        sample = PercolationSample(mask=bytes(masks[lane]), p=p, seed=seed)
-        masks[lane] = None
-        rows.append(row(config, pg, index, sample))
-    return rows
+    samples = sample_percolations(pg, config.effective_p(pg), seeds)
+    return [row(config, pg, index, sample) for index, sample in zip(indices, samples)]
 
 
 def _trial_groups(trials: int, workers: int) -> list[range]:
@@ -580,7 +582,7 @@ def _suite_oracle_equivalence(seed: int):
             host = build_product((BaseGraphSpec.complete(order),))
             hosts[order] = host
         p = 0.2 + 0.6 * gen.next_double()
-        mask = gen.bernoulli_mask(host.m, p)
+        mask = bernoulli_masks([gen], host.m, p)[0]
         if tutte_berge_deficiency(host, mask) != brute_deficiency(host, mask):
             counterexamples += 1
             if not detail:
@@ -588,10 +590,9 @@ def _suite_oracle_equivalence(seed: int):
         instances += 1
     for j, name in enumerate(tiny_names(12)):
         pg = build_catalog_product(name)
-        masks = [full_mask(pg)]
-        for k in range(3):
-            sample_seed = derive_trial_seed(derive_trial_seed(seed, 1000 + j), k)
-            masks.append(sample_percolation(pg, 0.55, sample_seed).mask)
+        base = derive_trial_seed(seed, 1000 + j)
+        samples = sample_percolations(pg, 0.55, [derive_trial_seed(base, k) for k in range(3)])
+        masks = [full_mask(pg)] + [sample.mask for sample in samples]
         for k, mask in enumerate(masks):
             if tutte_berge_deficiency(pg, mask) != brute_deficiency(pg, mask):
                 counterexamples += 1

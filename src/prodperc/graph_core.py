@@ -60,6 +60,11 @@ def max_vertices_cap() -> int:
     return cap
 
 
+def is_integer(value) -> bool:
+    """True for an int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BaseGraphSpec:
     """Declarative description of one base graph.
@@ -118,6 +123,14 @@ class BaseGraphSpec:
         missing = allowed - set(data)
         if missing:
             raise GraphBuildError(f"missing keys for {kind} spec: {sorted(missing)}")
+        for key in ("m", "r"):
+            if key in data and not is_integer(data[key]):
+                raise GraphBuildError(f"{kind} spec: {key} must be an integer, got {data[key]!r}")
+        offsets = data.get("offsets", [])
+        if not isinstance(offsets, list) or not all(map(is_integer, offsets)):
+            raise GraphBuildError(f"{kind} spec: offsets must be integers, got {offsets!r}")
+        if not isinstance(data.get("path", ""), str):
+            raise GraphBuildError(f"{kind} spec: path must be a string, got {data['path']!r}")
         out = dict(data)
         if "offsets" in out:
             out["offsets"] = tuple(out["offsets"])

@@ -2,28 +2,31 @@
 
 Two sampling modes share one generator stack (see rng):
 
-* ``sample_percolation`` keeps each edge independently: edge k is present
-  iff the k-th uniform double of the stream is below p, in canonical
-  edge-id order (``Xoshiro256StarStar.bernoulli_mask``).
+* ``sample_percolations`` keeps each edge independently: for each seed,
+  edge k is present iff the k-th uniform double of its stream is below
+  p, in canonical edge-id order.  All the seeds' masks are drawn in
+  lockstep (``rng.bernoulli_masks``); ``sample_percolation`` is the
+  one-seed case.
 * ``sample_ordering`` draws a uniform permutation of the edge ids by
   Fisher-Yates shuffle; the process at time i consists of the first i
   edges of the permutation.
 
 ``double_exposures`` splits G_p into two independent rounds for many
-seeds at once.  Each round's masks are drawn in lockstep
-(``rng.bernoulli_masks``) with the bytes ``sample_percolation`` gives
-for that round's seed; ``double_exposure`` is its one-seed case.
+seeds at once, one ``sample_percolations`` call per round;
+``double_exposure`` is its one-seed case.
 
 Hitting times are indexed from 1: tau = i means the property first holds
 after the i-th edge is added.  tau1 is minimum degree one, tau2 is
-connectivity, tau3 is a matching of size floor(n / 2).  tau3 is found
-with one matching solve at the first prefix with few enough vertices of
-degree zero, then, if that falls short, by one augmenting search per
-added edge.
+connectivity, tau3 is a matching of size floor(n / 2).  ``run_process``
+counts uncovered vertices up to tau1.  On n >= 2 vertices a connected graph has no
+isolated vertex, so tau2 >= tau1: one union pass over the first tau1
+edges, then one edge at a time until one component remains.  tau3 is
+found with one matching solve at the first prefix with few enough
+vertices of degree zero, then, if that falls short, by one augmenting
+search per added edge.
 
-``component_profile`` unions every kept edge in one
-``DisjointSet.union_all`` pass and reads the components off the roots;
-``run_process`` unions edge by edge because it stops at connectivity.
+``DisjointSet.union_all`` is the one union-find loop; ``component_profile``
+runs it once over the kept edges and reads the components off the roots.
 """
 
 from dataclasses import dataclass
@@ -93,27 +96,8 @@ class DisjointSet:
         self.size = [1] * n
         self.components = n
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.components -= 1
-        return True
-
     def union_all(self, pairs) -> None:
-        """``union(a, b)`` for every pair in order, with find and union
-        run in local variables."""
+        """Merge the sets of a and b for every pair (a, b) in order."""
         parent = self.parent
         size = self.size
         merged = 0
@@ -141,10 +125,20 @@ def sample_ordering(pg: ProductGraph, seed: int) -> EdgeOrdering:
 
 def sample_percolation(pg: ProductGraph, p: float, seed: int) -> PercolationSample:
     """Keep each edge independently with probability p."""
+    return sample_percolations(pg, p, [seed])[0]
+
+
+def sample_percolations(pg: ProductGraph, p: float, seeds) -> list[PercolationSample]:
+    """``sample_percolation(pg, p, seed)`` for every seed, with the masks
+    drawn in lockstep (``rng.bernoulli_masks``)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    mask = Xoshiro256StarStar(seed).bernoulli_mask(pg.m, p)
-    return PercolationSample(mask=bytes(mask), p=p, seed=seed)
+    masks = bernoulli_masks([Xoshiro256StarStar(seed) for seed in seeds], pg.m, p)
+    samples = []
+    for lane, seed in enumerate(seeds):
+        mask, masks[lane] = masks[lane], None  # only this lane is held twice
+        samples.append(PercolationSample(mask=bytes(mask), p=p, seed=seed))
+    return samples
 
 
 def double_exposure(pg: ProductGraph, p: float, seed: int
@@ -162,8 +156,8 @@ def double_exposure(pg: ProductGraph, p: float, seed: int
 
 def double_exposures(pg: ProductGraph, p: float, seeds
                      ) -> list[tuple[PercolationSample, PercolationSample, PercolationSample]]:
-    """``double_exposure(pg, p, seed)`` for every seed, with each round's
-    masks drawn in lockstep (``rng.bernoulli_masks``)."""
+    """``double_exposure(pg, p, seed)`` for every seed, with each round
+    drawn by one ``sample_percolations`` call."""
     if pg.d is None:
         raise ValueError("double exposure needs a regular product")
     p2 = 1.0 / (pg.d * pg.d)
@@ -171,13 +165,13 @@ def double_exposures(pg: ProductGraph, p: float, seeds
         raise ValueError(f"double exposure needs p >= 1/d^2 = {p2}, got {p}")
     p1 = 1.0 - (1.0 - p) / (1.0 - p2)
     round_seeds = [split_seeds(seed, 2) for seed in seeds]
-    firsts = bernoulli_masks([Xoshiro256StarStar(s1) for s1, _ in round_seeds], pg.m, p1)
-    seconds = bernoulli_masks([Xoshiro256StarStar(s2) for _, s2 in round_seeds], pg.m, p2)
+    firsts = sample_percolations(pg, p1, [s1 for s1, _ in round_seeds])
+    seconds = sample_percolations(pg, p2, [s2 for _, s2 in round_seeds])
     out = []
-    for seed, (seed1, seed2), mask1, mask2 in zip(seeds, round_seeds, firsts, seconds):
-        first = PercolationSample(mask=bytes(mask1), p=p1, seed=seed1)
-        second = PercolationSample(mask=bytes(mask2), p=p2, seed=seed2)
-        union_mask = bytes(a | b for a, b in zip(mask1, mask2))
+    for seed, first, second in zip(seeds, firsts, seconds):
+        # every byte is 0 or 1, so OR-ing the masks as integers ORs each byte
+        union = int.from_bytes(first.mask, "little") | int.from_bytes(second.mask, "little")
+        union_mask = union.to_bytes(pg.m, "little")
         out.append((first, second, PercolationSample(mask=union_mask, p=p, seed=seed)))
     return out
 
@@ -243,33 +237,38 @@ def run_process(pg: ProductGraph, ordering: EdgeOrdering,
     if tau3_mode not in TAU3_MODES:
         raise ValueError(f"unknown tau3 mode: {tau3_mode!r}")
     n = pg.n
+    edges = pg.edges
     perm = ordering.permutation
     target = n // 2
     slack = n - 2 * target
-    degree = [0] * n
+    covered = bytearray(n)
     uncovered = n
-    dsu = DisjointSet(n)
     lower = None
     tau1 = None
-    tau2 = None
     for i, eid in enumerate(perm, start=1):
-        u, v = pg.edges[eid]
-        if degree[u] == 0:
+        u, v = edges[eid]
+        if not covered[u]:
+            covered[u] = 1
             uncovered -= 1
-        if degree[v] == 0:
+        if not covered[v]:
+            covered[v] = 1
             uncovered -= 1
-        degree[u] += 1
-        degree[v] += 1
-        if lower is None and uncovered <= slack:
-            lower = i
-        if tau1 is None and uncovered == 0:
-            tau1 = i
-        dsu.union(u, v)
-        if tau2 is None and dsu.components == 1:
-            tau2 = i
-        if tau1 is not None and tau2 is not None:
-            break
-    if tau1 is None or tau2 is None:
+        if uncovered <= slack:
+            if lower is None:
+                lower = i
+            if uncovered == 0:
+                tau1 = i
+                break
+    if tau1 is None:
+        raise AssertionError("process ended before minimum degree one; ordering incomplete?")
+    # on n >= 2 vertices a connected graph has no isolated vertex: tau2 >= tau1
+    dsu = DisjointSet(n)
+    dsu.union_all(map(edges.__getitem__, perm[:tau1]))
+    tau2 = tau1
+    while dsu.components > 1 and tau2 < len(perm):
+        dsu.union_all((edges[perm[tau2]],))
+        tau2 += 1
+    if dsu.components > 1:
         raise AssertionError("process ended before connectivity; ordering incomplete?")
     return HittingTimes(tau1=tau1, tau2=tau2, tau3=_tau3(pg, perm, lower, target))
 

@@ -18,25 +18,24 @@ implementation in any language can reproduce every experiment stream:
   ``j = next_below(i + 1)``.
 
 ``next_u64``, ``next_double`` and ``next_below`` are the one-step
-reference.  The loops that draw many words, ``bernoulli_mask`` and
-``shuffle``, keep the four state words in local variables and write
+reference.  ``shuffle``, the loop that draws many words for one
+generator, keeps the four state words in local variables and writes
 them back at the end, so the stream continues exactly as after the same
-number of ``next_u64`` calls.  They consume the same words and decide
-the same way:
+number of ``next_u64`` calls.  It consumes the same words and decides
+the same way: the rejection threshold ``(2**64 // b) * b`` is
+``2**64 - (2**64 % b)``, above ``2**64 - n`` for every bound ``b <= n``,
+so a shuffle of n items accepts any word below ``2**64 - n`` at once and
+computes the exact threshold only for the rare word above it.
+
+``bernoulli_masks(gens, count, p)`` draws a Bernoulli mask for each of
+several independent generators in lockstep: byte k of generator i's
+mask is 1 iff the k-th of its next ``count`` ``next_double()`` values is
+below p.  Every generator ends in the state ``count`` ``next_u64``
+calls would leave it in:
 
 * ``(x >> 11) * 2**-53 < p`` holds iff ``x < ceil(p * 2**53) << 11``:
   both products by powers of two are exact and ``x >> 11`` is an
-  integer, so the mask compares each raw word with one threshold.
-* The rejection threshold ``(2**64 // b) * b`` is ``2**64 - (2**64 % b)``,
-  above ``2**64 - n`` for every bound ``b <= n``; a shuffle of n items
-  accepts any word below ``2**64 - n`` at once and computes the exact
-  threshold only for the rare word above it.
-
-``bernoulli_masks(gens, count, p)`` draws the masks of several
-independent generators in lockstep.  It returns exactly
-``[g.bernoulli_mask(count, p) for g in gens]`` and leaves every
-generator in the state its own call would:
-
+  integer, so each raw word is compared with one threshold T.
 * Lane i holds its four state words in bits [128 i, 128 i + 64) of four
   packed ints.  One packed step runs the reference update on all lanes
   and masks each result to the low 64 bits of every lane.  No
@@ -53,11 +52,11 @@ generator in the state its own call would:
   byte to its 8 bits as bytes; each lane's block is slice-assigned
   into its mask.
 * The trial runner and the coupling suite cap a group at 32 lanes.  On
-  a 2-vCPU x86 VM (Python 3.11), one generator costs about 1.1 us per
-  draw, 32 lanes about 150 ns per draw, and 256 or more still about
-  120 ns.  Wider groups gain little, while every lane's mask is held
-  until its trial is computed and fewer, larger groups balance worse
-  over pool workers.
+  a 2-vCPU x86 VM (Python 3.11, 4096 draws per lane), one lane costs
+  about 0.7 us per draw, 32 lanes about 80 ns per lane and draw, and
+  256 still about 60 ns.  Wider groups gain little, while every lane's
+  mask is held until its trial is computed and fewer, larger groups
+  balance worse over pool workers.
 """
 
 import math
@@ -131,25 +130,6 @@ class Xoshiro256StarStar:
             if x < threshold:
                 return x % n
 
-    def bernoulli_mask(self, count: int, p: float) -> bytearray:
-        """Byte k is 1 iff the k-th of the next ``count`` doubles is < p."""
-        threshold = math.ceil(p * 9007199254740992.0) << 11  # 2**53
-        s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
-        mask = bytearray(count)
-        for k in range(count):
-            x = (s1 * 5) & MASK64
-            if (((x << 7) | (x >> 57)) & MASK64) * 9 & MASK64 < threshold:
-                mask[k] = 1
-            t = (s1 << 17) & MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
-        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
-        return mask
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, last index downwards."""
         n = len(items)
@@ -197,10 +177,11 @@ def _unpack(packed: int, lanes: int) -> list[int]:
 
 
 def bernoulli_masks(gens, count: int, p: float) -> list[bytearray]:
-    """``[g.bernoulli_mask(count, p) for g in gens]``, drawn in lockstep.
+    """Byte k of mask i is 1 iff the k-th of the next ``count`` doubles
+    of ``gens[i]`` is < p; all generators are stepped in lockstep.
 
-    Every generator ends in the state its own ``bernoulli_mask`` call
-    would leave.  See the module docstring for the lane layout.
+    Every generator ends ``count`` words further on.  See the module
+    docstring for the lane layout.
     """
     lanes = len(gens)
     masks = [bytearray(count) for _ in range(lanes)]

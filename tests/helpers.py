@@ -39,7 +39,7 @@ def coordinates(pg: ProductGraph, v: int) -> tuple[int, ...]:
 
 def reference_mask(gen, count: int, p: float) -> bytes:
     """Byte k is 1 iff the k-th ``next_double()`` is below p, one draw at
-    a time (reference for ``Xoshiro256StarStar.bernoulli_mask``)."""
+    a time (reference for one lane of ``rng.bernoulli_masks``)."""
     return bytes(1 if gen.next_double() < p else 0 for _ in range(count))
 
 
@@ -49,6 +49,30 @@ def reference_shuffle(gen, items: list) -> None:
     for i in range(len(items) - 1, 0, -1):
         j = gen.next_below(i + 1)
         items[i], items[j] = items[j], items[i]
+
+
+def prefix_hitting_times(pg: ProductGraph, ordering) -> tuple[int, int]:
+    """(tau1, tau2) of an edge ordering by rebuilding the graph of every
+    prefix: tau1 is the first prefix with minimum degree at least 1,
+    tau2 the first whose breadth-first search from vertex 0 reaches
+    every vertex."""
+    tau1 = tau2 = None
+    for length in range(1, pg.m + 1):
+        adjacency = [[] for _ in range(pg.n)]
+        for eid in ordering.permutation[:length]:
+            u, v = pg.edges[eid]
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        if tau1 is None and all(adjacency):
+            tau1 = length
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            frontier = [w for v in frontier for w in adjacency[v] if w not in seen]
+            seen.update(frontier)
+        if tau2 is None and len(seen) == pg.n:
+            tau2 = length
+    return tau1, tau2
 
 
 def even_order_names(max_vertices: int) -> list[str]:

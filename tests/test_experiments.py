@@ -69,6 +69,9 @@ def test_accepted_minimal_configs():
     assert make(kind="isoperimetry", product="Q3", seed=0).p is None
     cfg = make(kind="obstructions", product="Q2", seed=0, p=0.5, u_max=2)
     assert cfg.u_max == 2
+    # JSON 1 stays an int, so the config hash does not change
+    assert type(make(kind="percolation_profile", product="Q2", seed=0,
+                     p=1).canonical_dict()["p"]) is int
 
 
 def test_resolve_product_forms():
@@ -407,6 +410,35 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
 
 def test_cli_missing_config_file(capsys):
     assert main(["process", "--config", "/nonexistent/exp.json"]) == 2
+
+
+@pytest.mark.parametrize("command, config", [
+    ("percolate", {"p": "0.5"}),
+    ("process", {"workers": "2"}),
+    ("process", {"trials": True}),
+    ("process", {"out": 3}),
+    ("obstruct", {"p": 0.5, "u_max": "3"}),
+    ("process", {"product": [{"kind": "complete", "m": "3"}]}),
+    ("process", {"product": [{"kind": "circulant", "m": 5, "offsets": 3}]}),
+    ("process", b"\xff\xfe{}"),  # not UTF-8
+    ("process", None),  # a directory
+])
+def test_cli_rejects_unreadable_or_mistyped_config(command, config, tmp_path,
+                                                  monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        pytest.fail("a worker pool started before the config was checked")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    path = tmp_path / "exp.json"
+    if config is None:
+        path = tmp_path
+    elif isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(json.dumps({"product": "Q2", "seed": 0, **config}))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_bad_probability(capsys):

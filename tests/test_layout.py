@@ -10,21 +10,33 @@ SRC = Path(prodperc.__file__).parent
 
 
 def test_every_top_level_name_is_used_or_exported():
-    """Each top-level function or class in src/prodperc is listed in
-    ``prodperc.__all__`` or referenced somewhere in src/ outside its own
-    body."""
+    """Each top-level function, class or assigned name in src/prodperc is
+    listed in ``prodperc.__all__`` or loaded by name or imported somewhere
+    in src/ outside its own definition.  Attribute names do not count: a
+    read of ``x.find`` does not use a top-level ``find``.  Dunders are
+    exempt."""
     defined = []
     referenced_at = defaultdict(set)  # name -> {(module, top-level name)}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            site = (path.name, getattr(node, "name", None))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append(site)
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                    referenced_at[sub.id].add(site)
-                elif isinstance(sub, ast.Attribute):
-                    referenced_at[sub.attr].add(site)
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [sub.id for target in targets for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+            else:
+                names = [None]
+            for name in names:
+                site = (path.name, name)
+                if name is not None and not name.startswith("__"):
+                    defined.append(site)
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                        referenced_at[sub.id].add(site)
+                    elif isinstance(sub, ast.ImportFrom):
+                        for alias in sub.names:
+                            referenced_at[alias.name].add(site)
     unused = [f"{module}:{name}" for module, name in defined
               if name not in prodperc.__all__
               and not referenced_at[name] - {(module, name)}]
@@ -43,8 +55,6 @@ _BUILTIN_ATTRIBUTES = set().union(*(dir(t) for t in (str, bytes, bytearray, list
 SHARED_NAME_READERS = {
     "graph_core.py:BaseGraphSpec.label": "graph_core.py:build_base",
     "graph_core.py:ProductGraph.label": "cli.py:_cmd_product",
-    "process.py:DisjointSet.find": "process.py:DisjointSet.union",
-    "process.py:DisjointSet.union": "process.py:run_process",
 }
 
 

@@ -10,13 +10,14 @@ from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product
                                  neighbor_bitmasks, star)
 from prodperc.matching import (brute_deficiency, maximum_matching,
                                tutte_berge_deficiency, _augment_once)
-from prodperc.rng import Xoshiro256StarStar, derive_trial_seed
+from prodperc.process import sample_percolation
+from prodperc.rng import Xoshiro256StarStar, bernoulli_masks, derive_trial_seed
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 
 def random_mask(pg, seed, p=0.5):
-    return bytes(Xoshiro256StarStar(seed).bernoulli_mask(pg.m, p))
+    return sample_percolation(pg, p, seed).mask
 
 
 # --- exact sizes on known graphs ----------------------------------------
@@ -89,7 +90,7 @@ def test_oracle_equivalence_random_masks():
         order = 4 + gen.next_below(7)
         host = build_product((BaseGraphSpec.complete(order),))
         p = 0.2 + 0.6 * gen.next_double()
-        mask = gen.bernoulli_mask(host.m, p)
+        mask = bernoulli_masks([gen], host.m, p)[0]
         assert tutte_berge_deficiency(host, mask) == brute_deficiency(host, mask)
 
 
@@ -132,7 +133,7 @@ def test_deficiency_parity_and_range(seed):
 def test_adding_one_edge_grows_matching_by_at_most_one(seed):
     pg = build_catalog_product("Q3")
     gen = Xoshiro256StarStar(seed)
-    mask = gen.bernoulli_mask(pg.m, 0.4)
+    mask = bernoulli_masks([gen], pg.m, 0.4)[0]
     absent = [e for e in range(pg.m) if not mask[e]]
     before = maximum_matching(pg, bytes(mask)).size
     if absent:

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import mask_from_edges
+from helpers import mask_from_edges, prefix_hitting_times
 import prodperc.process as process
 from prodperc.catalog import build_catalog_product
 from prodperc.experiments import _tau3_oracle
@@ -43,6 +43,9 @@ def test_incomplete_ordering_rejected():
     pg = build_product((BaseGraphSpec.cycle(4),))
     with pytest.raises(AssertionError):
         run_process(pg, EdgeOrdering(permutation=(0, 2), seed=0))
+    # (0,1) and (2,3) leave no vertex isolated but two components
+    with pytest.raises(AssertionError):
+        run_process(pg, EdgeOrdering(permutation=(0, 3), seed=0))
     with pytest.raises(ValueError):
         run_process(pg, sample_ordering(pg, 0), tau3_mode="magic")
 
@@ -220,6 +223,16 @@ def test_tau3_equals_prefix_oracle(seed, name):
     assert times.tau3 == _tau3_oracle(pg, ordering)
     if pg.n % 2 == 0:
         assert times.tau3 is not None and times.tau1 <= times.tau3
+
+
+@settings(deadline=None, max_examples=100)
+@given(U64, st.sampled_from(("Q4", "K3xK3", "C5xC5", "K5", "C4xK3", "petersen")))
+def test_tau1_tau2_equal_prefix_oracle(seed, name):
+    # tau2 > tau1 in about a third to a half of these orderings
+    pg = build_catalog_product(name)
+    ordering = sample_ordering(pg, seed)
+    times = run_process(pg, ordering)
+    assert (times.tau1, times.tau2) == prefix_hitting_times(pg, ordering)
 
 
 @settings(deadline=None, max_examples=40)

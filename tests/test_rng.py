@@ -104,28 +104,6 @@ def test_shuffle_is_permutation(seed, size):
     assert sorted(items) == list(range(size))
 
 
-@given(U64, st.integers(min_value=0, max_value=300), PROBABILITIES)
-def test_bernoulli_mask_matches_per_draw_loop(seed, count, p):
-    bulk = Xoshiro256StarStar(seed)
-    assert bulk.bernoulli_mask(count, p) == reference_mask(
-        Xoshiro256StarStar(seed), count, p)
-    # one word per byte: the stream continues as after count next_u64 calls
-    stepped = Xoshiro256StarStar(seed)
-    for _ in range(count):
-        stepped.next_u64()
-    assert state(bulk) == state(stepped)
-
-
-@pytest.mark.parametrize("p", [0.5, 1 / 3, 1e-12, 1.0 - 1e-12])
-@pytest.mark.parametrize("offset", [-1, 0])
-def test_bernoulli_mask_at_the_threshold_word(p, offset):
-    # the largest word kept and the smallest word dropped
-    word = ((math.ceil(p * 2**53) << 11) + offset) & MASK64
-    one_step = generator_whose_next_word_is(word).next_double() < p
-    assert one_step == (offset < 0)
-    assert generator_whose_next_word_is(word).bernoulli_mask(1, p) == bytes([one_step])
-
-
 @given(st.lists(st.one_of(U64, st.integers(min_value=0, max_value=3)), max_size=40),
        st.integers(min_value=0, max_value=300), PROBABILITIES)
 def test_bernoulli_masks_match_one_generator_at_a_time(seeds, count, p):
@@ -133,22 +111,40 @@ def test_bernoulli_masks_match_one_generator_at_a_time(seeds, count, p):
     lockstep = [Xoshiro256StarStar(seed) for seed in seeds]
     reference = [Xoshiro256StarStar(seed) for seed in seeds]
     assert bernoulli_masks(lockstep, count, p) == [
-        gen.bernoulli_mask(count, p) for gen in reference]
+        reference_mask(gen, count, p) for gen in reference]
+    # one word per byte: each stream continues as after count next_u64 calls
     assert [state(gen) for gen in lockstep] == [state(gen) for gen in reference]
+
+
+def check_threshold_word(p, offset, others):
+    """The largest word kept (offset -1) or the smallest word dropped
+    (offset 0) in a middle lane, with a lane for each seed in ``others``
+    around it."""
+    word = ((math.ceil(p * 2**53) << 11) + offset) & MASK64
+    assert (generator_whose_next_word_is(word).next_double() < p) == (offset < 0)
+    at = len(others) // 2
+
+    def lanes():
+        gens = [Xoshiro256StarStar(seed) for seed in others]
+        gens.insert(at, generator_whose_next_word_is(word))
+        return gens
+
+    masks = bernoulli_masks(lanes(), 3, p)
+    assert masks[at][0] == (offset < 0)
+    assert masks == [reference_mask(gen, 3, p) for gen in lanes()]
+
+
+@pytest.mark.parametrize("p", [0.5, 1 / 3, 1e-12, 1.0 - 1e-12])
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_bernoulli_mask_at_the_threshold_word(p, offset):
+    # one lane on its own
+    check_threshold_word(p, offset, others=())
 
 
 @pytest.mark.parametrize("p", [0.5, 1 / 3, 1e-12, 1.0 - 1e-12])
 @pytest.mark.parametrize("offset", [-1, 0])
 def test_bernoulli_masks_at_the_threshold_word(p, offset):
-    # the threshold word in a middle lane, with ordinary lanes either side
-    word = ((math.ceil(p * 2**53) << 11) + offset) & MASK64
-    lanes = [Xoshiro256StarStar(seed) for seed in (1, 2, 3, 4)]
-    lanes.insert(2, generator_whose_next_word_is(word))
-    masks = bernoulli_masks(lanes, 3, p)
-    assert masks[2][0] == (offset < 0)
-    reference = [Xoshiro256StarStar(seed) for seed in (1, 2, 3, 4)]
-    reference.insert(2, generator_whose_next_word_is(word))
-    assert masks == [gen.bernoulli_mask(3, p) for gen in reference]
+    check_threshold_word(p, offset, others=(1, 2, 3, 4))
 
 
 @given(U64, st.integers(min_value=0, max_value=200))
