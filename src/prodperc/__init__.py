@@ -23,7 +23,8 @@ from .obstructions import (ObstructionRecord, classify_removal,
                            default_threshold, find_minimal_obstructions)
 from .process import (EdgeOrdering, HittingTimes, PercolationSample,
                       component_profile, critical_p, double_exposure,
-                      run_process, sample_ordering, sample_percolation)
+                      hitting_times, run_process, sample_ordering,
+                      sample_percolation)
 
 __version__ = "0.1.0"
 
@@ -37,7 +38,7 @@ __all__ = [
     "component_profile", "critical_p", "default_threshold",
     "double_exposure", "edge_boundary", "edge_connectivity", "emit_report",
     "exhaustive_profile", "f_star", "find_minimal_obstructions",
-    "maximum_matching", "render_report", "run_process", "run_trials",
-    "sample_ordering", "sample_percolation", "tutte_berge_deficiency",
-    "verify_all", "__version__",
+    "hitting_times", "maximum_matching", "render_report", "run_process",
+    "run_trials", "sample_ordering", "sample_percolation",
+    "tutte_berge_deficiency", "verify_all", "__version__",
 ]

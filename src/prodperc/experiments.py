@@ -10,7 +10,8 @@ bytes each trial's own generator gives.
 
 Kinds:
 
-* ``hitting_times``: one uniform edge ordering per trial; rows carry
+* ``hitting_times``: one uniform edge ordering per trial, drawn only as
+  far as the hitting times need (``process.hitting_times``); rows carry
   tau1, tau2, tau3 (-1 when the full graph never reaches the target
   matching size) and the coincidence flag tau1 = tau2 = tau3.
 * ``percolation_profile``: one bond percolation sample per trial; rows
@@ -53,8 +54,8 @@ from .obstructions import (find_minimal_obstructions, verify_determination,
                            verify_three_components)
 from .process import (TAU3_MODES, EdgeOrdering, PercolationSample,
                       component_profile, critical_p, double_exposures,
-                      run_process, sample_ordering, sample_percolation,
-                      sample_percolations)
+                      hitting_times, run_process, sample_ordering,
+                      sample_percolation, sample_percolations)
 from .rng import Xoshiro256StarStar, bernoulli_masks, derive_trial_seed
 
 KINDS = ("hitting_times", "percolation_profile", "isoperimetry",
@@ -277,8 +278,7 @@ def _percentile(values, q: float):
 
 def _hitting_row(config: ExperimentConfig, pg: ProductGraph, index: int) -> tuple:
     trial_seed = derive_trial_seed(config.seed, index)
-    ordering = sample_ordering(pg, trial_seed)
-    times = run_process(pg, ordering, tau3_mode=config.tau3_mode)
+    times = hitting_times(pg, trial_seed)
     tau3 = -1 if times.tau3 is None else times.tau3
     coincident = int(times.tau3 is not None
                      and times.tau1 == times.tau2 == times.tau3)

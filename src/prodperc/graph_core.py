@@ -225,12 +225,15 @@ def read_edge_list(path: str) -> tuple[int, list[tuple[int, int]]]:
     ignored.  Anything else is a format error.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            rows.append((lineno, text))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                rows.append((lineno, text))
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise MalformedEdgeListError(f"{path}: cannot read edge list: {exc}") from None
     if not rows:
         raise MalformedEdgeListError(f"{path}: empty edge list file")
     lineno, header = rows[0]

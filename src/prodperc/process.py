@@ -9,7 +9,9 @@ Two sampling modes share one generator stack (see rng):
   one-seed case.
 * ``sample_ordering`` draws a uniform permutation of the edge ids by
   Fisher-Yates shuffle; the process at time i consists of the first i
-  edges of the permutation.
+  edges of the permutation.  ``hitting_times(pg, seed)`` runs the same
+  shuffle lazily (``rng`` placements) and stops it once the hitting
+  times are fixed.
 
 ``double_exposures`` splits G_p into two independent rounds for many
 seeds at once, one ``sample_percolations`` call per round;
@@ -17,13 +19,20 @@ seeds at once, one ``sample_percolations`` call per round;
 
 Hitting times are indexed from 1: tau = i means the property first holds
 after the i-th edge is added.  tau1 is minimum degree one, tau2 is
-connectivity, tau3 is a matching of size floor(n / 2).  ``run_process``
-counts uncovered vertices up to tau1.  On n >= 2 vertices a connected graph has no
-isolated vertex, so tau2 >= tau1: one union pass over the first tau1
-edges, then one edge at a time until one component remains.  tau3 is
-found with one matching solve at the first prefix with few enough
-vertices of degree zero, then, if that falls short, by one augmenting
-search per added edge.
+connectivity, tau3 is a matching of size floor(n / 2).  One routine
+serves both entry points: ``hitting_times`` feeds it the lazy shuffle,
+``run_process`` a materialised permutation.  Fisher-Yates fixes
+positions from the last one down, so the routine reads the hitting
+times from the final suffix of the ordering and the *set* of edges
+below ``lower``, the first prefix with few enough vertices of degree
+zero for the matching.  It counts each vertex's unplaced edges down
+from its degree: the first vertex to run out gives tau1, the
+(n mod 2 + 1)-th gives ``lower``, and no position below ``lower`` is
+drawn.  On n >= 2 vertices a connected graph has no isolated vertex, so
+tau2 >= tau1: one union pass over the first tau1 edges, then one edge
+at a time until one component remains.  tau3 is found with one matching
+solve at ``lower``, then, if that falls short, by one augmenting search
+per added edge.
 
 ``DisjointSet.union_all`` is the one union-find loop; ``component_profile``
 runs it once over the kept edges and reads the components off the roots.
@@ -227,6 +236,58 @@ def _tau3(pg: ProductGraph, permutation, lower: int, target: int) -> int | None:
     return None
 
 
+def _hitting_suffix(pg: ProductGraph, items, positions) -> HittingTimes:
+    """Hitting times of the ordering ``items``, read from its final suffix.
+
+    ``positions`` yields positions of ``items`` from the top down; when
+    it yields i, ``items[i:]`` must be final and ``items[:i]`` hold the
+    other edge ids in any order.  Counting down each vertex's unplaced
+    edges, the first vertex to reach zero at position i has the latest
+    first edge, so tau1 = i + 1; the (slack + 1)-th such completion
+    gives ``lower``.  No position below ``lower`` is drawn: tau2 and
+    tau3 read only the set of edges below it and the suffix above.
+    """
+    n = pg.n
+    edges = pg.edges
+    off = pg.adj_off
+    need = [off[v + 1] - off[v] for v in range(n)]
+    target = n // 2
+    slack = n - 2 * target
+    done = 0
+    tau1 = None
+    for i in positions:
+        u, v = edges[items[i]]
+        need[u] -= 1
+        need[v] -= 1
+        if need[u] and need[v]:
+            continue
+        if tau1 is None:
+            tau1 = i + 1
+        done += (not need[u]) + (not need[v])
+        if done > slack:
+            lower = i + 1
+            break
+    else:
+        raise AssertionError("process ended before minimum degree one; ordering incomplete?")
+    # on n >= 2 vertices a connected graph has no isolated vertex: tau2 >= tau1
+    dsu = DisjointSet(n)
+    dsu.union_all(map(edges.__getitem__, items[:tau1]))
+    tau2 = tau1
+    while dsu.components > 1 and tau2 < pg.m:
+        dsu.union_all((edges[items[tau2]],))
+        tau2 += 1
+    if dsu.components > 1:
+        raise AssertionError("process ended before connectivity; ordering incomplete?")
+    return HittingTimes(tau1=tau1, tau2=tau2, tau3=_tau3(pg, items, lower, target))
+
+
+def hitting_times(pg: ProductGraph, seed: int) -> HittingTimes:
+    """``run_process(pg, sample_ordering(pg, seed))``, with the shuffle
+    stopped once the hitting times are fixed."""
+    items = list(range(pg.m))
+    return _hitting_suffix(pg, items, Xoshiro256StarStar(seed).placements(items))
+
+
 def run_process(pg: ProductGraph, ordering: EdgeOrdering,
                 tau3_mode: str = "bisect") -> HittingTimes:
     """Hitting times of minimum degree 1, connectivity, and matching.
@@ -236,41 +297,11 @@ def run_process(pg: ProductGraph, ordering: EdgeOrdering,
     """
     if tau3_mode not in TAU3_MODES:
         raise ValueError(f"unknown tau3 mode: {tau3_mode!r}")
-    n = pg.n
-    edges = pg.edges
     perm = ordering.permutation
-    target = n // 2
-    slack = n - 2 * target
-    covered = bytearray(n)
-    uncovered = n
-    lower = None
-    tau1 = None
-    for i, eid in enumerate(perm, start=1):
-        u, v = edges[eid]
-        if not covered[u]:
-            covered[u] = 1
-            uncovered -= 1
-        if not covered[v]:
-            covered[v] = 1
-            uncovered -= 1
-        if uncovered <= slack:
-            if lower is None:
-                lower = i
-            if uncovered == 0:
-                tau1 = i
-                break
-    if tau1 is None:
-        raise AssertionError("process ended before minimum degree one; ordering incomplete?")
-    # on n >= 2 vertices a connected graph has no isolated vertex: tau2 >= tau1
-    dsu = DisjointSet(n)
-    dsu.union_all(map(edges.__getitem__, perm[:tau1]))
-    tau2 = tau1
-    while dsu.components > 1 and tau2 < len(perm):
-        dsu.union_all((edges[perm[tau2]],))
-        tau2 += 1
-    if dsu.components > 1:
-        raise AssertionError("process ended before connectivity; ordering incomplete?")
-    return HittingTimes(tau1=tau1, tau2=tau2, tau3=_tau3(pg, perm, lower, target))
+    if len(perm) != pg.m or set(perm) != set(range(pg.m)):
+        raise AssertionError("ordering is not a permutation of the edge ids; "
+                             "ordering incomplete?")
+    return _hitting_suffix(pg, perm, range(pg.m - 1, -1, -1))
 
 
 def component_profile(pg: ProductGraph, sample: PercolationSample) -> ComponentProfile:

@@ -18,14 +18,19 @@ implementation in any language can reproduce every experiment stream:
   ``j = next_below(i + 1)``.
 
 ``next_u64``, ``next_double`` and ``next_below`` are the one-step
-reference.  ``shuffle``, the loop that draws many words for one
-generator, keeps the four state words in local variables and writes
-them back at the end, so the stream continues exactly as after the same
-number of ``next_u64`` calls.  It consumes the same words and decides
-the same way: the rejection threshold ``(2**64 // b) * b`` is
-``2**64 - (2**64 % b)``, above ``2**64 - n`` for every bound ``b <= n``,
-so a shuffle of n items accepts any word below ``2**64 - n`` at once and
-computes the exact threshold only for the rare word above it.
+reference.  The shuffle, the loop that draws many words for one
+generator, is the top-down placement iterator ``placements(items)``: it
+runs one Fisher-Yates step at a time and yields each position as it
+becomes final (i after step i, then 0), and ``shuffle`` runs it to the
+end.  It keeps the four state words in local variables and writes them
+back when it ends or is closed, so the stream continues exactly as
+after the same number of ``next_u64`` calls; an iterator stopped early
+leaves the generator after the words it drew.  It consumes the same
+words and decides the same way: the rejection threshold
+``(2**64 // b) * b`` is ``2**64 - (2**64 % b)``, above ``2**64 - n`` for
+every bound ``b <= n``, so a shuffle of n items accepts any word below
+``2**64 - n`` at once and computes the exact threshold only for the
+rare word above it.
 
 ``bernoulli_masks(gens, count, p)`` draws a Bernoulli mask for each of
 several independent generators in lockstep: byte k of generator i's
@@ -60,6 +65,7 @@ calls would leave it in:
 """
 
 import math
+from collections import deque
 
 MASK64 = (1 << 64) - 1
 
@@ -132,29 +138,42 @@ class Xoshiro256StarStar:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, last index downwards."""
+        deque(self.placements(items), maxlen=0)
+
+    def placements(self, items: list):
+        """Shuffle ``items`` in place step by step, yielding each position
+        as it becomes final: i after step i swaps ``items[i]`` into
+        place, then 0.  ``items[i:]`` is then final and ``items[:i]``
+        holds the other items in some order.  The generator state is
+        written back when the iterator ends or is closed."""
         n = len(items)
         safe = (1 << 64) - n
         s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
-        for i in range(n - 1, 0, -1):
-            bound = i + 1
-            x = (s1 * 5) & MASK64
-            x = (((x << 7) | (x >> 57)) & MASK64) * 9 & MASK64
-            t = (s1 << 17) & MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
-            if x < safe or x < ((1 << 64) // bound) * bound:
-                j = x % bound
-            else:
-                # rejected: continue the draw with the one-step reference
-                self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
-                j = self.next_below(bound)
-                s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
-            items[i], items[j] = items[j], items[i]
-        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+        try:
+            for i in range(n - 1, 0, -1):
+                bound = i + 1
+                x = (s1 * 5) & MASK64
+                x = (((x << 7) | (x >> 57)) & MASK64) * 9 & MASK64
+                t = (s1 << 17) & MASK64
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
+                if x < safe or x < ((1 << 64) // bound) * bound:
+                    j = x % bound
+                else:
+                    # rejected: continue the draw with the one-step reference
+                    self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+                    j = self.next_below(bound)
+                    s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
+                items[i], items[j] = items[j], items[i]
+                yield i
+            if n:
+                yield 0
+        finally:
+            self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
 
 
 _LANE_BITS = 128

@@ -441,6 +441,25 @@ def test_cli_rejects_unreadable_or_mistyped_config(command, config, tmp_path,
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edge_list", ["directory", "not utf-8"])
+def test_cli_rejects_unreadable_edge_list(edge_list, tmp_path, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        pytest.fail("a worker pool started before the edge list was checked")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    path = tmp_path / "graph.txt"
+    if edge_list == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"2 1\n0 1 \xff\n")
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"product": [{"kind": "edge_list", "path": str(path)}],
+                                  "seed": 0, "workers": 2}))
+    assert main(["process", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "Traceback" not in err
+
+
 def test_cli_bad_probability(capsys):
     assert main(["percolate", "--product", "Q2", "--p", "0"]) == 2
 

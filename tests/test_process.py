@@ -15,8 +15,8 @@ from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product
 from prodperc.matching import maximum_matching
 from prodperc.process import (EdgeOrdering, HittingTimes, PercolationSample,
                               component_profile, critical_p, double_exposure,
-                              double_exposures, run_process, sample_ordering,
-                              sample_percolation)
+                              double_exposures, hitting_times, run_process,
+                              sample_ordering, sample_percolation)
 from prodperc.rng import split_seeds
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -46,6 +46,9 @@ def test_incomplete_ordering_rejected():
     # (0,1) and (2,3) leave no vertex isolated but two components
     with pytest.raises(AssertionError):
         run_process(pg, EdgeOrdering(permutation=(0, 3), seed=0))
+    # full length, but edge 1 is missing and edge 0 comes twice
+    with pytest.raises(AssertionError):
+        run_process(pg, EdgeOrdering(permutation=(0, 0, 2, 3), seed=0))
     with pytest.raises(ValueError):
         run_process(pg, sample_ordering(pg, 0), tau3_mode="magic")
 
@@ -56,6 +59,29 @@ def test_tau3_none_when_target_unreachable():
     ordering = sample_ordering(host, 5)
     assert run_process(host, ordering).tau3 is None
     assert _tau3_oracle(host, ordering) is None
+    # the centre has degree 3 and the leaves degree 1: every leaf must
+    # be reached, so tau1 = tau2 = m for every ordering
+    for seed in range(20):
+        assert hitting_times(host, seed) == HittingTimes(tau1=3, tau2=3, tau3=None)
+
+
+@pytest.mark.parametrize("name", ["Q4", "K3xK3", "C5xC5", "K5", "C4xK3",
+                                  "petersen", "K2"])
+def test_lazy_hitting_times_equal_full_ordering(name):
+    # the lazy shuffle stops at lower; the full ordering is the same
+    # stream run to the end (K3xK3, C5xC5 and K5 have odd n)
+    if name == "K2":
+        pg = build_product((BaseGraphSpec.complete(2),))
+    else:
+        pg = build_catalog_product(name)
+    for seed in range(60):
+        ordering = sample_ordering(pg, seed)
+        times = hitting_times(pg, seed)
+        assert times == run_process(pg, ordering)
+        assert (times.tau1, times.tau2) == prefix_hitting_times(pg, ordering)
+        assert times.tau3 == _tau3_oracle(pg, ordering)
+        if name == "K2":
+            assert times == HittingTimes(tau1=1, tau2=1, tau3=1)
 
 
 # --- ordering sampler ------------------------------------------------------

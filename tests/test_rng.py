@@ -28,6 +28,15 @@ def generator_whose_next_word_is(word: int) -> Xoshiro256StarStar:
     return gen
 
 
+def placements_to_the_end(gen, items):
+    """Shuffle ``items`` by running ``gen.placements`` to the end."""
+    assert list(gen.placements(items)) == list(range(len(items) - 1, -1, -1))
+
+
+# the bulk shuffle and the placement iterator it drives
+SHUFFLES = (Xoshiro256StarStar.shuffle, placements_to_the_end)
+
+
 def test_splitmix64_reference_vector():
     # first three outputs of the reference sequence seeded at 0
     assert splitmix64(0) == 0xE220A8397B1DCDAF
@@ -149,14 +158,36 @@ def test_bernoulli_masks_at_the_threshold_word(p, offset):
 
 @given(U64, st.integers(min_value=0, max_value=200))
 def test_shuffle_matches_next_below_fisher_yates(seed, size):
-    bulk = Xoshiro256StarStar(seed)
     reference = Xoshiro256StarStar(seed)
-    items = list(range(size))
     expected = list(range(size))
-    bulk.shuffle(items)
     reference_shuffle(reference, expected)
-    assert items == expected
-    assert state(bulk) == state(reference)
+    for shuffle in SHUFFLES:
+        bulk = Xoshiro256StarStar(seed)
+        items = list(range(size))
+        shuffle(bulk, items)
+        assert items == expected
+        assert state(bulk) == state(reference)
+
+
+@given(U64, st.integers(min_value=1, max_value=200), st.integers(min_value=0))
+def test_stopped_placements_leave_the_words_drawn(seed, size, k):
+    # below 2**64 - 200 every word is accepted, so k placements draw k
+    # words unless one of them lands in the top 200 (probability ~1e-17)
+    k %= size
+    gen = Xoshiro256StarStar(seed)
+    items = list(range(size))
+    placements = gen.placements(items)
+    assert [next(placements) for _ in range(k)] == list(range(size - 1, size - 1 - k, -1))
+    placements.close()
+    words = Xoshiro256StarStar(seed)
+    for _ in range(k):
+        words.next_u64()
+    assert state(gen) == state(words)
+    # the placed suffix is already that of the full shuffle
+    expected = list(range(size))
+    reference_shuffle(Xoshiro256StarStar(seed), expected)
+    assert items[size - k:] == expected[size - k:]
+    assert sorted(items) == list(range(size))
 
 
 def test_next_below_rejects_the_top_word():
@@ -176,14 +207,15 @@ def test_shuffle_near_the_rejection_threshold(size, word):
     # the first draw has bound = size and every word here is at or above the
     # safe bound 2**64 - size; 2**64 % 3 == 1 rejects only the top word for
     # 3 items, 2**64 % 7 == 2 also rejects the one below it for 7
-    gen = generator_whose_next_word_is(word)
     reference = generator_whose_next_word_is(word)
-    items = list("abcdefg"[:size])
-    expected = list(items)
-    gen.shuffle(items)
+    expected = list("abcdefg"[:size])
     reference_shuffle(reference, expected)
-    assert items == expected
-    assert state(gen) == state(reference)
+    for shuffle in SHUFFLES:
+        gen = generator_whose_next_word_is(word)
+        items = list("abcdefg"[:size])
+        shuffle(gen, items)
+        assert items == expected
+        assert state(gen) == state(reference)
 
 
 def test_trial_seed_derivation_rule():
