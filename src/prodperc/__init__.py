@@ -10,7 +10,7 @@ documented generator stack, so every result is reproducible from a
 64-bit seed.
 """
 
-from .catalog import CATALOG, build_catalog_product, catalog_names
+from .catalog import CATALOG, build_catalog_product
 from .experiments import (ConfigError, ExperimentConfig, TrialSummary,
                           emit_report, render_report, run_trials, verify_all)
 from .graph_core import (BaseGraph, BaseGraphSpec, GraphBuildError,
@@ -34,7 +34,7 @@ __all__ = [
     "IsoperimetricProfile", "MatchingState", "ObstructionRecord",
     "PercolationSample", "ProductGraph", "TrialSummary",
     "build_base", "build_catalog_product", "build_product",
-    "cartesian_product", "catalog_names", "classify_removal",
+    "cartesian_product", "classify_removal",
     "component_profile", "critical_p", "default_threshold",
     "double_exposure", "edge_boundary", "edge_connectivity", "emit_report",
     "exhaustive_profile", "f_star", "find_minimal_obstructions",

@@ -36,10 +36,6 @@ CATALOG: dict[str, tuple[BaseGraphSpec, ...]] = {
 }
 
 
-def catalog_names() -> list[str]:
-    return list(CATALOG)
-
-
 def catalog_specs(name: str) -> tuple[BaseGraphSpec, ...]:
     try:
         return CATALOG[name]

@@ -24,6 +24,11 @@ Kinds:
 * ``isoperimetry``: single instance, no trial loop; rows carry f*(k)
   and, when the order admits exhaustive enumeration, exact f(k).
 * ``verify_all``: the cross-module invariant battery; rows are suites.
+  A suite is a generator that yields one outcome per instance it
+  checks: None when the check holds, else a detail naming the
+  counterexample.  ``_suite`` counts the outcomes into the row's
+  instances, counterexamples and detail (the first counterexample's),
+  so counterexamples <= instances.
 
 Reports are CSV (provenance as ``# key=value`` comments, one header
 row, aggregates as trailing ``# agg:key=value`` comments) or JSON with
@@ -34,6 +39,7 @@ same config produce byte-identical reports apart from the
 ``generated_at`` line, which is excluded from the config hash.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -376,7 +382,10 @@ def _trial_rows(config: ExperimentConfig, pg: ProductGraph) -> list[tuple]:
     if workers > 1 and config.trials > 1:
         _WORKER = (config, pg)
         try:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+            # no more workers than groups: a forked pool starts every
+            # worker at its first task, busy or not
+            with ProcessPoolExecutor(max_workers=min(workers, len(groups)),
+                                     initializer=_init_worker,
                                      initargs=(config,)) as pool:
                 return [row for rows in pool.map(_worker_rows, groups) for row in rows]
         finally:
@@ -566,12 +575,27 @@ def verify_all(config: ExperimentConfig) -> tuple[int, TrialSummary]:
     return summary.aggregates["exit_status"], summary
 
 
+def _suite(outcomes):
+    """Decorate a suite generator, which yields one outcome per instance
+    (None when the check holds, else a detail), into a function that
+    returns (instances, counterexamples, first detail)."""
+    @functools.wraps(outcomes)
+    def tally(*args, **kwargs):
+        instances = counterexamples = 0
+        detail = ""
+        for outcome in outcomes(*args, **kwargs):
+            instances += 1
+            if outcome is not None:
+                counterexamples += 1
+                detail = detail or outcome
+        return instances, counterexamples, detail
+    return tally
+
+
+@_suite
 def _suite_oracle_equivalence(seed: int):
     """Solver deficiency vs subset enumeration on random masks and the
     small catalog."""
-    instances = 0
-    counterexamples = 0
-    detail = ""
     hosts: dict[int, ProductGraph] = {}
     for i in range(200):
         trial_seed = derive_trial_seed(seed, i)
@@ -583,116 +607,81 @@ def _suite_oracle_equivalence(seed: int):
             hosts[order] = host
         p = 0.2 + 0.6 * gen.next_double()
         mask = bernoulli_masks([gen], host.m, p)[0]
-        if tutte_berge_deficiency(host, mask) != brute_deficiency(host, mask):
-            counterexamples += 1
-            if not detail:
-                detail = f"random mask K{order} trial {i} seed {trial_seed}"
-        instances += 1
+        yield (f"random mask K{order} trial {i} seed {trial_seed}"
+               if tutte_berge_deficiency(host, mask) != brute_deficiency(host, mask)
+               else None)
     for j, name in enumerate(tiny_names(12)):
         pg = build_catalog_product(name)
         base = derive_trial_seed(seed, 1000 + j)
         samples = sample_percolations(pg, 0.55, [derive_trial_seed(base, k) for k in range(3)])
         masks = [full_mask(pg)] + [sample.mask for sample in samples]
         for k, mask in enumerate(masks):
-            if tutte_berge_deficiency(pg, mask) != brute_deficiency(pg, mask):
-                counterexamples += 1
-                if not detail:
-                    detail = f"catalog {name} mask {k}"
-            instances += 1
-    return instances, counterexamples, detail
+            yield (f"catalog {name} mask {k}"
+                   if tutte_berge_deficiency(pg, mask) != brute_deficiency(pg, mask)
+                   else None)
 
 
+@_suite
 def _suite_isoperimetry_bounds():
     """Exhaustive f(k) >= f*(k), profile symmetry, and a spot profile."""
-    instances = 0
-    counterexamples = 0
-    detail = ""
     for name in ("Q4", "K3xK3", "C4xK3", "C5xK2"):
         pg = build_catalog_product(name)
         params = BoundParams.from_product(pg, 0.5)
         profile = exhaustive_profile(pg, keep_witnesses=False)
         for k in range(1, pg.n):
-            instances += 1
             bad_bound = profile.f_of(k) < f_star(params, k) - 1e-9
             bad_symmetry = profile.f_of(k) != profile.f_of(pg.n - k)
-            if bad_bound or bad_symmetry:
-                counterexamples += 1
-                if not detail:
-                    detail = f"{name} k={k}"
+            yield f"{name} k={k}" if bad_bound or bad_symmetry else None
     q3 = exhaustive_profile(build_catalog_product("Q3"), keep_witnesses=False)
-    instances += 1
-    if q3.f != (3, 4, 5, 4, 5, 4, 3):
-        counterexamples += 1
-        if not detail:
-            detail = f"Q3 profile {list(q3.f)}"
-    return instances, counterexamples, detail
+    yield f"Q3 profile {list(q3.f)}" if q3.f != (3, 4, 5, 4, 5, 4, 3) else None
 
 
+@_suite
 def _suite_edge_connectivity():
     """Global minimum cut equals the degree on regular products."""
-    instances = 0
-    counterexamples = 0
-    detail = ""
     for name in ("K3xK3", "Q4", "C5xC5", "K4xK3"):
         pg = build_catalog_product(name)
-        instances += 1
-        if edge_connectivity(pg) != pg.d:
-            counterexamples += 1
-            if not detail:
-                detail = name
-    return instances, counterexamples, detail
+        yield name if edge_connectivity(pg) != pg.d else None
 
 
+@_suite
 def _suite_tree_bounds():
     """Rooted subtree counts against (e*d)**(k-1) for k up to 5."""
-    instances = 0
-    counterexamples = 0
-    detail = ""
     for name in ("petersen", "Q3", "K5", "K3xK3"):
         pg = build_catalog_product(name)
         for k in range(1, 6):
             bound = rooted_tree_bound(pg.d, k)
             for v in range(pg.n):
-                instances += 1
-                if count_rooted_trees(pg, v, k) > bound:
-                    counterexamples += 1
-                    if not detail:
-                        detail = f"{name} v={v} k={k}"
-    return instances, counterexamples, detail
+                yield f"{name} v={v} k={k}" if count_rooted_trees(pg, v, k) > bound else None
 
 
+@_suite
 def _suite_star_identity():
     """Bipartition class difference (1-s)**t on star powers."""
-    instances = 0
-    counterexamples = 0
-    detail = ""
     for s in (2, 3, 4):
         leaves_star = star(s)
         for t in range(1, 6):
             pg = cartesian_product([leaves_star] * t, require_regular=False)
             signature = bipartition_signature(pg)
-            instances += 1
-            if signature is None or signature[0] - signature[1] != (1 - s) ** t:
-                counterexamples += 1
-                if not detail:
-                    detail = f"s={s} t={t} signature={signature}"
-    return instances, counterexamples, detail
+            yield (f"s={s} t={t} signature={signature}"
+                   if signature is None or signature[0] - signature[1] != (1 - s) ** t
+                   else None)
 
 
+@_suite
 def _suite_obstruction_properties(seed: int, samples: int = 48,
                                   u_max: int | None = 4):
     """Three-component and shared-W+S+B checks on seeded small samples.
 
     Each sample scans removal sets up to min(u_max, (n - 1) / 2);
     ``u_max=None`` scans to (n - 1) / 2, beyond which no set obstructs.
+    Each minimal record is one instance (its partition, then its
+    three-component check), and each sample's determination another.
     """
-    instances = 0
-    counterexamples = 0
-    detail = ""
     names = [name for name in tiny_names(14) if name != "Q2"]
     products = [build_catalog_product(name) for name in names]
     for i in range(samples):
-        pg = products[i % len(products)]
+        name, pg = names[i % len(names)], products[i % len(products)]
         trial_seed = derive_trial_seed(seed, i)
         gen = Xoshiro256StarStar(trial_seed)
         p = 0.2 + 0.5 * gen.next_double()
@@ -700,30 +689,23 @@ def _suite_obstruction_properties(seed: int, samples: int = 48,
         u_cap = (pg.n - 1) // 2 if u_max is None else min(u_max, (pg.n - 1) // 2)
         minimal = find_minimal_obstructions(pg, sample, u_max=u_cap)
         for record in minimal:
-            instances += 1
             if len(record.u_set) + len(record.v1) + len(record.w_set) + \
                     len(record.s_set) + len(record.b_set) != pg.n:
-                counterexamples += 1
-                if not detail:
-                    detail = f"partition {names[i % len(names)]} trial {i}"
-            report = verify_three_components(pg, sample, record)
-            if report.counterexamples:
-                counterexamples += 1
-                if not detail:
-                    detail = (f"three-component {names[i % len(names)]} trial {i} "
-                              f"seed {trial_seed}")
+                yield f"partition {name} trial {i}"
+            elif verify_three_components(pg, sample, record).counterexamples:
+                yield f"three-component {name} trial {i} seed {trial_seed}"
+            else:
+                yield None
         det = verify_determination(pg, sample, u_max=u_cap, minimal=minimal)
-        instances += 1
-        if det.violating_groups:
-            counterexamples += 1
-            if not detail:
-                detail = f"determination {names[i % len(names)]} trial {i} seed {trial_seed}"
-    return instances, counterexamples, detail
+        yield (f"determination {name} trial {i} seed {trial_seed}"
+               if det.violating_groups else None)
 
 
+@_suite
 def _suite_coupling(seed: int, sigmas: float = 4.0):
     """Two-round union inclusion frequency within ``sigmas`` standard
-    deviations of p per edge."""
+    deviations of p per edge; a union that is not first | second ends
+    the suite as its one instance."""
     pg = build_catalog_product("Q4")
     p = 0.5
     rounds = 10_000
@@ -733,18 +715,14 @@ def _suite_coupling(seed: int, sigmas: float = 4.0):
         exposures = double_exposures(pg, p, [derive_trial_seed(seed, i) for i in batch])
         for i, (first, second, union) in zip(batch, exposures):
             if bytes(a | b for a, b in zip(first.mask, second.mask)) != union.mask:
-                return 1, 1, f"union mismatch at trial {i}"
+                yield f"union mismatch at trial {i}"
+                return
             for eid, bit in enumerate(union.mask):
                 counts[eid] += bit
     sigma = math.sqrt(p * (1 - p) / rounds)
-    counterexamples = 0
-    detail = ""
     for eid, total in enumerate(counts):
-        if abs(total / rounds - p) > sigmas * sigma:
-            counterexamples += 1
-            if not detail:
-                detail = f"edge {eid} freq {total / rounds:.5f}"
-    return pg.m, counterexamples, detail
+        yield (f"edge {eid} freq {total / rounds:.5f}"
+               if abs(total / rounds - p) > sigmas * sigma else None)
 
 
 def _tau3_oracle(pg: ProductGraph, ordering: EdgeOrdering) -> int | None:
@@ -771,25 +749,19 @@ def _tau3_oracle(pg: ProductGraph, ordering: EdgeOrdering) -> int | None:
     return lo
 
 
+@_suite
 def _suite_hitting_sanity(seed: int):
     """Order invariants and tau3 against the prefix oracle on small runs."""
-    instances = 0
-    counterexamples = 0
-    detail = ""
     for name_index, name in enumerate(("Q4", "K3xK3", "C4xK3")):
         pg = build_catalog_product(name)
         for i in range(10):
             trial_seed = derive_trial_seed(derive_trial_seed(seed, name_index), i)
             ordering = sample_ordering(pg, trial_seed)
             times = run_process(pg, ordering)
-            instances += 1
             bad_order = times.tau1 > times.tau2 or (
                 pg.n % 2 == 0 and times.tau3 is not None and times.tau1 > times.tau3)
-            if bad_order or times.tau3 != _tau3_oracle(pg, ordering):
-                counterexamples += 1
-                if not detail:
-                    detail = f"{name} trial {i} seed {trial_seed}"
-    return instances, counterexamples, detail
+            yield (f"{name} trial {i} seed {trial_seed}"
+                   if bad_order or times.tau3 != _tau3_oracle(pg, ordering) else None)
 
 
 def _run_battery(config: ExperimentConfig):
@@ -815,7 +787,7 @@ def _run_battery(config: ExperimentConfig):
         total += counterexamples
         rows.append((name, instances, counterexamples,
                      "ok" if counterexamples == 0 else "fail",
-                     detail.replace(",", ";") if detail else ""))
+                     detail.replace(",", ";")))
     aggregates = {
         "suites": len(rows),
         "counterexamples": total,

@@ -34,7 +34,6 @@ class ObstructionRecord:
     """Classification of one removal set U against one sample."""
 
     u_set: frozenset
-    threshold: float
     components: tuple[frozenset, ...]
     v1: frozenset
     w_set: frozenset
@@ -107,7 +106,6 @@ def classify_removal(pg: ProductGraph, sample: PercolationSample, u_set,
 
 def _record_from_components(pg: ProductGraph, u_frozen: frozenset,
                             comp_masks: list[int], threshold: float) -> ObstructionRecord:
-    comps = []
     v1_bits = 0
     w_bits = 0
     s_bits = 0
@@ -115,7 +113,6 @@ def _record_from_components(pg: ProductGraph, u_frozen: frozenset,
     ell1 = ell2 = ell3 = 0
     for comp in comp_masks:
         size = comp.bit_count()
-        comps.append(comp)
         if size == 1:
             ell1 += 1
             v1_bits |= comp
@@ -136,7 +133,7 @@ def _record_from_components(pg: ProductGraph, u_frozen: frozenset,
         return frozenset(i for i in range(pg.n) if bits >> i & 1)
 
     return ObstructionRecord(
-        u_set=u_frozen, threshold=threshold,
+        u_set=u_frozen,
         components=tuple(unpack(c) for c in comp_masks),
         v1=unpack(v1_bits), w_set=unpack(w_bits), s_set=unpack(s_bits), b_set=unpack(b_bits),
         ell1=ell1, ell2=ell2, ell3=ell3,

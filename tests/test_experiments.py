@@ -1,6 +1,7 @@
 """Experiment configs, trial runners, reports, and the CLI."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -199,6 +200,32 @@ def test_pool_workers_reuse_the_parent_product(monkeypatch):
     assert experiments._WORKER is None
 
 
+def test_pool_never_exceeds_the_trial_groups(monkeypatch):
+    # a forked pool starts every worker at its first task, so 64 workers
+    # for 3 one-trial groups would fork 61 that never get one
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    kwargs = dict(kind="hitting_times", product="Q4", seed=5, trials=3)
+    rows = run_trials(make(workers=64, **kwargs)).rows
+    assert pools == [3]
+    assert rows == run_trials(make(workers=1, **kwargs)).rows
+
+
 def test_percolation_profile_run():
     config = make(kind="percolation_profile", product="Q4", seed=4,
                   trials=12, omega=1.0)
@@ -339,6 +366,28 @@ def test_battery_catches_injected_fault(broken_matching):
     assert status == 1
     failing = {row[0] for row in summary.rows if row[3] == "fail"}
     assert "oracle_equivalence" in failing
+    # every instance fails, and the row carries the first one's detail
+    assert summary.rows[0] == ("oracle_equivalence", 232, 232, "fail",
+                               "random mask K4 trial 0 seed 1722442076919654607")
+
+
+def test_coupling_suite_reports_union_mismatch(monkeypatch):
+    exposures = experiments.double_exposures
+    batches = []
+
+    def tampered(pg, p, seeds):
+        out = exposures(pg, p, seeds)
+        if not batches:
+            first, second, union = out[3]
+            mask = bytearray(union.mask)
+            mask[0] ^= 1
+            out[3] = (first, second, replace(union, mask=bytes(mask)))
+        batches.append(seeds)
+        return out
+
+    monkeypatch.setattr(experiments, "double_exposures", tampered)
+    assert experiments._suite_coupling(5) == (1, 1, "union mismatch at trial 3")
+    assert len(batches) == 1
 
 
 def test_verify_all_rejects_other_kinds():
