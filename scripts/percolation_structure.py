@@ -14,7 +14,16 @@ import math
 import os
 import sys
 
-from prodperc.experiments import ExperimentConfig, emit_report, run_trials
+from prodperc.catalog import CATALOG
+from prodperc.experiments import ConfigError, ExperimentConfig, emit_report, run_trials
+from prodperc.graph_core import GraphBuildError
+
+
+def hypercube(t: int):
+    """Q^t as its catalog name where it has one (so reports keep their
+    bytes), else as t copies of K2."""
+    name = f"Q{t}"
+    return name if name in CATALOG else [{"kind": "complete", "m": 2}] * t
 
 
 def parse_args(argv=None):
@@ -40,17 +49,25 @@ def main(argv=None) -> int:
     if not dims or min(dims) < 2:
         print("error: need dimensions >= 2", file=sys.stderr)
         return 2
+    try:
+        configs = [ExperimentConfig.from_dict({
+            "kind": "percolation_profile", "product": hypercube(t),
+            "seed": args.seed, "trials": args.trials,
+            "omega": args.omega if args.omega is not None else math.log(t),
+            "workers": args.workers}) for t in dims]
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
     print(f"{'t':>3} {'p':>10} {'isolated_only':>14} {'spread_ok':>10} "
           f"{'structure':>10} {'mean_giant':>11}")
-    for t in dims:
-        omega = args.omega if args.omega is not None else math.log(t)
-        config = ExperimentConfig.from_dict({
-            "kind": "percolation_profile", "product": f"Q{t}",
-            "seed": args.seed, "trials": args.trials, "omega": omega,
-            "workers": args.workers})
-        summary = run_trials(config)
+    for t, config in zip(dims, configs):
+        try:
+            summary = run_trials(config)
+        except (ConfigError, GraphBuildError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         agg = summary.aggregates
         print(f"{t:>3} {agg['p']:>10.6f} {agg['frac_non_giant_isolated']:>14.3f} "
               f"{agg['frac_distance_ok']:>10.3f} {agg['frac_structure_ok']:>10.3f} "

@@ -44,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
                         help="report format (default csv)")
         sp.add_argument("--workers", type=int,
-                        help="worker processes (default os.cpu_count()); trials "
-                             "run in groups of at most 32 consecutive indices, and "
-                             "neither the worker count nor the grouping changes a row")
+                        help="worker processes (default and cap os.cpu_count()); "
+                             "trials run in groups of at most 32 consecutive indices, "
+                             "and neither the worker count nor the grouping changes a row")
 
     sp = sub.add_parser("product", help="build a product and print n, d, C, m")
     sp.add_argument("--config", help="JSON config file with a product field")

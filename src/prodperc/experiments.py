@@ -377,7 +377,9 @@ def _worker_rows(indices: range) -> list[tuple]:
 
 def _trial_rows(config: ExperimentConfig, pg: ProductGraph) -> list[tuple]:
     global _WORKER
-    workers = config.workers if config.workers is not None else os.cpu_count() or 1
+    # more processes than CPUs only shrink the lockstep groups
+    cpus = os.cpu_count() or 1
+    workers = min(config.workers or cpus, cpus)
     groups = _trial_groups(config.trials, workers)
     if workers > 1 and config.trials > 1:
         _WORKER = (config, pg)

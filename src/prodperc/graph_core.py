@@ -17,6 +17,8 @@ by the parity checks, and the neighbour bitmasks the exact oracles use.
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 DEFAULT_MAX_VERTICES = 1 << 26
 MAX_VERTICES_ENV = "PPL_MAX_VERTICES"
@@ -330,8 +332,9 @@ class ProductGraph:
     in increasing order, and the incident edge ids sit at the same
     positions in ``adj_eid``.  With u rising, each forward slot (v > u)
     of row u takes the next id, which also fills the next free slot of
-    row v.  Instances are immutable after construction and safe to share
-    across worker processes.
+    row v.  Instances are immutable after construction (``shift_plan``
+    is computed once, on first use) and safe to share across worker
+    processes.
     """
 
     bases: tuple[BaseGraph, ...]
@@ -357,6 +360,62 @@ class ProductGraph:
 
     def label(self) -> str:
         return "x".join(b.label or "?" for b in self.bases)
+
+    @cached_property
+    def shift_plan(self) -> tuple[itemgetter, tuple[tuple[int, tuple], ...]]:
+        """Where ``process.component_profile`` puts each edge-mask byte.
+
+        Returns ``(gather, groups)``.  ``gather(mask)`` picks the mask
+        bytes grouped by edge shift s = v - u, u rising within a group.
+        Each group is ``(s, moves)``: ``row[dst] = picked[src]`` for every
+        ``(dst, src)`` in ``moves`` puts the byte of edge (u, u + s) at
+        row[u] of an n-byte row.  Shift (b - a) * stride_i belongs to the
+        base edges a < b of factor i with that b - a; its u are the
+        vertices whose digit i is one of their a, in blocks of stride_i
+        consecutive vertices.  A group takes one move per block or one
+        strided move per offset inside a block, whichever is fewer.
+        Factors never share a shift, as (b - a) * stride_i < stride_i+1.
+        Built on first use, not by ``cartesian_product``.
+        """
+        n = self.n
+        off, flat, eid = self.adj_off, self.adj_flat, self.adj_eid
+        # ids taken from adj_eid are the int objects it already holds, so
+        # the plan adds about one pointer per edge
+        by_shift: dict[int, list[int]] = {}
+        for u in range(n):
+            for k in range(off[u], off[u + 1]):
+                if flat[k] > u:
+                    by_shift.setdefault(flat[k] - u, []).append(eid[k])
+        groups = []
+        start = 0
+        for base, stride in zip(self.bases, self.strides):
+            period = stride * base.order
+            by_gap: dict[int, list[int]] = {}
+            for a, row in enumerate(base.adjacency):
+                for b in row:
+                    if b > a:
+                        by_gap.setdefault(b - a, []).append(a)
+            for gap, digits in sorted(by_gap.items()):
+                size = n // base.order * len(digits)
+                moves = []
+                if n // period <= stride:  # fewer blocks than offsets in a block
+                    src = start
+                    for top in range(0, n, period):
+                        for a in digits:
+                            dst = top + a * stride
+                            moves.append((slice(dst, dst + stride), slice(src, src + stride)))
+                            src += stride
+                else:
+                    step = len(digits) * stride
+                    for j, a in enumerate(digits):
+                        for low in range(stride):
+                            moves.append((slice(a * stride + low, n, period),
+                                          slice(start + j * stride + low, start + size, step)))
+                groups.append((gap * stride, tuple(moves)))
+                start += size
+        order = [e for shift, _ in groups for e in by_shift[shift]]
+        # one index past the groups keeps gather returning a tuple when m == 1
+        return itemgetter(*order, order[0]), tuple(groups)
 
 
 def cartesian_product(bases, require_regular: bool = True) -> ProductGraph:

@@ -39,11 +39,6 @@ class ObstructionRecord:
     w_set: frozenset
     s_set: frozenset
     b_set: frozenset
-    ell1: int
-    ell2: int
-    ell3: int
-    is_obstruction: bool
-    is_trivial: bool
     is_minimal: bool | None = None
 
     @property
@@ -67,10 +62,8 @@ class ThreeComponentReport:
 class DeterminationReport:
     """W+S+B group sizes over the minimal obstructions of one sample."""
 
-    minimal_size: int | None
     group_count: int
     max_group: int
-    out_of_scope: bool
     violating_groups: tuple[frozenset, ...]
 
 
@@ -110,24 +103,16 @@ def _record_from_components(pg: ProductGraph, u_frozen: frozenset,
     w_bits = 0
     s_bits = 0
     b_bits = 0
-    ell1 = ell2 = ell3 = 0
     for comp in comp_masks:
         size = comp.bit_count()
         if size == 1:
-            ell1 += 1
             v1_bits |= comp
         elif size == 2:
             w_bits |= comp
         elif size <= threshold:
-            ell2 += 1
             s_bits |= comp
         else:
-            ell3 += 1
             b_bits |= comp
-    u = len(u_frozen)
-    ell = ell1 + ell2 + ell3
-    is_obstruction = ell >= u + 1
-    is_trivial = is_obstruction and ell == u + 1 and ell1 == u and ell2 + ell3 == 1
 
     def unpack(bits: int) -> frozenset:
         return frozenset(i for i in range(pg.n) if bits >> i & 1)
@@ -135,9 +120,7 @@ def _record_from_components(pg: ProductGraph, u_frozen: frozenset,
     return ObstructionRecord(
         u_set=u_frozen,
         components=tuple(unpack(c) for c in comp_masks),
-        v1=unpack(v1_bits), w_set=unpack(w_bits), s_set=unpack(s_bits), b_set=unpack(b_bits),
-        ell1=ell1, ell2=ell2, ell3=ell3,
-        is_obstruction=is_obstruction, is_trivial=is_trivial)
+        v1=unpack(v1_bits), w_set=unpack(w_bits), s_set=unpack(s_bits), b_set=unpack(b_bits))
 
 
 def find_minimal_obstructions(pg: ProductGraph, sample: PercolationSample,
@@ -217,26 +200,19 @@ def verify_determination(pg: ProductGraph, sample: PercolationSample,
                          minimal: list[ObstructionRecord] | None = None) -> DeterminationReport:
     """Group minimal obstructions by W+S+B and flag groups above two.
 
-    The bound is only claimed for minimal size u >= 2; with u = 1 the
-    report is marked out of scope (size-1 obstructions sharing a W+S+B
-    set are unconstrained).
+    The bound is only claimed for minimal size u >= 2; with u = 1 no
+    group is flagged (size-1 obstructions sharing a W+S+B set are
+    unconstrained).
     """
     if minimal is None:
         minimal = find_minimal_obstructions(pg, sample, u_max=u_max, threshold=threshold)
     if not minimal:
-        return DeterminationReport(minimal_size=None, group_count=0, max_group=0,
-                                   out_of_scope=False, violating_groups=())
-    u = minimal[0].u
+        return DeterminationReport(group_count=0, max_group=0, violating_groups=())
     groups: dict[frozenset, int] = {}
     for record in minimal:
         key = record.wsb_key()
         groups[key] = groups.get(key, 0) + 1
-    max_group = max(groups.values())
-    if u < 2:
-        return DeterminationReport(minimal_size=u, group_count=len(groups),
-                                   max_group=max_group, out_of_scope=True,
-                                   violating_groups=())
-    violating = tuple(key for key, count in groups.items() if count > 2)
-    return DeterminationReport(minimal_size=u, group_count=len(groups),
-                               max_group=max_group, out_of_scope=False,
+    violating = () if minimal[0].u < 2 else tuple(
+        key for key, count in groups.items() if count > 2)
+    return DeterminationReport(group_count=len(groups), max_group=max(groups.values()),
                                violating_groups=violating)

@@ -34,8 +34,11 @@ at a time until one component remains.  tau3 is found with one matching
 solve at ``lower``, then, if that falls short, by one augmenting search
 per added edge.
 
-``DisjointSet.union_all`` is the one union-find loop; ``component_profile``
-runs it once over the kept edges and reads the components off the roots.
+``DisjointSet.union_all`` is the one union-find loop, used for tau2.
+``component_profile`` needs no edge list: it reads the sample as one
+n-bit int per edge shift of the product (``ProductGraph.shift_plan``,
+built once per product on first use) and grows each component by
+shifting and masking those ints.
 """
 
 from dataclasses import dataclass
@@ -47,6 +50,10 @@ from .rng import Xoshiro256StarStar, bernoulli_masks, split_seeds
 
 # Accepted tau3_mode values; all run the same algorithm.
 TAU3_MODES = ("bisect", "incremental")
+
+# mask bytes (0 or 1) to binary digits for int(..., 2), and back
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -305,14 +312,53 @@ def run_process(pg: ProductGraph, ordering: EdgeOrdering,
 
 
 def component_profile(pg: ProductGraph, sample: PercolationSample) -> ComponentProfile:
-    """Component sizes, isolated vertices, and their host-graph spacing."""
-    dsu = DisjointSet(pg.n)
-    dsu.union_all(compress(pg.edges, sample.mask))
-    # a root's size is its component's; an isolated vertex is a root of size 1
-    roots = [v for v, up in enumerate(dsu.parent) if up == v]
-    sizes = tuple(sorted((dsu.size[r] for r in roots), reverse=True))
+    """Component sizes, isolated vertices, and their host-graph spacing.
+
+    Every product edge is (u, u + s) for a shift s = (b - a) * stride_i
+    of a base edge a < b of factor i.  The kept edges become one n-bit
+    int E_s per shift: bit u is set iff edge (u, u + s) is kept.  Base
+    edges of one factor with the same b - a share E_s, as their u are
+    disjoint.  ``pg.shift_plan`` says where each mask byte goes; it is
+    built on the first call for a product and reused after.
+
+    The vertices with a kept edge are the OR of ``E_s | E_s << s``; the
+    rest are isolated.  Each other component grows from the lowest
+    unvisited vertex, one breadth-first layer F at a time: the next
+    layer is the OR of ``((F & E_s) << s) | ((F >> s) & E_s)`` over all
+    shifts, less the vertices already visited.
+    """
+    gather, groups = pg.shift_plan
+    n = pg.n
+    picked = bytes(gather(sample.mask))
+    kept = []
+    covered = 0
+    for shift, moves in groups:
+        row = bytearray(n)
+        for dst, src in moves:
+            row[dst] = picked[src]
+        row.reverse()  # int(..., 2) reads the most significant bit first
+        bits = int(row.translate(_TO_DIGITS), 2)
+        if bits:
+            kept.append((shift, bits))
+            covered |= bits | bits << shift
+    sizes = []
+    rest = covered
+    while rest:
+        layer = rest & -rest
+        rest ^= layer
+        size = 1
+        while layer:
+            grown = 0
+            for shift, bits in kept:
+                grown |= ((layer & bits) << shift) | ((layer >> shift) & bits)
+            layer = grown & rest
+            rest ^= layer
+            size += layer.bit_count()
+        sizes.append(size)
+    lonely = format(((1 << n) - 1) ^ covered, f"0{n}b")[::-1].encode()
+    isolated = tuple(compress(range(n), lonely.translate(_FROM_DIGITS)))
+    sizes = tuple(sorted(sizes + [1] * len(isolated), reverse=True))
     giant = sizes[0]
-    isolated = tuple(r for r in roots if dsu.size[r] == 1)
     mid = sum(1 for s in sizes if 2 <= s < giant)
     min_dist = _min_isolated_distance(pg, isolated)
     return ComponentProfile(sizes=sizes, giant=giant, isolated=isolated,

@@ -200,14 +200,16 @@ def test_pool_workers_reuse_the_parent_product(monkeypatch):
     assert experiments._WORKER is None
 
 
-def test_pool_never_exceeds_the_trial_groups(monkeypatch):
-    # a forked pool starts every worker at its first task, so 64 workers
-    # for 3 one-trial groups would fork 61 that never get one
-    pools = []
+@pytest.fixture
+def pools(monkeypatch):
+    """Swaps ProcessPoolExecutor for an in-process fake that starts no
+    process; returns the (max_workers, task groups) of each pool."""
+    started = []
 
     class InProcessPool:
         def __init__(self, max_workers, initializer, initargs):
-            pools.append(max_workers)
+            self.groups = []
+            started.append((max_workers, self.groups))
             initializer(*initargs)
 
         def __enter__(self):
@@ -216,13 +218,35 @@ def test_pool_never_exceeds_the_trial_groups(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, groups):
+            self.groups.extend(groups)
+            return map(fn, self.groups)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    return started
+
+
+def test_pool_never_exceeds_the_trial_groups(monkeypatch, pools):
+    # a forked pool starts every worker at its first task, so 64 workers
+    # for 3 one-trial groups would fork 61 that never get one
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
     kwargs = dict(kind="hitting_times", product="Q4", seed=5, trials=3)
     rows = run_trials(make(workers=64, **kwargs)).rows
-    assert pools == [3]
+    assert [max_workers for max_workers, _ in pools] == [3]
+    assert rows == run_trials(make(workers=1, **kwargs)).rows
+
+
+@pytest.mark.parametrize("workers", [None, 2, 64])
+def test_pool_never_exceeds_the_cpu_count(monkeypatch, pools, workers):
+    # 64 workers on 2 CPUs would split 100 trials into 64 groups of one
+    # or two, each drawing masks one or two lanes wide
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    kwargs = dict(kind="percolation_profile", product="Q4", seed=5, trials=100,
+                  omega=1.0)
+    rows = run_trials(make(workers=workers, **kwargs)).rows
+    [(max_workers, groups)] = pools
+    assert max_workers == 2
+    assert groups == [range(0, 25), range(25, 50), range(50, 75), range(75, 100)]
     assert rows == run_trials(make(workers=1, **kwargs)).rows
 
 

@@ -32,6 +32,23 @@ def _without_vertices(pg, blocked):
     return mask_from_edges(pg, edges)
 
 
+def _bands(record):
+    """(ell1, ell2, ell3): the number of components in V1, S and B."""
+    return tuple(sum(1 for comp in record.components if comp <= band)
+                 for band in (record.v1, record.s_set, record.b_set))
+
+
+def _obstructs(record):
+    """At least |U| + 1 components of size other than two."""
+    return sum(_bands(record)) >= record.u + 1
+
+
+def _trivial(record):
+    """|U| isolated vertices plus one larger component."""
+    ell1, ell2, ell3 = _bands(record)
+    return ell1 == record.u and ell2 + ell3 == 1
+
+
 def theta_sample():
     pg = build_catalog_product("K3xK3")
     return pg, _sample(pg, mask_from_edges(pg, THETA_EDGES))
@@ -60,16 +77,16 @@ def test_default_threshold_domain():
 def test_classify_empty_square():
     pg = build_catalog_product("Q2")
     record = classify_removal(pg, _sample(pg, bytes(pg.m)), {0})
-    assert record.ell1 == 3 and record.ell1 + record.ell2 + record.ell3 == 3
+    assert _bands(record) == (3, 0, 0)
     assert record.v1 == frozenset({1, 2, 3})
-    assert record.is_obstruction and not record.is_trivial
+    assert _obstructs(record) and not _trivial(record)
 
 
 def test_classify_full_cube_vertex():
     pg = build_catalog_product("Q3")
     record = classify_removal(pg, sample_percolation(pg, 1.0, 0), {0})
-    assert record.ell1 + record.ell2 + record.ell3 == 1 and record.ell3 == 1
-    assert not record.is_obstruction
+    assert _bands(record) == (0, 0, 1)
+    assert not _obstructs(record)
 
 
 def test_classify_two_starved_antipodes():
@@ -80,20 +97,20 @@ def test_classify_two_starved_antipodes():
     record = classify_removal(pg, sample, {1})
     assert record.v1 == frozenset({0, 7})
     assert record.b_set == frozenset({2, 3, 4, 5, 6})
-    assert (record.ell1, record.ell2, record.ell3) == (2, 0, 1)
-    assert record.is_obstruction and not record.is_trivial
+    assert _bands(record) == (2, 0, 1)
+    assert _obstructs(record) and not _trivial(record)
     # a larger working threshold rebands the five-set from B to S
     rebanded = classify_removal(pg, sample, {1}, threshold=10)
     assert rebanded.s_set == frozenset({2, 3, 4, 5, 6})
-    assert (rebanded.ell2, rebanded.ell3) == (1, 0)
+    assert _bands(rebanded)[1:] == (1, 0)
 
 
 def test_classify_trivial_obstruction():
     pg = build_catalog_product("Q3")
     sample = _sample(pg, _without_vertices(pg, {0}))
     record = classify_removal(pg, sample, {1})
-    assert record.is_obstruction and record.is_trivial
-    assert record.ell1 == 1 and record.ell3 == 1
+    assert _obstructs(record) and _trivial(record)
+    assert _bands(record) == (1, 0, 1)
     assert not record.w_set
 
 
@@ -116,7 +133,7 @@ def test_bands_partition_the_vertices(seed, p):
     assert sum(len(part) for part in pieces) == pg.n
     union = frozenset().union(*pieces)
     assert len(union) == pg.n
-    assert record.ell1 == len(record.v1)
+    assert _bands(record)[0] == len(record.v1)
     assert len(record.w_set) % 2 == 0
     assert sum(len(c) for c in record.components) == pg.n - record.u
 
@@ -152,9 +169,9 @@ def test_theta_sample_has_unique_minimal_pair():
     assert len(minimal) == 1
     record = minimal[0]
     assert record.u_set == frozenset({0, 4})
-    assert record.is_minimal and record.is_obstruction
+    assert record.is_minimal and _obstructs(record)
     assert sorted(len(c) for c in record.components) == [1, 3, 3]
-    assert (record.ell1, record.ell2, record.ell3) == (1, 2, 0)
+    assert _bands(record) == (1, 2, 0)
 
 
 # --- three-component property ---------------------------------------------------
@@ -181,7 +198,7 @@ def test_three_components_flags_forced_record():
     # minimal flag must surface both hubs as counterexamples
     pg, sample = theta_sample()
     record = classify_removal(pg, sample, {0, 1})
-    assert not record.is_obstruction
+    assert not _obstructs(record)
     forced = replace(record, is_minimal=True)
     report = verify_three_components(pg, sample, forced)
     assert report.counterexamples == ((0, 1), (1, 1))
@@ -199,17 +216,15 @@ def test_three_components_requires_minimal_flag():
 def test_determination_on_theta_fixture():
     pg, sample = theta_sample()
     report = verify_determination(pg, sample)
-    assert report.minimal_size == 2
     assert report.group_count == 1 and report.max_group == 1
-    assert not report.out_of_scope
     assert not report.violating_groups
 
 
 def test_determination_out_of_scope_for_singletons():
     pg = build_catalog_product("Q2")
     report = verify_determination(pg, _sample(pg, bytes(pg.m)))
-    assert report.minimal_size == 1
-    assert report.out_of_scope
+    # four size-1 obstructions share one W+S+B set, but the bound is
+    # not claimed for u = 1, so no group violates it
     assert report.max_group == 4 and report.group_count == 1
     assert report.violating_groups == ()
 
@@ -218,7 +233,6 @@ def test_determination_no_obstructions():
     pg = build_catalog_product("Q2")
     sample = _sample(pg, mask_from_edges(pg, [(0, 1), (2, 3)]))
     report = verify_determination(pg, sample)
-    assert report.minimal_size is None
     assert report.group_count == 0 and report.max_group == 0
     assert not report.violating_groups
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import mask_from_edges, prefix_hitting_times
 import prodperc.process as process
@@ -274,18 +274,95 @@ def test_percolation_nested_across_p(seed, p, q):
     assert all(a <= b for a, b in zip(small, large))
 
 
-@settings(deadline=None, max_examples=30)
-@given(U64, st.floats(min_value=0.05, max_value=0.95))
-def test_profile_partition(seed, p):
-    pg = build_catalog_product("C4xK3")
+K2, K3, K4 = (BaseGraphSpec.complete(m) for m in (2, 3, 4))
+C4, C5 = BaseGraphSpec.cycle(4), BaseGraphSpec.cycle(5)
+PETERSEN = BaseGraphSpec.petersen()
+# Q3 with its usual labels, read from an edge-list file
+Q3_EDGE_LIST = "8 12\n" + "".join(f"{u} {u | bit}\n" for u in range(8)
+                                  for bit in (1, 2, 4) if not u & bit)
+PROFILE_PRODUCTS = {
+    # factors whose base edges share a shift b - a
+    "C5xC4": (C5, C4), "K4xK3": (K4, K3), "C5xK3xK2": (C5, K3, K2),
+    "Circ(8;1,3,5,7)xK3": (BaseGraphSpec.circulant(8, (1, 3, 5, 7)), K3),
+    # shifts whose digits are not one run from 0: Petersen's shift 2
+    # joins digits {5, 6, 7}, the edge-list Q3's shift 1 joins {0, 2, 4, 6}
+    "petersen": (PETERSEN,), "petersenxK2": (PETERSEN, K2),
+    "edge-list Q3": ("edge_list",), "edge-list Q3xK3": ("edge_list", K3),
+    # hypercubes, down to the one-edge K2, and a K3 placed by strided
+    # moves two offsets wide
+    "K2": (K2,), "Q3": (K2,) * 3, "Q6": (K2,) * 6, "K2xK3xQ3": (K2, K3) + (K2,) * 3,
+}
+
+
+def _profile_product(tmp_path, name):
+    edge_list = tmp_path / "q3.txt"
+    edge_list.write_text(Q3_EDGE_LIST, encoding="utf-8")
+    return build_product([BaseGraphSpec.edge_list(edge_list) if spec == "edge_list" else spec
+                          for spec in PROFILE_PRODUCTS[name]])
+
+
+def _isolated_spacing(pg, isolated):
+    """Minimum host distance between isolated vertices, capped at 3, from
+    host-graph neighbour bitmasks; None below two."""
+    if len(isolated) < 2:
+        return None
+    host = neighbor_bitmasks(pg)
+    iso = sum(1 << v for v in isolated)
+    spacing = 3
+    for v in isolated:
+        two = 0
+        for w in range(pg.n):
+            if host[v] >> w & 1:
+                two |= host[w]
+        if host[v] & iso:
+            return 1
+        if two & iso & ~(1 << v):
+            spacing = 2
+    return spacing
+
+
+@settings(deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(U64, st.sampled_from(sorted(PROFILE_PRODUCTS)),
+       st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0)))
+def test_profile_partition(tmp_path, seed, name, p):
+    pg = _profile_product(tmp_path, name)
     sample = sample_percolation(pg, p, seed)
     prof = component_profile(pg, sample)
-    assert sum(prof.sizes) == pg.n
-    assert prof.sizes == tuple(sorted(prof.sizes, reverse=True))
-    assert len(prof.isolated) == sum(1 for s in prof.sizes if s == 1)
-    # the union-find components against a bitmask flood fill
+    # the shift-row flood fill against a flood fill over neighbour bitmasks
     comps = components_from_bitmasks(neighbor_bitmasks(pg, sample.mask),
                                      (1 << pg.n) - 1)
-    assert prof.sizes == tuple(sorted((c.bit_count() for c in comps), reverse=True))
-    assert prof.isolated == tuple(sorted(c.bit_length() - 1 for c in comps
-                                         if c.bit_count() == 1))
+    sizes = tuple(sorted((c.bit_count() for c in comps), reverse=True))
+    isolated = tuple(sorted(c.bit_length() - 1 for c in comps if c.bit_count() == 1))
+    assert prof.sizes == sizes
+    assert prof.giant == sizes[0]
+    assert prof.isolated == isolated
+    assert prof.mid_components == sum(1 for size in sizes if 2 <= size < sizes[0])
+    assert prof.min_isolated_distance == _isolated_spacing(pg, isolated)
+
+
+def test_shift_plan_is_built_by_the_first_profile():
+    pg = build_catalog_product("C5xK2xK3")
+    assert "shift_plan" not in vars(pg)  # cartesian_product leaves it unbuilt
+    component_profile(pg, sample_percolation(pg, 0.5, 1))
+    plan = vars(pg)["shift_plan"]
+    component_profile(pg, sample_percolation(pg, 0.5, 2))
+    assert vars(pg)["shift_plan"] is plan
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_PRODUCTS))
+def test_shift_plan_puts_each_edge_at_its_lower_end(tmp_path, name):
+    pg = _profile_product(tmp_path, name)
+    mask = bytes(eid % 255 + 1 for eid in range(pg.m))  # nonzero, tells edges apart
+    expected = {}
+    for eid, (u, v) in enumerate(pg.edges):
+        expected.setdefault(v - u, [0] * pg.n)[u] = mask[eid]
+    gather, groups = pg.shift_plan
+    picked = bytes(gather(mask))
+    rows = {}
+    for shift, moves in groups:
+        row = bytearray(pg.n)
+        for dst, src in moves:
+            row[dst] = picked[src]
+        rows[shift] = list(row)
+    assert rows == expected
