@@ -8,37 +8,44 @@ analytic isoperimetric and tree-counting bounds against exhaustive
 enumeration at small scale.  Everything randomized flows through one
 documented generator stack, so every result is reproducible from a
 64-bit seed.
+
+The names in ``__all__`` are resolved on first use (PEP 562), so
+importing the package loads none of its modules until one of those
+names is read.
 """
 
-from .catalog import CATALOG, build_catalog_product
-from .experiments import (ConfigError, ExperimentConfig, TrialSummary,
-                          emit_report, render_report, run_trials, verify_all)
-from .graph_core import (BaseGraph, BaseGraphSpec, GraphBuildError,
-                         ProductGraph, build_base, build_product,
-                         cartesian_product)
-from .isoperimetry import (BoundParams, IsoperimetricProfile, edge_boundary,
-                           edge_connectivity, exhaustive_profile, f_star)
-from .matching import MatchingState, maximum_matching, tutte_berge_deficiency
-from .obstructions import (ObstructionRecord, classify_removal,
-                           default_threshold, find_minimal_obstructions)
-from .process import (EdgeOrdering, HittingTimes, PercolationSample,
-                      component_profile, critical_p, double_exposure,
-                      hitting_times, run_process, sample_ordering,
-                      sample_percolation)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaseGraph", "BaseGraphSpec", "BoundParams", "CATALOG", "ConfigError",
-    "EdgeOrdering", "ExperimentConfig", "GraphBuildError", "HittingTimes",
-    "IsoperimetricProfile", "MatchingState", "ObstructionRecord",
-    "PercolationSample", "ProductGraph", "TrialSummary",
-    "build_base", "build_catalog_product", "build_product",
-    "cartesian_product", "classify_removal",
-    "component_profile", "critical_p", "default_threshold",
-    "double_exposure", "edge_boundary", "edge_connectivity", "emit_report",
-    "exhaustive_profile", "f_star", "find_minimal_obstructions",
-    "hitting_times", "maximum_matching", "render_report", "run_process",
-    "run_trials", "sample_ordering", "sample_percolation",
-    "tutte_berge_deficiency", "verify_all", "__version__",
-]
+# exported name -> the module that defines it
+_EXPORTS = {name: module for module, names in (
+    ("catalog", "CATALOG ConfigError build_catalog_product"),
+    ("experiments", "ExperimentConfig TrialSummary emit_report render_report "
+                    "run_trials verify_all"),
+    ("graph_core", "BaseGraph BaseGraphSpec GraphBuildError ProductGraph "
+                   "build_base build_product cartesian_product"),
+    ("isoperimetry", "BoundParams IsoperimetricProfile edge_boundary "
+                     "edge_connectivity exhaustive_profile f_star"),
+    ("matching", "MatchingState maximum_matching tutte_berge_deficiency"),
+    ("obstructions", "ObstructionRecord classify_removal default_threshold "
+                     "find_minimal_obstructions"),
+    ("process", "EdgeOrdering HittingTimes PercolationSample component_profile "
+                "critical_p double_exposure hitting_times run_process "
+                "sample_ordering sample_percolation"),
+) for name in names.split()}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

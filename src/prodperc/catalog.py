@@ -3,12 +3,22 @@
 Names follow the factor list: ``K4xK3`` is the product of a complete
 graph on 4 vertices and one on 3, ``Q6`` is the 6-dimensional hypercube
 (six K2 factors).  ``petersen`` is the Petersen graph as a single-factor
-product.
+product.  ``resolve_product`` turns a config's ``product`` value into
+base specs; it lives here, with ``ConfigError``, so that a subcommand
+that only builds a product loads no experiment module.
 """
 
 import math
 
-from .graph_core import BaseGraphSpec, ProductGraph, build_base, build_product
+from .graph_core import (BaseGraphSpec, GraphBuildError, ProductGraph,
+                         build_base, build_product)
+
+# Accepted tau3_mode values; all run the same algorithm.
+TAU3_MODES = ("bisect", "incremental")
+
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration."""
 
 K2 = BaseGraphSpec.complete(2)
 K3 = BaseGraphSpec.complete(3)
@@ -52,3 +62,19 @@ def tiny_names(max_vertices: int = 12) -> list[str]:
     """Catalog names small enough for exhaustive cross-checks."""
     return [name for name, specs in CATALOG.items()
             if math.prod(build_base(s).order for s in specs) <= max_vertices]
+
+
+def resolve_product(product) -> tuple[tuple[BaseGraphSpec, ...], str | None]:
+    """Turn a config ``product`` value (catalog name or list of base
+    spec objects) into specs plus the catalog name when one was used."""
+    if isinstance(product, str):
+        try:
+            return catalog_specs(product), product
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
+    if isinstance(product, list) and product:
+        try:
+            return tuple(BaseGraphSpec.from_dict(item) for item in product), None
+        except GraphBuildError as exc:
+            raise ConfigError(f"bad base spec: {exc}") from None
+    raise ConfigError("product must be a catalog name or a nonempty list of base specs")

@@ -6,17 +6,17 @@ Subcommands: ``product`` (build and print parameters), ``process``
 obstruction enumeration plus structural checks), ``verify`` (the full
 invariant battery).  Exit codes: 0 success, 1 counterexample or
 assertion failure, 2 usage or configuration error.
+
+``product`` loads only ``catalog`` and ``graph_core``; the other
+subcommands load ``experiments``, which loads what their kind runs.
 """
 
 import argparse
 import json
 import sys
 
-from .experiments import (CONFIG_KEYS, ConfigError, ExperimentConfig,
-                          emit_report, render_report, resolve_product,
-                          run_trials, verify_all)
+from .catalog import TAU3_MODES, ConfigError, resolve_product
 from .graph_core import GraphBuildError, build_product
-from .process import TAU3_MODES
 
 _KIND_BY_COMMAND = {
     "process": "hitting_times",
@@ -97,25 +97,6 @@ def _read_config(path: str) -> dict:
     return data
 
 
-def _load_config(args, kind: str) -> ExperimentConfig:
-    data = {}
-    if getattr(args, "config", None):
-        data = _read_config(args.config)
-        if "kind" in data and data["kind"] != kind:
-            raise ConfigError(
-                f"config kind {data['kind']!r} does not match the "
-                f"{args.command} subcommand ({kind})")
-    data["kind"] = kind
-    # Each flag's dest is the config field it overrides.
-    for key, attr in {"product": "product", **CONFIG_KEYS}.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            data[key] = value
-    if "seed" not in data:
-        data["seed"] = 0
-    return ExperimentConfig.from_dict(data)
-
-
 def _cmd_product(args) -> int:
     product = None
     if args.config:
@@ -135,24 +116,45 @@ def _cmd_product(args) -> int:
     return 0
 
 
+def _cmd_experiment(args) -> int:
+    from .experiments import (CONFIG_KEYS, ExperimentConfig, emit_report,
+                              render_report, run_trials, verify_all)
+    kind = _KIND_BY_COMMAND[args.command]
+    data = {}
+    if getattr(args, "config", None):
+        data = _read_config(args.config)
+        if "kind" in data and data["kind"] != kind:
+            raise ConfigError(
+                f"config kind {data['kind']!r} does not match the "
+                f"{args.command} subcommand ({kind})")
+    data["kind"] = kind
+    # Each flag's dest is the config field it overrides.
+    for key, attr in {"product": "product", **CONFIG_KEYS}.items():
+        value = getattr(args, attr, None)
+        if value is not None:
+            data[key] = value
+    if "seed" not in data:
+        data["seed"] = 0
+    config = ExperimentConfig.from_dict(data)
+    if kind == "verify_all":
+        status, summary = verify_all(config)
+    else:
+        status, summary = 0, run_trials(config)
+    if config.out:
+        emit_report(summary, config.out, config.fmt)
+        print(f"wrote {config.out}")
+    else:
+        sys.stdout.write(render_report(summary, config.fmt))
+    return status
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "product":
             return _cmd_product(args)
-        kind = _KIND_BY_COMMAND[args.command]
-        config = _load_config(args, kind)
-        if kind == "verify_all":
-            status, summary = verify_all(config)
-        else:
-            status, summary = 0, run_trials(config)
-        if config.out:
-            emit_report(summary, config.out, config.fmt)
-            print(f"wrote {config.out}")
-        else:
-            sys.stdout.write(render_report(summary, config.fmt))
-        return status
+        return _cmd_experiment(args)
     except (ConfigError, GraphBuildError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -44,12 +44,10 @@ shifting and masking those ints.
 from dataclasses import dataclass
 from itertools import compress
 
+from .catalog import TAU3_MODES
 from .graph_core import ProductGraph
 from .matching import _augment_once, _solve
 from .rng import Xoshiro256StarStar, bernoulli_masks, split_seeds
-
-# Accepted tau3_mode values; all run the same algorithm.
-TAU3_MODES = ("bisect", "incremental")
 
 # mask bytes (0 or 1) to binary digits for int(..., 2), and back
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")

@@ -17,13 +17,12 @@ import pytest
 
 from helpers import even_order_names, report_digest
 from prodperc.catalog import build_catalog_product
-from prodperc.experiments import (ExperimentConfig, render_report, run_trials,
-                                  _suite_coupling, _suite_edge_connectivity,
-                                  _suite_isoperimetry_bounds,
-                                  _suite_obstruction_properties,
-                                  _suite_oracle_equivalence,
-                                  _suite_star_identity, _suite_tree_bounds,
-                                  _tau3_oracle)
+from prodperc.battery import (_suite_coupling, _suite_edge_connectivity,
+                              _suite_isoperimetry_bounds,
+                              _suite_obstruction_properties,
+                              _suite_oracle_equivalence, _suite_star_identity,
+                              _suite_tree_bounds, _tau3_oracle)
+from prodperc.experiments import ExperimentConfig, render_report, run_trials
 from prodperc.isoperimetry import exhaustive_profile
 from prodperc.matching import maximum_matching
 from prodperc.process import run_process, sample_ordering

@@ -1,12 +1,13 @@
 """Experiment configs, trial runners, reports, and the CLI."""
 
+import concurrent.futures
 import json
 from dataclasses import replace
 
 import pytest
 
 from helpers import report_digest
-from prodperc import experiments
+from prodperc import battery, experiments
 from prodperc.cli import main
 from prodperc.experiments import (ConfigError, ExperimentConfig, emit_report,
                                   render_report, resolve_product, round9,
@@ -222,7 +223,7 @@ def pools(monkeypatch):
             self.groups.extend(groups)
             return map(fn, self.groups)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return started
 
 
@@ -365,10 +366,10 @@ def broken_matching(monkeypatch):
     The coupling suite never calls the solver, so it is stubbed out to
     keep the fault tests fast.
     """
-    solver = experiments.tutte_berge_deficiency
-    monkeypatch.setattr(experiments, "tutte_berge_deficiency",
+    solver = battery.tutte_berge_deficiency
+    monkeypatch.setattr(battery, "tutte_berge_deficiency",
                         lambda pg, mask=None: solver(pg, mask) + 1)
-    monkeypatch.setattr(experiments, "_suite_coupling", lambda seed: (1, 0, ""))
+    monkeypatch.setattr(battery, "_suite_coupling", lambda seed: (1, 0, ""))
 
 
 def test_battery_passes_clean():
@@ -396,7 +397,7 @@ def test_battery_catches_injected_fault(broken_matching):
 
 
 def test_coupling_suite_reports_union_mismatch(monkeypatch):
-    exposures = experiments.double_exposures
+    exposures = battery.double_exposures
     batches = []
 
     def tampered(pg, p, seeds):
@@ -409,8 +410,8 @@ def test_coupling_suite_reports_union_mismatch(monkeypatch):
         batches.append(seeds)
         return out
 
-    monkeypatch.setattr(experiments, "double_exposures", tampered)
-    assert experiments._suite_coupling(5) == (1, 1, "union mismatch at trial 3")
+    monkeypatch.setattr(battery, "double_exposures", tampered)
+    assert battery._suite_coupling(5) == (1, 1, "union mismatch at trial 3")
     assert len(batches) == 1
 
 
@@ -501,7 +502,7 @@ def test_cli_rejects_unreadable_or_mistyped_config(command, config, tmp_path,
     def no_pool(*args, **kwargs):
         pytest.fail("a worker pool started before the config was checked")
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     path = tmp_path / "exp.json"
     if config is None:
         path = tmp_path
@@ -519,7 +520,7 @@ def test_cli_rejects_unreadable_edge_list(edge_list, tmp_path, monkeypatch, caps
     def no_pool(*args, **kwargs):
         pytest.fail("a worker pool started before the edge list was checked")
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     path = tmp_path / "graph.txt"
     if edge_list == "directory":
         path.mkdir()
@@ -545,6 +546,23 @@ def test_cli_bad_probability(capsys):
 def test_cli_rejects_out_of_domain_probability(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag, argv", [
+    ("--component-threshold", ["obstruct", "--product", "Q3", "--p", "0.5"]),
+    ("--p", ["obstruct", "--product", "Q3"]),
+    ("--omega", ["percolate", "--product", "Q4"]),
+], ids=["component_threshold", "p", "omega"])
+def test_cli_rejects_non_finite_reals(flag, argv, value, monkeypatch, capsys):
+    # a NaN would reach the config hash and a JSON report strict parsers reject
+    def no_pool(*args, **kwargs):
+        pytest.fail("a worker pool started before the config was checked")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main(argv + [f"{flag}={value}", "--trials", "2", "--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_fault_injection_exits_nonzero(broken_matching, capsys):

@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import mask_from_edges, prefix_hitting_times
 import prodperc.process as process
+from prodperc.battery import _tau3_oracle
 from prodperc.catalog import build_catalog_product
-from prodperc.experiments import _tau3_oracle
 from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product,
                                  components_from_bitmasks, neighbor_bitmasks,
                                  star)
