@@ -25,13 +25,13 @@ _EXPORTS = {name: module for module, names in (
                     "run_trials verify_all"),
     ("graph_core", "BaseGraph BaseGraphSpec GraphBuildError ProductGraph "
                    "build_base build_product cartesian_product"),
-    ("isoperimetry", "BoundParams IsoperimetricProfile edge_boundary "
-                     "edge_connectivity exhaustive_profile f_star"),
+    ("isoperimetry", "BoundParams IsoperimetricProfile edge_connectivity "
+                     "exhaustive_profile f_star"),
     ("matching", "MatchingState maximum_matching tutte_berge_deficiency"),
-    ("obstructions", "ObstructionRecord classify_removal default_threshold "
+    ("obstructions", "ObstructionRecord default_threshold "
                      "find_minimal_obstructions"),
     ("process", "EdgeOrdering HittingTimes PercolationSample component_profile "
-                "critical_p double_exposure hitting_times run_process "
+                "critical_p hitting_times run_process "
                 "sample_ordering sample_percolation"),
 ) for name in names.split()}
 

@@ -13,6 +13,7 @@ subcommands load ``experiments``, which loads what their kind runs.
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import TAU3_MODES, ConfigError, resolve_product
@@ -136,6 +137,13 @@ def _cmd_experiment(args) -> int:
     if "seed" not in data:
         data["seed"] = 0
     config = ExperimentConfig.from_dict(data)
+    if config.out:
+        # checked before the run, so a bad path exits 2 before any trial
+        if os.path.isdir(config.out):
+            raise ConfigError(f"cannot write report {config.out}: it is a directory")
+        folder = os.path.dirname(config.out) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"cannot write report {config.out}: no directory {folder}")
     if kind == "verify_all":
         status, summary = verify_all(config)
     else:

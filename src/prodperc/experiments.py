@@ -51,14 +51,11 @@ from .catalog import TAU3_MODES, ConfigError, resolve_product
 from .graph_core import BaseGraphSpec, ProductGraph, build_product, is_integer
 from .process import (PercolationSample, component_profile, critical_p,
                       hitting_times, sample_percolations)
-from .rng import derive_trial_seed
+from .rng import GROUP_LANES, derive_trial_seed
 
 KINDS = ("hitting_times", "percolation_profile", "isoperimetry",
          "obstructions", "verify_all")
 _PERCOLATION_KINDS = ("percolation_profile", "obstructions")
-# Most trials one group draws in lockstep: more lanes barely lower the
-# cost per draw, and every lane holds its whole mask until its row.
-GROUP_LANES = 32
 
 _COLUMNS = {
     "hitting_times": ("trial", "seed", "tau1", "tau2", "tau3", "coincident"),
@@ -479,14 +476,18 @@ def run_trials(config: ExperimentConfig) -> TrialSummary:
             raise ConfigError(
                 f"obstruction enumeration needs n <= 16 or u_max <= 3 "
                 f"(n={pg.n}, u_max={config.u_max})")
-        # Derive p and the bound parameters before any worker starts, so
-        # a value outside their domain is a config error, not a traceback.
+        # Derive p, the bound parameters and the default obstruction
+        # threshold before any worker starts, so a value outside their
+        # domain is a config error, not a traceback.
         try:
             p = (None if config.p is None and config.omega is None
                  else config.effective_p(pg))
             if config.kind == "isoperimetry":
                 from .isoperimetry import BoundParams
                 params = BoundParams.from_product(pg, 0.5 if p is None else p)
+            elif config.kind == "obstructions" and config.component_threshold is None:
+                from .obstructions import default_threshold
+                default_threshold(pg, p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if config.kind == "isoperimetry":

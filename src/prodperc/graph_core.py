@@ -289,6 +289,8 @@ def build_base(spec: BaseGraphSpec) -> BaseGraph:
         return base_from_edges(10, edges, label=spec.label())
     if kind == "circulant":
         m = spec.m
+        if m is None or m <= 1:
+            raise TooSmallError(f"{spec.label()}: order must exceed 1, got {m}")
         offsets = spec.offsets or ()
         if not offsets:
             raise GraphBuildError(f"{spec.label()}: at least one offset required")
@@ -314,8 +316,9 @@ def build_base(spec: BaseGraphSpec) -> BaseGraph:
 def star(leaves: int) -> BaseGraph:
     """Star with a centre (vertex 0) and ``leaves`` leaves.
 
-    Stars are not regular, so they live outside the product pipeline
-    gate; they exist for the bipartite balance identity checks.
+    Stars are not regular: ``build_base`` never makes one, so
+    ``build_product`` never sees one.  They exist for the bipartite
+    balance identity checks, which pass them to ``cartesian_product``.
     """
     if leaves < 1:
         raise TooSmallError("star needs at least one leaf")
@@ -341,7 +344,6 @@ class ProductGraph:
     n: int
     d: int | None
     C: int
-    radices: tuple[int, ...]
     strides: tuple[int, ...]
     adj_off: list[int]
     adj_flat: list[int]
@@ -418,15 +420,12 @@ class ProductGraph:
         return itemgetter(*order, order[0]), tuple(groups)
 
 
-def cartesian_product(bases, require_regular: bool = True) -> ProductGraph:
-    """Assemble the Cartesian product of validated base graphs."""
+def cartesian_product(bases) -> ProductGraph:
+    """Assemble the Cartesian product of validated base graphs; ``d`` is
+    None when a base is irregular."""
     bases = tuple(bases)
     if not bases:
         raise GraphBuildError("product needs at least one base graph")
-    if require_regular:
-        for b in bases:
-            if b.degree is None:
-                raise NonRegularError(f"{b.label or 'base'}: irregular base in product pipeline")
     cap = max_vertices_cap()
     n = math.prod(b.order for b in bases)
     if n > cap:
@@ -466,13 +465,14 @@ def cartesian_product(bases, require_regular: bool = True) -> ProductGraph:
                 edges.append((u, v))
 
     C = max(radices)
-    return ProductGraph(bases=bases, n=n, d=d, C=C, radices=radices, strides=strides,
+    return ProductGraph(bases=bases, n=n, d=d, C=C, strides=strides,
                         adj_off=adj_off, adj_flat=adj_flat, adj_eid=adj_eid,
                         edges=edges)
 
 
 def build_product(specs) -> ProductGraph:
-    """Convenience: build bases from specs, then the product."""
+    """Build bases from specs, then the product.  ``build_base`` rejects
+    irregular specs, so the product is regular."""
     return cartesian_product([build_base(s) for s in specs])
 
 

@@ -80,20 +80,6 @@ class IsoperimetricProfile:
         return self.f[k - 1]
 
 
-def edge_boundary(pg: ProductGraph, subset, mask=None) -> int:
-    """Number of (present) edges with exactly one endpoint in ``subset``."""
-    inside = set(subset)
-    off, flat, eids = pg.adj_off, pg.adj_flat, pg.adj_eid
-    total = 0
-    for v in inside:
-        for k in range(off[v], off[v + 1]):
-            if mask is not None and not mask[eids[k]]:
-                continue
-            if flat[k] not in inside:
-                total += 1
-    return total
-
-
 def exhaustive_profile(pg: ProductGraph, keep_witnesses: bool | None = None) -> IsoperimetricProfile:
     """Exact minimum boundary per size by Gray-code subset enumeration.
 

@@ -3,8 +3,9 @@
 The solver is an augmenting-path search with blossom contraction over a
 (graph, edge mask) view, warm-started by a greedy maximal matching.  A
 view never copies adjacency: ``mask`` is a bytes-like array indexed by
-canonical edge id, or None for the full graph.  The brute-force dual
-route evaluates the deficiency formula
+canonical edge id, and every entry point takes one (``full_mask(pg)``
+views the whole graph).  The brute-force dual route evaluates the
+deficiency formula
 
     deficiency = max over U of (odd components of G - U) - |U|
 
@@ -36,7 +37,7 @@ def _greedy_extend(pg: ProductGraph, mask, mate: list[int]) -> int:
         if mate[u] >= 0:
             continue
         for k in range(off[u], off[u + 1]):
-            if mask is not None and not mask[eids[k]]:
+            if not mask[eids[k]]:
                 continue
             v = flat[k]
             if mate[v] < 0:
@@ -65,7 +66,7 @@ def _augment_once(pg: ProductGraph, mask, mate: list[int], root: int) -> bool:
         v = queue[qi]
         qi += 1
         for k in range(off[v], off[v + 1]):
-            if mask is not None and not mask[eids[k]]:
+            if not mask[eids[k]]:
                 continue
             to = flat[k]
             if base[v] == base[to] or mate[v] == to:
@@ -130,18 +131,18 @@ def _solve(pg: ProductGraph, mask, stop_at: int | None = None) -> tuple[list[int
     return mate, size
 
 
-def maximum_matching(pg: ProductGraph, mask=None) -> MatchingState:
-    """Maximum cardinality matching of the view (full graph if no mask)."""
+def maximum_matching(pg: ProductGraph, mask) -> MatchingState:
+    """Maximum cardinality matching of the view."""
     mate, size = _solve(pg, mask)
     return MatchingState(mate=tuple(mate), size=size)
 
 
-def tutte_berge_deficiency(pg: ProductGraph, mask=None) -> int:
+def tutte_berge_deficiency(pg: ProductGraph, mask) -> int:
     """Number of vertices left exposed by a maximum matching."""
     return pg.n - 2 * maximum_matching(pg, mask).size
 
 
-def brute_deficiency(pg: ProductGraph, mask=None) -> int:
+def brute_deficiency(pg: ProductGraph, mask) -> int:
     """Deficiency by enumerating every vertex subset U (oracle, n <= 20)."""
     n = pg.n
     if n > 20:

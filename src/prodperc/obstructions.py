@@ -9,8 +9,10 @@ default threshold is max(3, floor(n / d**(C**3 / p))): the analytic
 split point is far below 3 at desk scale, and sizes below 3 would make
 the S band empty by definition.
 
-A minimal obstruction is one of the globally smallest size.  Two
-structural checks accompany the enumeration:
+A minimal obstruction is one of the globally smallest size.  Records
+come only from the scan ``find_minimal_obstructions``, so every
+``ObstructionRecord`` is a minimal obstruction.  Two structural checks
+accompany the enumeration:
 
 * three-component property: for a minimal obstruction with u >= 2,
   every vertex of U has sampled neighbours in at least three distinct
@@ -22,7 +24,7 @@ structural checks accompany the enumeration:
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from .graph_core import ProductGraph, components_from_bitmasks, neighbor_bitmasks
@@ -31,7 +33,8 @@ from .process import PercolationSample
 
 @dataclass(frozen=True)
 class ObstructionRecord:
-    """Classification of one removal set U against one sample."""
+    """One minimal obstruction U of a sample, with the components of the
+    sample less U banded by size."""
 
     u_set: frozenset
     components: tuple[frozenset, ...]
@@ -39,7 +42,6 @@ class ObstructionRecord:
     w_set: frozenset
     s_set: frozenset
     b_set: frozenset
-    is_minimal: bool | None = None
 
     @property
     def u(self) -> int:
@@ -76,25 +78,6 @@ def default_threshold(pg: ProductGraph, p: float) -> int:
     exponent = math.log(pg.n) - (pg.C ** 3 / p) * math.log(pg.d)
     analytic = math.exp(exponent)
     return max(3, math.floor(analytic))
-
-
-def classify_removal(pg: ProductGraph, sample: PercolationSample, u_set,
-                     threshold: float | None = None) -> ObstructionRecord:
-    """Band the components of the sample with ``u_set`` removed."""
-    u_frozen = frozenset(u_set)
-    if not u_frozen:
-        raise ValueError("removal set must be nonempty")
-    if any(not 0 <= v < pg.n for v in u_frozen):
-        raise ValueError("removal set contains an out-of-range vertex")
-    if threshold is None:
-        threshold = default_threshold(pg, sample.p)
-    nbr = neighbor_bitmasks(pg, sample.mask)
-    u_mask = 0
-    for v in u_frozen:
-        u_mask |= 1 << v
-    avail = ((1 << pg.n) - 1) & ~u_mask
-    comp_masks = components_from_bitmasks(nbr, avail)
-    return _record_from_components(pg, u_frozen, comp_masks, threshold)
 
 
 def _record_from_components(pg: ProductGraph, u_frozen: frozenset,
@@ -155,7 +138,7 @@ def find_minimal_obstructions(pg: ProductGraph, sample: PercolationSample,
                 record = _record_from_components(pg, frozenset(combo), comp_masks, threshold)
                 found.append(record)
         if found:
-            return [replace(record, is_minimal=True) for record in found]
+            return found
     return []
 
 
@@ -167,8 +150,6 @@ def verify_three_components(pg: ProductGraph, sample: PercolationSample,
     Minimal obstructions of size 1 are outside the property's scope and
     are reported as skipped, not as failures.
     """
-    if not record.is_minimal:
-        raise ValueError("three-component check applies to minimal obstructions")
     if record.u < 2:
         return ThreeComponentReport(checked_vertices=0, skipped_out_of_scope=True,
                                     counterexamples=())

@@ -14,8 +14,7 @@ Two sampling modes share one generator stack (see rng):
   times are fixed.
 
 ``double_exposures`` splits G_p into two independent rounds for many
-seeds at once, one ``sample_percolations`` call per round;
-``double_exposure`` is its one-seed case.
+seeds at once, one ``sample_percolations`` call per round.
 
 Hitting times are indexed from 1: tau = i means the property first holds
 after the i-th edge is added.  tau1 is minimum degree one, tau2 is
@@ -59,7 +58,6 @@ class EdgeOrdering:
     """Uniform random permutation of the edge ids of one product graph."""
 
     permutation: tuple[int, ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,7 @@ def sample_ordering(pg: ProductGraph, seed: int) -> EdgeOrdering:
     gen = Xoshiro256StarStar(seed)
     perm = list(range(pg.m))
     gen.shuffle(perm)
-    return EdgeOrdering(permutation=tuple(perm), seed=seed)
+    return EdgeOrdering(permutation=tuple(perm))
 
 
 def sample_percolation(pg: ProductGraph, p: float, seed: int) -> PercolationSample:
@@ -155,23 +153,18 @@ def sample_percolations(pg: ProductGraph, p: float, seeds) -> list[PercolationSa
     return samples
 
 
-def double_exposure(pg: ProductGraph, p: float, seed: int
-                    ) -> tuple[PercolationSample, PercolationSample, PercolationSample]:
-    """Split G_p into two independent rounds G_p1 and G_p2.
+def double_exposures(pg: ProductGraph, p: float, seeds
+                     ) -> list[tuple[PercolationSample, PercolationSample, PercolationSample]]:
+    """Split G_p into two independent rounds G_p1 and G_p2 for each seed.
 
     The second round uses p2 = 1 / d**2 and the first solves
     (1 - p1)(1 - p2) = 1 - p, so the union of the rounds has the law of
-    G_p.  Requires p >= p2.  The two round seeds are the first two
-    outputs of the splitmix64 sequence started at ``seed``, so each
-    round is reproducible on its own.
+    G_p.  Requires p >= p2.  A seed's two round seeds are the first two
+    outputs of the splitmix64 sequence started at it, so each round is
+    reproducible on its own.  Each round is drawn for all the seeds by
+    one ``sample_percolations`` call; the result holds one
+    (first, second, union) triple per seed.
     """
-    return double_exposures(pg, p, [seed])[0]
-
-
-def double_exposures(pg: ProductGraph, p: float, seeds
-                     ) -> list[tuple[PercolationSample, PercolationSample, PercolationSample]]:
-    """``double_exposure(pg, p, seed)`` for every seed, with each round
-    drawn by one ``sample_percolations`` call."""
     if pg.d is None:
         raise ValueError("double exposure needs a regular product")
     p2 = 1.0 / (pg.d * pg.d)

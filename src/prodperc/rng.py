@@ -56,12 +56,12 @@ calls would leave it in:
   turned into bytes once per block, and expanded through a table from a
   byte to its 8 bits as bytes; each lane's block is slice-assigned
   into its mask.
-* The trial runner and the coupling suite cap a group at 32 lanes.  On
-  a 2-vCPU x86 VM (Python 3.11, 4096 draws per lane), one lane costs
-  about 0.7 us per draw, 32 lanes about 80 ns per lane and draw, and
-  256 still about 60 ns.  Wider groups gain little, while every lane's
-  mask is held until its trial is computed and fewer, larger groups
-  balance worse over pool workers.
+* The trial runner and the coupling suite cap a group at
+  ``GROUP_LANES = 32`` lanes.  On a 2-vCPU x86 VM (Python 3.11, 4096
+  draws per lane), one lane costs about 0.7 us per draw, 32 lanes about
+  80 ns per lane and draw, and 256 still about 60 ns.  Wider groups
+  gain little, while every lane's mask is held until its trial is
+  computed and fewer, larger groups balance worse over pool workers.
 """
 
 import math
@@ -193,6 +193,11 @@ def _unpack(packed: int, lanes: int) -> list[int]:
     blob = packed.to_bytes(_LANE_BYTES * lanes, "little")
     return [int.from_bytes(blob[_LANE_BYTES * i:_LANE_BYTES * i + 8], "little")
             for i in range(lanes)]
+
+
+# Most trials one group draws in lockstep: more lanes barely lower the
+# cost per draw, and every lane holds its whole mask until its row.
+GROUP_LANES = 32
 
 
 def bernoulli_masks(gens, count: int, p: float) -> list[bytearray]:

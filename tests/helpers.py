@@ -8,7 +8,8 @@ from prodperc.catalog import CATALOG
 from prodperc.graph_core import (ProductGraph, build_base,
                                  components_from_bitmasks, neighbor_bitmasks)
 from prodperc.matching import brute_deficiency, maximum_matching
-from prodperc.obstructions import find_minimal_obstructions
+from prodperc.obstructions import (ObstructionRecord, _record_from_components,
+                                   default_threshold, find_minimal_obstructions)
 from prodperc.process import PercolationSample
 
 
@@ -31,10 +32,38 @@ def mask_from_edges(pg: ProductGraph, pairs) -> bytes:
 def coordinates(pg: ProductGraph, v: int) -> tuple[int, ...]:
     """Mixed-radix digits of product vertex v, digit 0 least significant."""
     out = []
-    for radix in pg.radices:
-        v, digit = divmod(v, radix)
+    for base in pg.bases:
+        v, digit = divmod(v, base.order)
         out.append(digit)
     return tuple(out)
+
+
+def band_removal(pg: ProductGraph, sample: PercolationSample, u_set,
+                 threshold: float | None = None) -> ObstructionRecord:
+    """The record the obstruction scan builds for removal set ``u_set``,
+    obstruction or not: the components of the sample less ``u_set``,
+    banded by size."""
+    if threshold is None:
+        threshold = default_threshold(pg, sample.p)
+    u_bits = sum(1 << v for v in set(u_set))
+    comps = components_from_bitmasks(neighbor_bitmasks(pg, sample.mask),
+                                     ((1 << pg.n) - 1) & ~u_bits)
+    return _record_from_components(pg, frozenset(u_set), comps, threshold)
+
+
+def edge_boundary(pg: ProductGraph, subset, mask=None) -> int:
+    """Number of (present) edges with exactly one endpoint in ``subset``
+    (oracle for the isoperimetric witnesses)."""
+    inside = set(subset)
+    off, flat, eids = pg.adj_off, pg.adj_flat, pg.adj_eid
+    total = 0
+    for v in inside:
+        for k in range(off[v], off[v + 1]):
+            if mask is not None and not mask[eids[k]]:
+                continue
+            if flat[k] not in inside:
+                total += 1
+    return total
 
 
 def reference_mask(gen, count: int, p: float) -> bytes:

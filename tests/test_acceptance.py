@@ -23,6 +23,7 @@ from prodperc.battery import (_suite_coupling, _suite_edge_connectivity,
                               _suite_oracle_equivalence, _suite_star_identity,
                               _suite_tree_bounds, _tau3_oracle)
 from prodperc.experiments import ExperimentConfig, render_report, run_trials
+from prodperc.graph_core import full_mask
 from prodperc.isoperimetry import exhaustive_profile
 from prodperc.matching import maximum_matching
 from prodperc.process import run_process, sample_ordering
@@ -97,7 +98,7 @@ def test_criterion_07_perfect_matchings_on_even_products():
     names = even_order_names(4096)
     for name in names:
         pg = build_catalog_product(name)
-        if maximum_matching(pg).size != pg.n // 2:
+        if maximum_matching(pg, full_mask(pg)).size != pg.n // 2:
             missing.append(name)
     _report(7, not missing,
             f"perfect matching on all {len(names)} even-order catalog "

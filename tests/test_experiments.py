@@ -496,6 +496,7 @@ def test_cli_missing_config_file(capsys):
     ("process", {"product": [{"kind": "circulant", "m": 5, "offsets": 3}]}),
     ("process", b"\xff\xfe{}"),  # not UTF-8
     ("process", None),  # a directory
+    ("process", {"product": [{"kind": "circulant", "m": 0, "offsets": [1]}]}),
 ])
 def test_cli_rejects_unreadable_or_mistyped_config(command, config, tmp_path,
                                                   monkeypatch, capsys):
@@ -542,10 +543,18 @@ def test_cli_bad_probability(capsys):
     ["percolate", "--product", "Q4", "--omega", "100"],
     ["percolate", "--product", "Q4", "--omega", "100", "--workers", "2"],
     ["iso", "--product", "Q4", "--p", "1.0"],
+    # omega = n gives p = 0, outside the default threshold's domain
+    ["obstruct", "--product", "Q4", "--omega", "16", "--trials", "2", "--workers", "1"],
+    ["obstruct", "--product", "Q4", "--omega", "16", "--trials", "2", "--workers", "2"],
 ])
-def test_cli_rejects_out_of_domain_probability(argv, capsys):
+def test_cli_rejects_out_of_domain_probability(argv, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        pytest.fail("a worker pool started before the config was checked")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -563,6 +572,31 @@ def test_cli_rejects_non_finite_reals(flag, argv, value, monkeypatch, capsys):
     assert main(argv + [f"{flag}={value}", "--trials", "2", "--workers", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["percolate"], "9b500e7169aa9924004642661dbde8b2ba7ee516a97d8cebd17106355b4e3388"),
+    (["obstruct", "--component-threshold", "3"],
+     "f0f507c27596da3d97cc6e03b7a6bb511e5a862eef76e98451112e5622d65a40"),
+], ids=["percolate", "obstruct-threshold"])
+def test_cli_runs_at_omega_n_without_the_default_threshold(argv, digest, capsys):
+    assert main(argv + ["--product", "Q4", "--omega", "16", "--trials", "2",
+                        "--workers", "1"]) == 0
+    assert report_digest(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("out", ["directory", "missing folder"])
+def test_cli_bad_out_path_exits_before_trials(out, tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        pytest.fail("trials ran before the report path was checked")
+
+    monkeypatch.setattr(experiments, "run_trials", no_run)
+    path = tmp_path if out == "directory" else tmp_path / "missing" / "x.csv"
+    assert main(["process", "--product", "Q4", "--trials", "2", "--workers", "2",
+                 "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_fault_injection_exits_nonzero(broken_matching, capsys):

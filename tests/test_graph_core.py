@@ -61,6 +61,8 @@ def test_circulant():
         build_base(BaseGraphSpec.circulant(7, (1, 2)))  # not closed under negation
     with pytest.raises(GraphBuildError):
         build_base(BaseGraphSpec.circulant(6, (0, 3)))  # zero offset
+    with pytest.raises(TooSmallError):
+        build_base(BaseGraphSpec.circulant(0, (1,)))  # no modulus
 
 
 def test_base_from_edges_validation():
@@ -123,7 +125,7 @@ def test_mixed_product_parameters():
 def test_coordinates_encode_roundtrip():
     pg = product_of(BaseGraphSpec.cycle(5), BaseGraphSpec.complete(2),
                     BaseGraphSpec.complete(3))
-    assert pg.radices == (5, 2, 3)
+    assert tuple(base.order for base in pg.bases) == (5, 2, 3)
     for v in range(pg.n):
         assert sum(c * s for c, s in zip(coordinates(pg, v), pg.strides)) == v
     # digit 0 is least significant
@@ -141,7 +143,7 @@ def test_edge_ids_are_lexicographic_ranks():
 
 def test_incident_edges_match_neighbor_positions():
     for pg in (product_of(BaseGraphSpec.cycle(5), BaseGraphSpec.complete(2)),
-               cartesian_product([star(3), star(2)], require_regular=False)):
+               cartesian_product([star(3), star(2)])):
         for v in range(pg.n):
             for w, eid in zip(pg.neighbors(v), pg.adj_eid[pg.adj_off[v]:pg.adj_off[v + 1]]):
                 assert pg.edges[eid] == (min(v, w), max(v, w))
@@ -152,10 +154,14 @@ def test_single_factor_product_is_the_base():
     assert pg.n == 10 and pg.d == 3 and pg.m == 15
 
 
-def test_product_requires_regular_bases_by_default():
+def test_product_requires_regular_bases_by_default(tmp_path):
+    # build_product rejects an irregular edge list; only cartesian_product,
+    # given a star directly, builds an irregular product
+    path = tmp_path / "path3.txt"
+    path.write_text("3 2\n0 1\n1 2\n")
     with pytest.raises(NonRegularError):
-        cartesian_product([star(3)])
-    pg = cartesian_product([star(3)], require_regular=False)
+        build_product((BaseGraphSpec.edge_list(str(path)),))
+    pg = cartesian_product([star(3)])
     assert pg.d is None
     assert pg.n == 4
 
@@ -187,7 +193,7 @@ def test_bipartition_signature_cases():
     assert bipartition_signature(c6) == (3, 3)
     c5 = product_of(BaseGraphSpec.cycle(5))
     assert bipartition_signature(c5) is None
-    s4 = cartesian_product([star(4)], require_regular=False)
+    s4 = cartesian_product([star(4)])
     assert bipartition_signature(s4) == (1, 4)
 
 

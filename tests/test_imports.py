@@ -77,3 +77,13 @@ def test_tau3_mode_choices_survive(capsys):
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
     assert "bisect" in out and "incremental" in out
+
+
+def test_battery_does_not_load_experiments():
+    # the suites share GROUP_LANES with the trial runner through rng
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, prodperc.battery; "
+                               "print('prodperc.experiments' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"

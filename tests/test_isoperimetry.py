@@ -5,13 +5,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import edge_boundary
 from prodperc.catalog import build_catalog_product
 from prodperc.graph_core import (BaseGraph, BaseGraphSpec, TooLargeError,
                                  build_product, cartesian_product)
 from prodperc.isoperimetry import (BoundParams, count_rooted_trees,
-                                   edge_boundary, edge_connectivity,
-                                   exhaustive_profile, f_star,
-                                   rooted_tree_bound)
+                                   edge_connectivity, exhaustive_profile,
+                                   f_star, rooted_tree_bound)
 
 
 # --- exact profiles ---------------------------------------------------------

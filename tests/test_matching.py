@@ -23,22 +23,21 @@ def random_mask(pg, seed, p=0.5):
 # --- exact sizes on known graphs ----------------------------------------
 
 def test_full_product_matchings():
-    assert maximum_matching(build_catalog_product("Q3")).size == 4
-    assert maximum_matching(build_catalog_product("K3xK3")).size == 4
-    assert maximum_matching(build_catalog_product("petersen")).size == 5
-    assert maximum_matching(build_catalog_product("C5xK2")).size == 5
+    for name, size in (("Q3", 4), ("K3xK3", 4), ("petersen", 5), ("C5xK2", 5)):
+        pg = build_catalog_product(name)
+        assert maximum_matching(pg, full_mask(pg)).size == size
 
 
 def test_odd_cycle_matching():
     c5 = build_product((BaseGraphSpec.cycle(5),))
-    state = maximum_matching(c5)
+    state = maximum_matching(c5, full_mask(c5))
     assert state.size == 2
     assert state.mate.count(-1) == 1
 
 
 def test_matching_state_is_consistent():
     pg = build_catalog_product("Q3")
-    state = maximum_matching(pg)
+    state = maximum_matching(pg, full_mask(pg))
     pairs = [(v, w) for v, w in enumerate(state.mate) if w > v]
     for v, w in pairs:
         assert state.mate[v] == w and state.mate[w] == v
@@ -47,10 +46,11 @@ def test_matching_state_is_consistent():
 
 
 def test_star_deficiency():
-    host = cartesian_product([star(3)], require_regular=False)
-    assert maximum_matching(host).size == 1
-    assert tutte_berge_deficiency(host) == 2
-    assert brute_deficiency(host) == 2
+    host = cartesian_product([star(3)])
+    mask = full_mask(host)
+    assert maximum_matching(host, mask).size == 1
+    assert tutte_berge_deficiency(host, mask) == 2
+    assert brute_deficiency(host, mask) == 2
 
 
 def test_empty_and_full_masks():
@@ -97,7 +97,8 @@ def test_oracle_equivalence_random_masks():
 @pytest.mark.parametrize("name", tiny_names(12))
 def test_oracle_equivalence_catalog(name):
     pg = build_catalog_product(name)
-    assert tutte_berge_deficiency(pg) == brute_deficiency(pg)
+    mask = full_mask(pg)
+    assert tutte_berge_deficiency(pg, mask) == brute_deficiency(pg, mask)
     for k in range(3):
         mask = random_mask(pg, derive_trial_seed(7, k), p=0.5)
         assert tutte_berge_deficiency(pg, mask) == brute_deficiency(pg, mask)
@@ -146,7 +147,7 @@ def test_adding_one_edge_grows_matching_by_at_most_one(seed):
 def test_brute_deficiency_cap():
     q5 = build_catalog_product("Q5")
     with pytest.raises(ValueError):
-        brute_deficiency(q5)
+        brute_deficiency(q5, full_mask(q5))
 
 
 def test_components_from_bitmasks():

@@ -5,12 +5,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import deficiency_consistency, mask_from_edges
+from helpers import band_removal, deficiency_consistency, mask_from_edges
 from prodperc.catalog import build_catalog_product
 from prodperc.graph_core import (BaseGraphSpec, build_product,
                                  cartesian_product, star)
-from prodperc.obstructions import (classify_removal, default_threshold,
-                                   find_minimal_obstructions,
+from prodperc.obstructions import (default_threshold, find_minimal_obstructions,
                                    verify_determination,
                                    verify_three_components)
 from prodperc.process import PercolationSample, sample_percolation
@@ -62,7 +61,7 @@ def test_default_threshold_is_clamped_at_three():
 
 
 def test_default_threshold_domain():
-    host = cartesian_product([star(3)], require_regular=False)
+    host = cartesian_product([star(3)])
     with pytest.raises(ValueError):
         default_threshold(host, 0.5)
     pg = build_catalog_product("Q3")
@@ -76,7 +75,7 @@ def test_default_threshold_domain():
 
 def test_classify_empty_square():
     pg = build_catalog_product("Q2")
-    record = classify_removal(pg, _sample(pg, bytes(pg.m)), {0})
+    record = band_removal(pg, _sample(pg, bytes(pg.m)), {0})
     assert _bands(record) == (3, 0, 0)
     assert record.v1 == frozenset({1, 2, 3})
     assert _obstructs(record) and not _trivial(record)
@@ -84,7 +83,7 @@ def test_classify_empty_square():
 
 def test_classify_full_cube_vertex():
     pg = build_catalog_product("Q3")
-    record = classify_removal(pg, sample_percolation(pg, 1.0, 0), {0})
+    record = band_removal(pg, sample_percolation(pg, 1.0, 0), {0})
     assert _bands(record) == (0, 0, 1)
     assert not _obstructs(record)
 
@@ -94,13 +93,13 @@ def test_classify_two_starved_antipodes():
     # leaves the isolated pair plus one five-vertex component
     pg = build_catalog_product("Q3")
     sample = _sample(pg, _without_vertices(pg, {0, 7}))
-    record = classify_removal(pg, sample, {1})
+    record = band_removal(pg, sample, {1})
     assert record.v1 == frozenset({0, 7})
     assert record.b_set == frozenset({2, 3, 4, 5, 6})
     assert _bands(record) == (2, 0, 1)
     assert _obstructs(record) and not _trivial(record)
     # a larger working threshold rebands the five-set from B to S
-    rebanded = classify_removal(pg, sample, {1}, threshold=10)
+    rebanded = band_removal(pg, sample, {1}, threshold=10)
     assert rebanded.s_set == frozenset({2, 3, 4, 5, 6})
     assert _bands(rebanded)[1:] == (1, 0)
 
@@ -108,19 +107,10 @@ def test_classify_two_starved_antipodes():
 def test_classify_trivial_obstruction():
     pg = build_catalog_product("Q3")
     sample = _sample(pg, _without_vertices(pg, {0}))
-    record = classify_removal(pg, sample, {1})
+    record = band_removal(pg, sample, {1})
     assert _obstructs(record) and _trivial(record)
     assert _bands(record) == (1, 0, 1)
     assert not record.w_set
-
-
-def test_classify_removal_domain():
-    pg = build_catalog_product("Q2")
-    sample = sample_percolation(pg, 0.5, 1)
-    with pytest.raises(ValueError):
-        classify_removal(pg, sample, set())
-    with pytest.raises(ValueError):
-        classify_removal(pg, sample, {0, 99})
 
 
 @settings(deadline=None, max_examples=50)
@@ -128,7 +118,7 @@ def test_classify_removal_domain():
 def test_bands_partition_the_vertices(seed, p):
     pg = build_catalog_product("C4xK3")
     sample = sample_percolation(pg, p, seed)
-    record = classify_removal(pg, sample, {0, 5})
+    record = band_removal(pg, sample, {0, 5})
     pieces = (record.u_set, record.v1, record.w_set, record.s_set, record.b_set)
     assert sum(len(part) for part in pieces) == pg.n
     union = frozenset().union(*pieces)
@@ -144,7 +134,7 @@ def test_minimal_obstructions_empty_square():
     pg = build_catalog_product("Q2")
     minimal = find_minimal_obstructions(pg, _sample(pg, bytes(pg.m)))
     assert len(minimal) == 4
-    assert all(rec.u == 1 and rec.is_minimal for rec in minimal)
+    assert all(rec.u == 1 for rec in minimal)
     assert sorted(tuple(rec.u_set) for rec in minimal) == [(0,), (1,), (2,), (3,)]
 
 
@@ -169,7 +159,7 @@ def test_theta_sample_has_unique_minimal_pair():
     assert len(minimal) == 1
     record = minimal[0]
     assert record.u_set == frozenset({0, 4})
-    assert record.is_minimal and _obstructs(record)
+    assert _obstructs(record)
     assert sorted(len(c) for c in record.components) == [1, 3, 3]
     assert _bands(record) == (1, 2, 0)
 
@@ -194,21 +184,14 @@ def test_three_components_skips_singletons():
 
 
 def test_three_components_flags_forced_record():
-    # {0, 1} is not an obstruction of the theta sample; forcing the
-    # minimal flag must surface both hubs as counterexamples
+    # {0, 1} is not an obstruction of the theta sample; checking its
+    # record as if the scan had found it must surface both as
+    # counterexamples
     pg, sample = theta_sample()
-    record = classify_removal(pg, sample, {0, 1})
+    record = band_removal(pg, sample, {0, 1})
     assert not _obstructs(record)
-    forced = replace(record, is_minimal=True)
-    report = verify_three_components(pg, sample, forced)
+    report = verify_three_components(pg, sample, record)
     assert report.counterexamples == ((0, 1), (1, 1))
-
-
-def test_three_components_requires_minimal_flag():
-    pg, sample = theta_sample()
-    record = classify_removal(pg, sample, {0, 4})
-    with pytest.raises(ValueError):
-        verify_three_components(pg, sample, record)
 
 
 # --- determination ---------------------------------------------------------------

@@ -10,12 +10,12 @@ import prodperc.process as process
 from prodperc.battery import _tau3_oracle
 from prodperc.catalog import build_catalog_product
 from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product,
-                                 components_from_bitmasks, neighbor_bitmasks,
-                                 star)
+                                 components_from_bitmasks, full_mask,
+                                 neighbor_bitmasks, star)
 from prodperc.matching import maximum_matching
 from prodperc.process import (EdgeOrdering, HittingTimes, PercolationSample,
-                              component_profile, critical_p, double_exposure,
-                              double_exposures, hitting_times, run_process,
+                              component_profile, critical_p, double_exposures,
+                              hitting_times, run_process,
                               sample_ordering, sample_percolation)
 from prodperc.rng import split_seeds
 
@@ -28,13 +28,13 @@ def test_square_hand_ordering():
     # cycle(4) edge ids follow sorted pairs: (0,1)=0, (0,3)=1, (1,2)=2, (2,3)=3
     pg = build_product((BaseGraphSpec.cycle(4),))
     assert list(pg.edges) == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    times = run_process(pg, EdgeOrdering(permutation=(0, 3, 2, 1), seed=0))
+    times = run_process(pg, EdgeOrdering(permutation=(0, 3, 2, 1)))
     assert times == HittingTimes(tau1=2, tau2=3, tau3=2)
 
 
 def test_triangle_hand_ordering():
     pg = build_product((BaseGraphSpec.complete(3),))
-    times = run_process(pg, EdgeOrdering(permutation=(0, 2, 1), seed=0))
+    times = run_process(pg, EdgeOrdering(permutation=(0, 2, 1)))
     # one edge already matches the floor(3/2) target, so tau3 < tau1 here
     assert times == HittingTimes(tau1=2, tau2=2, tau3=1)
 
@@ -42,20 +42,20 @@ def test_triangle_hand_ordering():
 def test_incomplete_ordering_rejected():
     pg = build_product((BaseGraphSpec.cycle(4),))
     with pytest.raises(AssertionError):
-        run_process(pg, EdgeOrdering(permutation=(0, 2), seed=0))
+        run_process(pg, EdgeOrdering(permutation=(0, 2)))
     # (0,1) and (2,3) leave no vertex isolated but two components
     with pytest.raises(AssertionError):
-        run_process(pg, EdgeOrdering(permutation=(0, 3), seed=0))
+        run_process(pg, EdgeOrdering(permutation=(0, 3)))
     # full length, but edge 1 is missing and edge 0 comes twice
     with pytest.raises(AssertionError):
-        run_process(pg, EdgeOrdering(permutation=(0, 0, 2, 3), seed=0))
+        run_process(pg, EdgeOrdering(permutation=(0, 0, 2, 3)))
     with pytest.raises(ValueError):
         run_process(pg, sample_ordering(pg, 0), tau3_mode="magic")
 
 
 def test_tau3_none_when_target_unreachable():
-    host = cartesian_product([star(3)], require_regular=False)
-    assert maximum_matching(host).size == 1  # below floor(4/2)
+    host = cartesian_product([star(3)])
+    assert maximum_matching(host, full_mask(host)).size == 1  # below floor(4/2)
     ordering = sample_ordering(host, 5)
     assert run_process(host, ordering).tau3 is None
     assert _tau3_oracle(host, ordering) is None
@@ -140,7 +140,7 @@ def test_percolation_reproducible():
 def test_double_exposure_probability_split():
     pg = build_catalog_product("petersen")  # d = 3
     p = 0.5
-    first, second, union = double_exposure(pg, p, 77)
+    first, second, union = double_exposures(pg, p, [77])[0]
     assert second.p == 1.0 / 9.0
     assert abs((1.0 - first.p) * (1.0 - second.p) - (1.0 - p)) <= 1e-12
     assert union.p == p
@@ -149,7 +149,7 @@ def test_double_exposure_probability_split():
 
 def test_double_exposure_round_seeds_are_replayable():
     pg = build_catalog_product("Q4")
-    first, second, _ = double_exposure(pg, 0.4, 123)
+    first, second, _ = double_exposures(pg, 0.4, [123])[0]
     s1, s2 = split_seeds(123, 2)
     assert first == sample_percolation(pg, first.p, s1)
     assert second == sample_percolation(pg, second.p, s2)
@@ -161,7 +161,7 @@ def test_double_exposure_round_seeds_are_replayable():
         assert first == sample_percolation(pg, first.p, s1)
         assert second == sample_percolation(pg, second.p, s2)
     with pytest.raises(ValueError):
-        double_exposure(pg, 1.0 / (pg.d * pg.d) - 1e-6, 1)
+        double_exposures(pg, 1.0 / (pg.d * pg.d) - 1e-6, [1])
 
 
 def test_critical_p_identity():
