@@ -5,8 +5,8 @@ base list), an experiment kind, a trial count, and a base seed.  Trial
 i derives its own seed as splitmix64(base_seed XOR i), so any row can
 be reproduced in isolation and results do not depend on scheduling.
 Trials run in groups of at most ``GROUP_LANES`` consecutive indices;
-a percolation kind draws the masks of a group in lockstep, with the
-bytes each trial's own generator gives.
+a group draws its trials' random words in lockstep, the words each
+trial's own generator gives.
 
 Kinds:
 
@@ -49,7 +49,7 @@ from datetime import datetime, timezone
 
 from .catalog import TAU3_MODES, ConfigError, resolve_product
 from .graph_core import BaseGraphSpec, ProductGraph, build_product, is_integer
-from .process import (PercolationSample, component_profile, critical_p,
+from .process import (HittingTimes, PercolationSample, component_profile, critical_p,
                       hitting_times, sample_percolations)
 from .rng import GROUP_LANES, derive_trial_seed
 
@@ -251,9 +251,7 @@ def _percentile(values, q: float):
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
-def _hitting_row(config: ExperimentConfig, pg: ProductGraph, index: int) -> tuple:
-    trial_seed = derive_trial_seed(config.seed, index)
-    times = hitting_times(pg, trial_seed)
+def _hitting_row(index: int, trial_seed: int, times: HittingTimes) -> tuple:
     tau3 = -1 if times.tau3 is None else times.tau3
     coincident = int(times.tau3 is not None
                      and times.tau1 == times.tau2 == times.tau3)
@@ -298,19 +296,19 @@ def _obstruction_row(config: ExperimentConfig, pg: ProductGraph, index: int,
 def _compute_rows(config: ExperimentConfig, pg: ProductGraph, indices) -> list[tuple]:
     """Rows of the given trial indices, in order.
 
-    A percolation kind draws the samples of all the indices in one
-    ``sample_percolations`` call; each row still depends only on the config
-    and its own index.
+    Every kind draws the random words of all the indices in one call,
+    ``hitting_times`` or ``sample_percolations``; each row still depends
+    only on the config and its own index.
     """
+    seeds = [derive_trial_seed(config.seed, index) for index in indices]
     if config.kind == "hitting_times":
-        return [_hitting_row(config, pg, index) for index in indices]
+        return list(map(_hitting_row, indices, seeds, hitting_times(pg, seeds)))
     if config.kind == "percolation_profile":
         row = _percolation_row
     elif config.kind == "obstructions":
         row = _obstruction_row
     else:
         raise ConfigError(f"kind {config.kind!r} has no per-trial rows")
-    seeds = [derive_trial_seed(config.seed, index) for index in indices]
     samples = sample_percolations(pg, config.effective_p(pg), seeds)
     return [row(config, pg, index, sample) for index, sample in zip(indices, samples)]
 

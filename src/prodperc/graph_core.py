@@ -470,9 +470,28 @@ def cartesian_product(bases) -> ProductGraph:
                         edges=edges)
 
 
+def _declared_order(spec: BaseGraphSpec) -> int | None:
+    """Vertex count a spec declares; None for an edge list, whose file
+    tells, or for a missing field."""
+    if spec.kind == "complete_bipartite_balanced":
+        return None if spec.r is None else 2 * spec.r
+    if spec.kind == "petersen":
+        return 10
+    return None if spec.kind == "edge_list" else spec.m
+
+
 def build_product(specs) -> ProductGraph:
     """Build bases from specs, then the product.  ``build_base`` rejects
-    irregular specs, so the product is regular."""
+    irregular specs, so the product is regular.  The vertex cap is
+    checked on the declared orders before any base is built, and on the
+    product again once edge-list orders are known."""
+    specs = tuple(specs)
+    cap = max_vertices_cap()
+    # a missing or non-positive order is build_base's to reject
+    n = math.prod(order for order in map(_declared_order, specs)
+                  if order is not None and order > 0)
+    if n > cap:
+        raise TooLargeError(f"product would have at least {n} vertices, cap is {cap}")
     return cartesian_product([build_base(s) for s in specs])
 
 

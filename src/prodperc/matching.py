@@ -14,6 +14,7 @@ and serves as the independent oracle for the solver.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .graph_core import ProductGraph, components_from_bitmasks, neighbor_bitmasks
 
@@ -48,6 +49,13 @@ def _greedy_extend(pg: ProductGraph, mask, mate: list[int]) -> int:
     return gained
 
 
+@cache
+def _identity(n: int) -> list[int]:
+    """``list(range(n))``, kept for copying: a copy shares its ints,
+    which is cheaper than building n new ones on every search."""
+    return list(range(n))
+
+
 def _augment_once(pg: ProductGraph, mask, mate: list[int], root: int) -> bool:
     """Search for an augmenting path from ``root``; apply it if found.
 
@@ -58,7 +66,7 @@ def _augment_once(pg: ProductGraph, mask, mate: list[int], root: int) -> bool:
     off, flat, eids = pg.adj_off, pg.adj_flat, pg.adj_eid
     used = bytearray(n)
     parent = [-1] * n
-    base = list(range(n))
+    base = _identity(n).copy()  # a copy: blossom contraction writes to it
     used[root] = 1
     queue = [root]
     qi = 0

@@ -9,9 +9,14 @@ Two sampling modes share one generator stack (see rng):
   one-seed case.
 * ``sample_ordering`` draws a uniform permutation of the edge ids by
   Fisher-Yates shuffle; the process at time i consists of the first i
-  edges of the permutation.  ``hitting_times(pg, seed)`` runs the same
-  shuffle lazily (``rng`` placements) and stops it once the hitting
-  times are fixed.
+  edges of the permutation.  ``hitting_times(pg, seeds)`` runs the same
+  shuffle lazily for each seed (``rng.placements``) and stops it once
+  the hitting times are fixed.  The seeds' words are drawn in lockstep
+  (``rng.lockstep_words``) in blocks of ``_WORD_BLOCK`` steps, a block
+  only when a lane has read all its words, and stored at 8 bytes per
+  lane and step: about 1.1 MB for 10 lanes at Q12.  The lanes then run
+  one after another; ``hitting_times(pg, [seed])[0]`` is the one-seed
+  case.
 
 ``double_exposures`` splits G_p into two independent rounds for many
 seeds at once, one ``sample_percolations`` call per round.
@@ -19,7 +24,7 @@ seeds at once, one ``sample_percolations`` call per round.
 Hitting times are indexed from 1: tau = i means the property first holds
 after the i-th edge is added.  tau1 is minimum degree one, tau2 is
 connectivity, tau3 is a matching of size floor(n / 2).  One routine
-serves both entry points: ``hitting_times`` feeds it the lazy shuffle,
+serves both entry points: ``hitting_times`` feeds it each lazy shuffle,
 ``run_process`` a materialised permutation.  Fisher-Yates fixes
 positions from the last one down, so the routine reads the hitting
 times from the final suffix of the ordering and the *set* of edges
@@ -41,12 +46,18 @@ shifting and masking those ints.
 """
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, count
 
 from .catalog import TAU3_MODES
 from .graph_core import ProductGraph
 from .matching import _augment_once, _solve
-from .rng import Xoshiro256StarStar, bernoulli_masks, split_seeds
+from .rng import (Xoshiro256StarStar, bernoulli_masks, lockstep_words, placements,
+                  split_seeds)
+
+# Steps a hitting-time group draws in lockstep whenever a lane runs out
+# of words: a Q12 trial reads 10k-14k words, and each block costs every
+# lane 4 KiB.
+_WORD_BLOCK = 512
 
 # mask bytes (0 or 1) to binary digits for int(..., 2), and back
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -279,11 +290,30 @@ def _hitting_suffix(pg: ProductGraph, items, positions) -> HittingTimes:
     return HittingTimes(tau1=tau1, tau2=tau2, tau3=_tau3(pg, items, lower, target))
 
 
-def hitting_times(pg: ProductGraph, seed: int) -> HittingTimes:
-    """``run_process(pg, sample_ordering(pg, seed))``, with the shuffle
-    stopped once the hitting times are fixed."""
-    items = list(range(pg.m))
-    return _hitting_suffix(pg, items, Xoshiro256StarStar(seed).placements(items))
+def hitting_times(pg: ProductGraph, seeds) -> list[HittingTimes]:
+    """``run_process(pg, sample_ordering(pg, seed))`` for every seed, with
+    each shuffle stopped once its hitting times are fixed.  The words
+    are drawn in lockstep blocks as the lanes need them (see the module
+    docstring)."""
+    gens = [Xoshiro256StarStar(seed) for seed in seeds]
+    stores = [[] for _ in gens]  # each lane's words, one array per block
+    out = []
+
+    def blocks(store):
+        for k in count():
+            if k == len(store):
+                first = len(out)  # the lanes before this one are done
+                for lane, words in zip(stores[first:],
+                                       lockstep_words(gens[first:], _WORD_BLOCK)):
+                    lane.append(words)
+            yield store[k]
+
+    for store in stores:
+        items = list(range(pg.m))
+        words = chain.from_iterable(blocks(store))
+        out.append(_hitting_suffix(pg, items, placements(items, words)))
+        store.clear()
+    return out
 
 
 def run_process(pg: ProductGraph, ordering: EdgeOrdering,

@@ -18,35 +18,47 @@ implementation in any language can reproduce every experiment stream:
   ``j = next_below(i + 1)``.
 
 ``next_u64``, ``next_double`` and ``next_below`` are the one-step
-reference.  The shuffle, the loop that draws many words for one
-generator, is the top-down placement iterator ``placements(items)``: it
-runs one Fisher-Yates step at a time and yields each position as it
-becomes final (i after step i, then 0), and ``shuffle`` runs it to the
-end.  It keeps the four state words in local variables and writes them
-back when it ends or is closed, so the stream continues exactly as
-after the same number of ``next_u64`` calls; an iterator stopped early
-leaves the generator after the words it drew.  It consumes the same
-words and decides the same way: the rejection threshold
-``(2**64 // b) * b`` is ``2**64 - (2**64 % b)``, above ``2**64 - n`` for
-every bound ``b <= n``, so a shuffle of n items accepts any word below
+reference.  The one shuffle loop is ``placements(items, words)``: a
+top-down Fisher-Yates over an iterable of raw 64-bit words that yields
+each position as it becomes final (i after step i, then 0).  A word at
+or above the step's rejection threshold is skipped, so each step draws
+what ``next_below`` would: the threshold ``(2**64 // b) * b`` is
+``2**64 - (2**64 % b)``, above ``2**64 - n`` for every bound
+``b <= n``, so a shuffle of n items accepts any word below
 ``2**64 - n`` at once and computes the exact threshold only for the
-rare word above it.
+rare word above it.  The loop reads no word past its last step.  Words
+come from one of two sources:
 
-``bernoulli_masks(gens, count, p)`` draws a Bernoulli mask for each of
-several independent generators in lockstep: byte k of generator i's
-mask is 1 iff the k-th of its next ``count`` ``next_double()`` values is
-below p.  Every generator ends in the state ``count`` ``next_u64``
-calls would leave it in:
+* ``Xoshiro256StarStar.words()`` streams one generator's words.  It
+  keeps the four state words in local variables and writes them back
+  when the stream is closed, so the generator continues exactly as
+  after the same number of ``next_u64`` calls.  ``shuffle`` runs
+  ``placements`` on it to the end; a stream closed early leaves the
+  generator after the words drawn.
+* ``lockstep_words(gens, count)`` steps a group of generators in
+  lockstep and returns each one's next ``count`` words as an
+  ``array('Q')``, 8 bytes per lane and step; ``process.hitting_times``
+  shuffles each trial of a group from them.
+
+Lockstep groups pack a generator per lane.  Lane i holds its four state
+words in bits [128 i, 128 i + 64) of four packed ints.  One packed step
+runs the reference update on all lanes and masks each result to the
+low 64 bits of every lane.  No intermediate (``s1 * 5``, ``* 9``,
+``s1 << 17``, the rotations) reaches past bit 127 of its lane, so no
+carry or shifted bit crosses into the next lane.  Every generator ends
+in the state ``count`` ``next_u64`` calls would leave it in.
+``lockstep_words`` turns each step's packed words into 16 bytes per
+lane and reads lane i back as every ``2 * lanes``-th 64-bit word from
+the 2 i-th.
+
+``bernoulli_masks(gens, count, p)`` draws a Bernoulli mask for each
+generator of a group in its own loop, which never turns a word into
+bytes: byte k of generator i's mask is 1 iff the k-th of its next
+``count`` ``next_double()`` values is below p.
 
 * ``(x >> 11) * 2**-53 < p`` holds iff ``x < ceil(p * 2**53) << 11``:
   both products by powers of two are exact and ``x >> 11`` is an
   integer, so each raw word is compared with one threshold T.
-* Lane i holds its four state words in bits [128 i, 128 i + 64) of four
-  packed ints.  One packed step runs the reference update on all lanes
-  and masks each result to the low 64 bits of every lane.  No
-  intermediate (``s1 * 5``, ``* 9``, ``s1 << 17``, the rotations)
-  reaches past bit 127 of its lane, so no carry or shifted bit crosses
-  into the next lane.
 * The keep test is a borrow into a guard bit: bit 64 of
   ``2**64 + T - 1 - word`` is set iff ``word < T``.  That holds for
   every threshold from T = 0 (p = 0) to T = 2**64 (p = 1), and the
@@ -65,6 +77,8 @@ calls would leave it in:
 """
 
 import math
+import sys
+from array import array
 from collections import deque
 
 MASK64 = (1 << 64) - 1
@@ -138,20 +152,18 @@ class Xoshiro256StarStar:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, last index downwards."""
-        deque(self.placements(items), maxlen=0)
+        words = self.words()
+        deque(placements(items, words), maxlen=0)
+        words.close()
 
-    def placements(self, items: list):
-        """Shuffle ``items`` in place step by step, yielding each position
-        as it becomes final: i after step i swaps ``items[i]`` into
-        place, then 0.  ``items[i:]`` is then final and ``items[:i]``
-        holds the other items in some order.  The generator state is
-        written back when the iterator ends or is closed."""
-        n = len(items)
-        safe = (1 << 64) - n
+    def words(self):
+        """Endless stream of ``next_u64`` outputs.  The state is held in
+        local variables and written back when the stream is closed, so
+        the generator then continues after the words drawn; it must not
+        be stepped otherwise while the stream is open."""
         s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
         try:
-            for i in range(n - 1, 0, -1):
-                bound = i + 1
+            while True:
                 x = (s1 * 5) & MASK64
                 x = (((x << 7) | (x >> 57)) & MASK64) * 9 & MASK64
                 t = (s1 << 17) & MASK64
@@ -161,19 +173,31 @@ class Xoshiro256StarStar:
                 s0 ^= s3
                 s2 ^= t
                 s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
-                if x < safe or x < ((1 << 64) // bound) * bound:
-                    j = x % bound
-                else:
-                    # rejected: continue the draw with the one-step reference
-                    self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
-                    j = self.next_below(bound)
-                    s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
-                items[i], items[j] = items[j], items[i]
-                yield i
-            if n:
-                yield 0
+                yield x
         finally:
             self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+
+
+def placements(items: list, words):
+    """Shuffle ``items`` in place step by step from the raw 64-bit
+    ``words``, yielding each position as it becomes final: i after step
+    i swaps ``items[i]`` into place, then 0.  ``items[i:]`` is then
+    final and ``items[:i]`` holds the other items in some order.  A word
+    at or above the step's rejection threshold is skipped, as
+    ``next_below`` skips it, and no word is read past the last step."""
+    n = len(items)
+    safe = (1 << 64) - n
+    draw = iter(words).__next__
+    for i in range(n - 1, 0, -1):
+        bound = i + 1
+        x = draw()
+        while x >= safe and x >= ((1 << 64) // bound) * bound:
+            x = draw()
+        j = x % bound
+        items[i], items[j] = items[j], items[i]
+        yield i
+    if n:
+        yield 0
 
 
 _LANE_BITS = 128
@@ -195,6 +219,47 @@ def _unpack(packed: int, lanes: int) -> list[int]:
             for i in range(lanes)]
 
 
+def _pack_states(gens) -> list[int]:
+    """The four packed state ints of a lockstep group."""
+    return [_pack([g.s0 for g in gens]), _pack([g.s1 for g in gens]),
+            _pack([g.s2 for g in gens]), _pack([g.s3 for g in gens])]
+
+
+def _store_states(gens, packed) -> None:
+    """Write each lane of the packed state ints back to its generator."""
+    for g, *state in zip(gens, *(_unpack(s, len(gens)) for s in packed)):
+        g.s0, g.s1, g.s2, g.s3 = state
+
+
+def lockstep_words(gens, count: int) -> list[array]:
+    """The next ``count`` ``next_u64`` outputs of each generator, one
+    ``array('Q')`` per generator; all generators are stepped in lockstep
+    and each ends ``count`` words further on.  See the module docstring
+    for the lane layout."""
+    lanes = len(gens)
+    lane = MASK64 * int.from_bytes(_ONE_PER_LANE * lanes, "little")
+    s0, s1, s2, s3 = _pack_states(gens)
+    steps = []
+    for _ in range(count):
+        x = (s1 * 5) & lane
+        steps.append((((x << 7) | (x >> 57)) & lane) * 9 & lane)
+        t = (s1 << 17) & lane
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & lane
+    _store_states(gens, (s0, s1, s2, s3))
+    width = _LANE_BYTES * lanes
+    view = memoryview(b"".join([w.to_bytes(width, "little") for w in steps])).cast("Q")
+    words = [array("Q", view[2 * i::2 * lanes].tobytes()) for i in range(lanes)]
+    if sys.byteorder == "big":  # the blob is little-endian
+        for lane_words in words:
+            lane_words.byteswap()
+    return words
+
+
 # Most trials one group draws in lockstep: more lanes barely lower the
 # cost per draw, and every lane holds its whole mask until its row.
 GROUP_LANES = 32
@@ -214,10 +279,7 @@ def bernoulli_masks(gens, count: int, p: float) -> list[bytearray]:
     lane = MASK64 * ones
     guard = ones << 64
     bias = ((1 << 64) + threshold - 1) * ones
-    s0 = _pack([g.s0 for g in gens])
-    s1 = _pack([g.s1 for g in gens])
-    s2 = _pack([g.s2 for g in gens])
-    s3 = _pack([g.s3 for g in gens])
+    s0, s1, s2, s3 = _pack_states(gens)
     table = _BITS_OF_BYTE.__getitem__
     width = _LANE_BYTES * lanes
     for start in range(0, count, 64):
@@ -239,6 +301,5 @@ def bernoulli_masks(gens, count: int, p: float) -> list[bytearray]:
         stop = start + steps
         for i, mask in enumerate(masks):
             mask[start:stop] = bits[_LANE_BITS * i:_LANE_BITS * i + steps]
-    for g, *state in zip(gens, *(_unpack(s, lanes) for s in (s0, s1, s2, s3))):
-        g.s0, g.s1, g.s2, g.s3 = state
+    _store_states(gens, (s0, s1, s2, s3))
     return masks

@@ -7,12 +7,13 @@ from dataclasses import replace
 import pytest
 
 from helpers import report_digest
-from prodperc import battery, experiments
+from prodperc import battery, experiments, graph_core
 from prodperc.cli import main
 from prodperc.experiments import (ConfigError, ExperimentConfig, emit_report,
                                   render_report, resolve_product, round9,
                                   run_trials, verify_all, _percentile)
-from prodperc.process import critical_p, sample_percolation
+from prodperc.process import (critical_p, run_process, sample_ordering,
+                              sample_percolation)
 from prodperc.rng import derive_trial_seed
 
 K2 = {"kind": "complete", "m": 2}
@@ -161,13 +162,23 @@ def test_workers_do_not_change_rows(kwargs):
 
 
 @pytest.mark.parametrize("kwargs, row_function", [
+    ({"kind": "hitting_times", "product": "Q4"}, None),
     ({"kind": "percolation_profile", "product": "Q4", "omega": 1.0}, "_percolation_row"),
     ({"kind": "obstructions", "product": "Q3", "p": 0.35}, "_obstruction_row"),
-], ids=["percolation", "obstructions"])
+], ids=["hitting", "percolation", "obstructions"])
 def test_trial_groups_do_not_change_rows(kwargs, row_function, monkeypatch):
     # 70 trials run as 3 lockstep groups serially and as 4 with two workers
     rows = run_trials(make(trials=70, seed=31, workers=2, **kwargs)).rows
     assert run_trials(make(trials=5, seed=31, workers=1, **kwargs)).rows == rows[:5]
+    if row_function is None:
+        config = make(trials=70, seed=31, workers=1, **kwargs)
+        assert run_trials(config).rows == rows
+        pg = config.build()
+        for index, seed, tau1, tau2, tau3, _ in rows:
+            assert seed == derive_trial_seed(31, index)
+            times = run_process(pg, sample_ordering(pg, seed))
+            assert (tau1, tau2, tau3) == (times.tau1, times.tau2, times.tau3)
+        return
     masks = {}
     compute = getattr(experiments, row_function)
 
@@ -610,6 +621,26 @@ def test_cli_respects_size_cap(monkeypatch, capsys):
     monkeypatch.setenv("PPL_MAX_VERTICES", "16")
     assert main(["product", "--product", "Q6"]) == 2
     assert main(["process", "--product", "Q6"]) == 2
+
+
+@pytest.mark.parametrize("product", [
+    [{"kind": "complete", "m": 1500}],
+    # each order is under the cap, their product is not
+    [{"kind": "cycle", "m": 9}, {"kind": "complete_bipartite_balanced", "r": 4},
+     {"kind": "petersen"}, {"kind": "circulant", "m": 8, "offsets": [1, 7]}],
+], ids=["one base", "product"])
+def test_cli_size_cap_fires_before_bases_are_built(product, tmp_path, monkeypatch, capsys):
+    def no_build(spec):
+        pytest.fail("a base was built before the vertex cap was checked")
+
+    monkeypatch.setattr(graph_core, "build_base", no_build)
+    monkeypatch.setenv("PPL_MAX_VERTICES", "100")
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "percolation_profile", "product": product,
+                                "omega": 1, "seed": 0}))
+    assert main(["percolate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cap is 100" in err and err.count("\n") == 1
 
 
 def test_module_entry_point():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import mask_from_edges
+from prodperc import matching
 from prodperc.catalog import build_catalog_product, tiny_names
 from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product,
                                  components_from_bitmasks, full_mask,
@@ -79,6 +80,18 @@ def test_augment_contracts_blossom():
     assert _augment_once(pg, mask, mate, root=6)
     size = sum(1 for v, w in enumerate(mate) if w > v)
     assert size == (pg.n - brute_deficiency(pg, mask)) // 2 == 3
+
+
+def test_augment_leaves_the_cached_identity_unshared():
+    # the blossom fixture contracts 0-1-2: it must write to a copy of the
+    # cached identity, or the next search starts with 0, 1 and 2 merged
+    # and cannot leave the triangle 0-1-2 from 1 or 2
+    test_augment_contracts_blossom()
+    pg = build_catalog_product("K3xK3")
+    assert matching._identity(pg.n) == list(range(pg.n))
+    mask = mask_from_edges(pg, [(3, 0), (0, 1), (1, 2), (0, 2), (2, 8), (8, 5)])
+    _, size = matching._solve(pg, mask)
+    assert pg.n - 2 * size == brute_deficiency(pg, mask) == 3
 
 
 # --- oracle equivalence --------------------------------------------------

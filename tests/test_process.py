@@ -61,27 +61,41 @@ def test_tau3_none_when_target_unreachable():
     assert _tau3_oracle(host, ordering) is None
     # the centre has degree 3 and the leaves degree 1: every leaf must
     # be reached, so tau1 = tau2 = m for every ordering
-    for seed in range(20):
-        assert hitting_times(host, seed) == HittingTimes(tau1=3, tau2=3, tau3=None)
+    assert hitting_times(host, range(20)) == [HittingTimes(tau1=3, tau2=3, tau3=None)] * 20
 
 
 @pytest.mark.parametrize("name", ["Q4", "K3xK3", "C5xC5", "K5", "C4xK3",
                                   "petersen", "K2"])
 def test_lazy_hitting_times_equal_full_ordering(name):
     # the lazy shuffle stops at lower; the full ordering is the same
-    # stream run to the end (K3xK3, C5xC5 and K5 have odd n)
+    # stream run to the end (K3xK3, C5xC5 and K5 have odd n).  One group
+    # of 60 lanes; equal seeds must give equal lanes.
     if name == "K2":
         pg = build_product((BaseGraphSpec.complete(2),))
     else:
         pg = build_catalog_product(name)
-    for seed in range(60):
+    seeds = [seed % 45 for seed in range(60)]
+    group = hitting_times(pg, seeds)
+    assert len(group) == len(seeds)
+    for seed, times in zip(seeds, group):
         ordering = sample_ordering(pg, seed)
-        times = hitting_times(pg, seed)
         assert times == run_process(pg, ordering)
         assert (times.tau1, times.tau2) == prefix_hitting_times(pg, ordering)
         assert times.tau3 == _tau3_oracle(pg, ordering)
         if name == "K2":
             assert times == HittingTimes(tau1=1, tau2=1, tau3=1)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_hitting_group_draws_blocks_as_lanes_need_them(monkeypatch, block):
+    # small blocks: every lane runs past several, and a later lane that
+    # needs more words than the earlier ones draws them for the rest
+    monkeypatch.setattr(process, "_WORD_BLOCK", block)
+    pg = build_catalog_product("Q4")
+    seeds = [7, 3, 7, 11, 0, 3, 29, 5]
+    assert hitting_times(pg, seeds) == [run_process(pg, sample_ordering(pg, seed))
+                                        for seed in seeds]
+    assert hitting_times(pg, []) == []
 
 
 # --- ordering sampler ------------------------------------------------------

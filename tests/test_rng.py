@@ -1,13 +1,15 @@
 """Generator stack: fixed vectors, ranges, and derivation rules."""
 
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import reference_mask, reference_shuffle
 from prodperc.rng import (MASK64, Xoshiro256StarStar, bernoulli_masks,
-                          derive_trial_seed, split_seeds, splitmix64)
+                          derive_trial_seed, lockstep_words, placements,
+                          split_seeds, splitmix64)
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 PROBABILITIES = st.one_of(st.sampled_from((0.0, 1.0, 1e-12, 1.0 - 1e-12)),
@@ -29,11 +31,14 @@ def generator_whose_next_word_is(word: int) -> Xoshiro256StarStar:
 
 
 def placements_to_the_end(gen, items):
-    """Shuffle ``items`` by running ``gen.placements`` to the end."""
-    assert list(gen.placements(items)) == list(range(len(items) - 1, -1, -1))
+    """Shuffle ``items`` by running ``placements`` on ``gen.words()`` to
+    the end."""
+    words = gen.words()
+    assert list(placements(items, words)) == list(range(len(items) - 1, -1, -1))
+    words.close()
 
 
-# the bulk shuffle and the placement iterator it drives
+# the bulk shuffle and the placement loop it drives
 SHUFFLES = (Xoshiro256StarStar.shuffle, placements_to_the_end)
 
 
@@ -125,6 +130,20 @@ def test_bernoulli_masks_match_one_generator_at_a_time(seeds, count, p):
     assert [state(gen) for gen in lockstep] == [state(gen) for gen in reference]
 
 
+@given(st.lists(st.one_of(U64, st.integers(min_value=0, max_value=3)),
+                min_size=1, max_size=40),
+       st.integers(min_value=0, max_value=300))
+def test_lockstep_words_match_one_generator_at_a_time(seeds, count):
+    # small seeds repeat often: equal lanes must stay equal
+    lockstep = [Xoshiro256StarStar(seed) for seed in seeds]
+    reference = [Xoshiro256StarStar(seed) for seed in seeds]
+    words = lockstep_words(lockstep, count)
+    assert [list(lane) for lane in words] == [
+        [gen.next_u64() for _ in range(count)] for gen in reference]
+    assert all(lane.itemsize == 8 for lane in words)
+    assert [state(gen) for gen in lockstep] == [state(gen) for gen in reference]
+
+
 def check_threshold_word(p, offset, others):
     """The largest word kept (offset -1) or the smallest word dropped
     (offset 0) in a middle lane, with a lane for each seed in ``others``
@@ -176,9 +195,10 @@ def test_stopped_placements_leave_the_words_drawn(seed, size, k):
     k %= size
     gen = Xoshiro256StarStar(seed)
     items = list(range(size))
-    placements = gen.placements(items)
-    assert [next(placements) for _ in range(k)] == list(range(size - 1, size - 1 - k, -1))
-    placements.close()
+    source = gen.words()
+    stream = placements(items, source)
+    assert [next(stream) for _ in range(k)] == list(range(size - 1, size - 1 - k, -1))
+    source.close()
     words = Xoshiro256StarStar(seed)
     for _ in range(k):
         words.next_u64()
@@ -216,6 +236,15 @@ def test_shuffle_near_the_rejection_threshold(size, word):
         shuffle(gen, items)
         assert items == expected
         assert state(gen) == state(reference)
+    # the crafted word in the middle lane of a lockstep group
+    gens = [Xoshiro256StarStar(seed) for seed in (1, 2, 3, 4)]
+    gens.insert(2, generator_whose_next_word_is(word))
+    lane = iter(lockstep_words(gens, 16)[2])
+    items = list("abcdefg"[:size])
+    deque(placements(items, lane), maxlen=0)
+    assert items == expected
+    # the placements read exactly the words the reference drew
+    assert next(lane) == reference.next_u64()
 
 
 def test_trial_seed_derivation_rule():
