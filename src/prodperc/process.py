@@ -297,20 +297,21 @@ def hitting_times(pg: ProductGraph, seeds) -> list[HittingTimes]:
     docstring)."""
     gens = [Xoshiro256StarStar(seed) for seed in seeds]
     stores = [[] for _ in gens]  # each lane's words, one array per block
-    out = []
 
-    def blocks(store):
+    def blocks(lane):
+        # lanes before ``lane`` are done; draw only for it and the rest
+        store = stores[lane]
         for k in count():
             if k == len(store):
-                first = len(out)  # the lanes before this one are done
-                for lane, words in zip(stores[first:],
-                                       lockstep_words(gens[first:], _WORD_BLOCK)):
-                    lane.append(words)
+                for later, words in zip(stores[lane:],
+                                        lockstep_words(gens[lane:], _WORD_BLOCK)):
+                    later.append(words)
             yield store[k]
 
-    for store in stores:
+    out = []
+    for lane, store in enumerate(stores):
         items = list(range(pg.m))
-        words = chain.from_iterable(blocks(store))
+        words = chain.from_iterable(blocks(lane))
         out.append(_hitting_suffix(pg, items, placements(items, words)))
         store.clear()
     return out
