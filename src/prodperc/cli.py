@@ -163,7 +163,7 @@ def main(argv=None) -> int:
         if args.command == "product":
             return _cmd_product(args)
         return _cmd_experiment(args)
-    except (ConfigError, GraphBuildError, FileNotFoundError) as exc:
+    except (ConfigError, GraphBuildError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

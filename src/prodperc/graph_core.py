@@ -178,8 +178,7 @@ class BaseGraph:
     label: str = ""
 
 
-def base_from_edges(order: int, edges, label: str = "",
-                    require_regular: bool = True) -> BaseGraph:
+def base_from_edges(order: int, edges, label: str = "") -> BaseGraph:
     """Build and validate a base graph from an edge collection."""
     if order <= 1:
         raise TooSmallError(f"{label or 'base graph'}: order must exceed 1, got {order}")
@@ -197,13 +196,8 @@ def base_from_edges(order: int, edges, label: str = "",
         nbrs[u].add(v)
         nbrs[v].add(u)
     degrees = {len(s) for s in nbrs}
-    degree: int | None
-    if len(degrees) == 1:
-        degree = degrees.pop()
-    elif require_regular:
+    if len(degrees) != 1:
         raise NonRegularError(f"{label}: non-regular, degrees {sorted(degrees)}")
-    else:
-        degree = None
     # connectivity by breadth-first search from vertex 0
     seen_v = {0}
     queue = [0]
@@ -215,7 +209,7 @@ def base_from_edges(order: int, edges, label: str = "",
                 queue.append(w)
     if len(seen_v) != order:
         raise DisconnectedError(f"{label}: disconnected ({len(seen_v)} of {order} vertices reachable)")
-    return BaseGraph(order=order, degree=degree,
+    return BaseGraph(order=order, degree=degrees.pop(),
                      adjacency=tuple(tuple(sorted(s)) for s in nbrs), label=label)
 
 
@@ -234,7 +228,7 @@ def read_edge_list(path: str) -> tuple[int, list[tuple[int, int]]]:
                 if not text or text.startswith("#"):
                     continue
                 rows.append((lineno, text))
-    except (IsADirectoryError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedEdgeListError(f"{path}: cannot read edge list: {exc}") from None
     if not rows:
         raise MalformedEdgeListError(f"{path}: empty edge list file")
@@ -322,8 +316,8 @@ def star(leaves: int) -> BaseGraph:
     """
     if leaves < 1:
         raise TooSmallError("star needs at least one leaf")
-    edges = [(0, i) for i in range(1, leaves + 1)]
-    return base_from_edges(leaves + 1, edges, label=f"Star{leaves}", require_regular=False)
+    adjacency = (tuple(range(1, leaves + 1)),) + ((0,),) * leaves
+    return BaseGraph(leaves + 1, None, adjacency, f"Star{leaves}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .graph_core import ProductGraph, TooLargeError, neighbor_bitmasks
+from .graph_core import ProductGraph, TooLargeError, components_from_bitmasks, neighbor_bitmasks
 
 
 @dataclass(frozen=True)
@@ -144,18 +144,7 @@ def edge_connectivity(pg: ProductGraph) -> int:
     if n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
     # check connectivity first: a disconnected input is a caller error
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        u = stack.pop()
-        for w in pg.neighbors(u):
-            if not seen[w]:
-                seen[w] = 1
-                reached += 1
-                stack.append(w)
-    if reached != n:
+    if len(components_from_bitmasks(neighbor_bitmasks(pg), (1 << n) - 1)) != 1:
         raise ValueError("edge connectivity is undefined here: graph is disconnected")
 
     weights: dict[int, dict[int, int]] = {v: {} for v in range(n)}

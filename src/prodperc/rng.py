@@ -18,68 +18,66 @@ implementation in any language can reproduce every experiment stream:
   ``j = next_below(i + 1)``.
 
 ``next_u64``, ``next_double`` and ``next_below`` are the one-step
-reference.  The one shuffle loop is ``placements(items, words)``: a
-top-down Fisher-Yates over an iterable of raw 64-bit words that yields
-each position as it becomes final (i after step i, then 0).  A word at
-or above the step's rejection threshold is skipped, so each step draws
-what ``next_below`` would: the threshold ``(2**64 // b) * b`` is
-``2**64 - (2**64 % b)``, above ``2**64 - n`` for every bound
-``b <= n``, so a shuffle of n items accepts any word below
-``2**64 - n`` at once and computes the exact threshold only for the
-rare word above it.  The loop reads no word past its last step.  Words
-come from one of two sources:
+reference.  ``lockstep(gens)`` is the one bulk stepper: an endless
+stream with one packed int per step, lane i's ``next_u64`` word in bits
+[128 i, 128 i + 64).  It packs the generators' states on its first step
+(lane i's four state words in the same bits of four packed ints), runs
+the reference update on all lanes at once with each result masked to
+the low 64 bits of every lane, and writes every state back when the
+stream is closed, so each generator continues exactly as after the
+same number of ``next_u64`` calls; none may be stepped otherwise while
+the stream is open.  No intermediate (``s1 * 5``, ``* 9``, ``s1 << 17``,
+the rotations) reaches past bit 127 of its lane, so no carry or shifted
+bit crosses into the next lane.  With one lane each packed int is the
+plain word.  A stream closed before its first step leaves every state
+as it was.  It feeds three loops:
 
-* ``Xoshiro256StarStar.words()`` streams one generator's words.  It
-  keeps the four state words in local variables and writes them back
-  when the stream is closed, so the generator continues exactly as
-  after the same number of ``next_u64`` calls.  ``shuffle`` runs
-  ``placements`` on it to the end; a stream closed early leaves the
-  generator after the words drawn.
-* ``lockstep_words(gens, count)`` steps a group of generators in
-  lockstep and returns each one's next ``count`` words as an
-  ``array('Q')``, 8 bytes per lane and step; ``process.hitting_times``
-  shuffles each trial of a group from them.
+* ``placements(items, words)`` is the one shuffle loop: a top-down
+  Fisher-Yates over raw 64-bit words that yields each position as it
+  becomes final (i after step i, then 0).  A word at or above the
+  step's rejection threshold is skipped, so each step draws what
+  ``next_below`` would: the threshold ``(2**64 // b) * b`` is
+  ``2**64 - (2**64 % b)``, above ``2**64 - n`` for every bound
+  ``b <= n``, so a shuffle of n items accepts any word below
+  ``2**64 - n`` at once and computes the exact threshold only for the
+  rare word above it.  The loop reads no word past its last step.
+  ``shuffle`` runs it on a one-lane stream to the end.
+* ``lockstep_words(gens, count)`` returns each generator's next
+  ``count`` words as an ``array('Q')``, 8 bytes per lane and step:
+  each step's packed int becomes 16 bytes per lane, and lane i is every
+  ``2 * lanes``-th 64-bit word from the 2 i-th.
+  ``process.hitting_times`` shuffles each trial of a group from them.
+* ``bernoulli_masks(gens, count, p)`` draws a Bernoulli mask for each
+  generator of a group and never turns a word into bytes: byte k of
+  generator i's mask is 1 iff the k-th of its next ``count``
+  ``next_double()`` values is below p.
 
-Lockstep groups pack a generator per lane.  Lane i holds its four state
-words in bits [128 i, 128 i + 64) of four packed ints.  One packed step
-runs the reference update on all lanes and masks each result to the
-low 64 bits of every lane.  No intermediate (``s1 * 5``, ``* 9``,
-``s1 << 17``, the rotations) reaches past bit 127 of its lane, so no
-carry or shifted bit crosses into the next lane.  Every generator ends
-in the state ``count`` ``next_u64`` calls would leave it in.
-``lockstep_words`` turns each step's packed words into 16 bytes per
-lane and reads lane i back as every ``2 * lanes``-th 64-bit word from
-the 2 i-th.
-
-``bernoulli_masks(gens, count, p)`` draws a Bernoulli mask for each
-generator of a group in its own loop, which never turns a word into
-bytes: byte k of generator i's mask is 1 iff the k-th of its next
-``count`` ``next_double()`` values is below p.
-
-* ``(x >> 11) * 2**-53 < p`` holds iff ``x < ceil(p * 2**53) << 11``:
-  both products by powers of two are exact and ``x >> 11`` is an
-  integer, so each raw word is compared with one threshold T.
-* The keep test is a borrow into a guard bit: bit 64 of
-  ``2**64 + T - 1 - word`` is set iff ``word < T``.  That holds for
-  every threshold from T = 0 (p = 0) to T = 2**64 (p = 1), and the
-  difference is never negative, so it borrows nothing from the next
-  lane.
-* The guard bits of up to 64 steps are shifted into one accumulator,
-  turned into bytes once per block, and expanded through a table from a
-  byte to its 8 bits as bytes; each lane's block is slice-assigned
-  into its mask.
-* The trial runner and the coupling suite cap a group at
-  ``GROUP_LANES = 32`` lanes.  On a 2-vCPU x86 VM (Python 3.11, 4096
-  draws per lane), one lane costs about 0.7 us per draw, 32 lanes about
-  80 ns per lane and draw, and 256 still about 60 ns.  Wider groups
-  gain little, while every lane's mask is held until its trial is
-  computed and fewer, larger groups balance worse over pool workers.
+  - ``(x >> 11) * 2**-53 < p`` holds iff ``x < ceil(p * 2**53) << 11``:
+    both products by powers of two are exact and ``x >> 11`` is an
+    integer, so each raw word is compared with one threshold T.
+  - The keep test is a borrow into a guard bit: bit 64 of
+    ``2**64 + T - 1 - word`` is set iff ``word < T``.  That holds for
+    every threshold from T = 0 (p = 0) to T = 2**64 (p = 1), and the
+    difference is never negative, so it borrows nothing from the next
+    lane.
+  - The guard bits of up to 64 steps are shifted into one accumulator,
+    turned into bytes once per block, and expanded through a table from
+    a byte to its 8 bits as bytes; each lane's block is slice-assigned
+    into its mask.
+  - The trial runner and the coupling suite cap a group at
+    ``GROUP_LANES = 32`` lanes.  On a 2-vCPU x86 VM (Python 3.11, 4096
+    draws per lane), one lane costs about 0.7 us per draw, 32 lanes
+    about 80 ns per lane and draw, and 256 still about 60 ns.  Wider
+    groups gain little, while every lane's mask is held until its trial
+    is computed and fewer, larger groups balance worse over pool
+    workers.
 """
 
 import math
 import sys
 from array import array
 from collections import deque
+from itertools import islice
 
 MASK64 = (1 << 64) - 1
 
@@ -152,30 +150,9 @@ class Xoshiro256StarStar:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, last index downwards."""
-        words = self.words()
+        words = lockstep([self])
         deque(placements(items, words), maxlen=0)
         words.close()
-
-    def words(self):
-        """Endless stream of ``next_u64`` outputs.  The state is held in
-        local variables and written back when the stream is closed, so
-        the generator then continues after the words drawn; it must not
-        be stepped otherwise while the stream is open."""
-        s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
-        try:
-            while True:
-                x = (s1 * 5) & MASK64
-                x = (((x << 7) | (x >> 57)) & MASK64) * 9 & MASK64
-                t = (s1 << 17) & MASK64
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t
-                s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
-                yield x
-        finally:
-            self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
 
 
 def placements(items: list, words):
@@ -219,38 +196,42 @@ def _unpack(packed: int, lanes: int) -> list[int]:
             for i in range(lanes)]
 
 
-def _pack_states(gens) -> list[int]:
-    """The four packed state ints of a lockstep group."""
-    return [_pack([g.s0 for g in gens]), _pack([g.s1 for g in gens]),
-            _pack([g.s2 for g in gens]), _pack([g.s3 for g in gens])]
-
-
-def _store_states(gens, packed) -> None:
-    """Write each lane of the packed state ints back to its generator."""
-    for g, *state in zip(gens, *(_unpack(s, len(gens)) for s in packed)):
-        g.s0, g.s1, g.s2, g.s3 = state
+def lockstep(gens):
+    """Endless stream of one packed int per step of all ``gens``: lane
+    i's ``next_u64`` word sits in bits [128 i, 128 i + 64).  Every state
+    is written back when the stream is closed; see the module docstring
+    for the lane layout."""
+    lanes = len(gens)
+    lane = MASK64 * int.from_bytes(_ONE_PER_LANE * lanes, "little")
+    s0 = _pack([g.s0 for g in gens])
+    s1 = _pack([g.s1 for g in gens])
+    s2 = _pack([g.s2 for g in gens])
+    s3 = _pack([g.s3 for g in gens])
+    try:
+        while True:
+            x = (s1 * 5) & lane
+            x = (((x << 7) | (x >> 57)) & lane) * 9 & lane
+            t = (s1 << 17) & lane
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & lane
+            yield x
+    finally:
+        for g, *state in zip(gens, *(_unpack(s, lanes) for s in (s0, s1, s2, s3))):
+            g.s0, g.s1, g.s2, g.s3 = state
 
 
 def lockstep_words(gens, count: int) -> list[array]:
     """The next ``count`` ``next_u64`` outputs of each generator, one
-    ``array('Q')`` per generator; all generators are stepped in lockstep
-    and each ends ``count`` words further on.  See the module docstring
-    for the lane layout."""
+    ``array('Q')`` per generator; each generator ends ``count`` words
+    further on."""
     lanes = len(gens)
-    lane = MASK64 * int.from_bytes(_ONE_PER_LANE * lanes, "little")
-    s0, s1, s2, s3 = _pack_states(gens)
-    steps = []
-    for _ in range(count):
-        x = (s1 * 5) & lane
-        steps.append((((x << 7) | (x >> 57)) & lane) * 9 & lane)
-        t = (s1 << 17) & lane
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & lane
-    _store_states(gens, (s0, s1, s2, s3))
+    stream = lockstep(gens)
+    steps = list(islice(stream, count))
+    stream.close()
     width = _LANE_BYTES * lanes
     view = memoryview(b"".join([w.to_bytes(width, "little") for w in steps])).cast("Q")
     words = [array("Q", view[2 * i::2 * lanes].tobytes()) for i in range(lanes)]
@@ -267,39 +248,26 @@ GROUP_LANES = 32
 
 def bernoulli_masks(gens, count: int, p: float) -> list[bytearray]:
     """Byte k of mask i is 1 iff the k-th of the next ``count`` doubles
-    of ``gens[i]`` is < p; all generators are stepped in lockstep.
-
-    Every generator ends ``count`` words further on.  See the module
-    docstring for the lane layout.
-    """
+    of ``gens[i]`` is < p; every generator ends ``count`` words further
+    on.  See the module docstring for the keep test."""
     lanes = len(gens)
     masks = [bytearray(count) for _ in range(lanes)]
     threshold = math.ceil(p * 9007199254740992.0) << 11  # 2**53
     ones = int.from_bytes(_ONE_PER_LANE * lanes, "little")
-    lane = MASK64 * ones
     guard = ones << 64
     bias = ((1 << 64) + threshold - 1) * ones
-    s0, s1, s2, s3 = _pack_states(gens)
+    stream = lockstep(gens)
     table = _BITS_OF_BYTE.__getitem__
     width = _LANE_BYTES * lanes
     for start in range(0, count, 64):
         steps = min(64, count - start)
         acc = 0
-        for _ in range(steps):
-            x = (s1 * 5) & lane
-            word = (((x << 7) | (x >> 57)) & lane) * 9 & lane
+        for word in islice(stream, steps):
             acc = (acc >> 1) | ((bias - word) & guard)
-            t = (s1 << 17) & lane
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & lane
         # step k's bit now sits at bit 65 - steps + k of its lane
         bits = b"".join(map(table, (acc >> (65 - steps)).to_bytes(width, "little")))
         stop = start + steps
         for i, mask in enumerate(masks):
             mask[start:stop] = bits[_LANE_BITS * i:_LANE_BITS * i + steps]
-    _store_states(gens, (s0, s1, s2, s3))
+    stream.close()
     return masks

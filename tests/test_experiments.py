@@ -527,7 +527,7 @@ def test_cli_rejects_unreadable_or_mistyped_config(command, config, tmp_path,
     assert err.startswith("error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("edge_list", ["directory", "not utf-8"])
+@pytest.mark.parametrize("edge_list", ["directory", "not utf-8", "missing", "name too long"])
 def test_cli_rejects_unreadable_edge_list(edge_list, tmp_path, monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         pytest.fail("a worker pool started before the edge list was checked")
@@ -536,8 +536,10 @@ def test_cli_rejects_unreadable_edge_list(edge_list, tmp_path, monkeypatch, caps
     path = tmp_path / "graph.txt"
     if edge_list == "directory":
         path.mkdir()
-    else:
+    elif edge_list == "not utf-8":
         path.write_bytes(b"2 1\n0 1 \xff\n")
+    elif edge_list == "name too long":
+        path = tmp_path / ("x" * 300)
     config = tmp_path / "exp.json"
     config.write_text(json.dumps({"product": [{"kind": "edge_list", "path": str(path)}],
                                   "seed": 0, "workers": 2}))

@@ -73,7 +73,7 @@ def test_base_from_edges_validation():
     with pytest.raises(MalformedEdgeListError):
         base_from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(DisconnectedError):
-        base_from_edges(4, [(0, 1), (2, 3)], require_regular=False)
+        base_from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(NonRegularError):
         base_from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(TooSmallError):

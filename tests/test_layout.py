@@ -107,6 +107,19 @@ def test_every_class_member_is_read_in_src():
         assert _attribute_reads(node)[member.rsplit(".", 1)[1]] > 0, (member, reader)
 
 
+
+def test_one_bulk_xoshiro_stepper():
+    """The xoshiro256** state rotation ``s3 << 45`` appears in exactly two
+    functions in src/prodperc: the scalar reference ``next_u64`` and the
+    one bulk stepper ``rng.lockstep``."""
+    stepping = sorted(f"{path.name}:{node.name}" for path in SRC.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.LShift)
+                              and isinstance(sub.right, ast.Constant) and sub.right.value == 45
+                              for sub in ast.walk(node)))
+    assert stepping == ["rng.py:lockstep", "rng.py:next_u64"]
+
 def _attribute_reads(tree) -> Counter:
     return Counter(sub.attr for sub in ast.walk(tree)
                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from helpers import reference_mask, reference_shuffle
 from prodperc.rng import (MASK64, Xoshiro256StarStar, bernoulli_masks,
-                          derive_trial_seed, lockstep_words, placements,
-                          split_seeds, splitmix64)
+                          derive_trial_seed, lockstep, lockstep_words,
+                          placements, split_seeds, splitmix64)
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 PROBABILITIES = st.one_of(st.sampled_from((0.0, 1.0, 1e-12, 1.0 - 1e-12)),
@@ -31,9 +31,9 @@ def generator_whose_next_word_is(word: int) -> Xoshiro256StarStar:
 
 
 def placements_to_the_end(gen, items):
-    """Shuffle ``items`` by running ``placements`` on ``gen.words()`` to
-    the end."""
-    words = gen.words()
+    """Shuffle ``items`` by running ``placements`` on a one-lane
+    ``lockstep`` stream to the end."""
+    words = lockstep([gen])
     assert list(placements(items, words)) == list(range(len(items) - 1, -1, -1))
     words.close()
 
@@ -144,6 +144,20 @@ def test_lockstep_words_match_one_generator_at_a_time(seeds, count):
     assert [state(gen) for gen in lockstep] == [state(gen) for gen in reference]
 
 
+@given(st.lists(U64, min_size=1, max_size=5), st.integers(min_value=0, max_value=130))
+def test_closed_lockstep_stream_leaves_the_words_drawn(seeds, k):
+    # k = 0 closes a stream that never started
+    gens = [Xoshiro256StarStar(seed) for seed in seeds]
+    reference = [Xoshiro256StarStar(seed) for seed in seeds]
+    stream = lockstep(gens)
+    packed = [next(stream) for _ in range(k)]
+    stream.close()
+    # lane i's word in bits [128 i, 128 i + 64), every other bit clear
+    assert packed == [sum(gen.next_u64() << 128 * i for i, gen in enumerate(reference))
+                      for _ in range(k)]
+    assert [state(gen) for gen in gens] == [state(gen) for gen in reference]
+
+
 def check_threshold_word(p, offset, others):
     """The largest word kept (offset -1) or the smallest word dropped
     (offset 0) in a middle lane, with a lane for each seed in ``others``
@@ -195,7 +209,7 @@ def test_stopped_placements_leave_the_words_drawn(seed, size, k):
     k %= size
     gen = Xoshiro256StarStar(seed)
     items = list(range(size))
-    source = gen.words()
+    source = lockstep([gen])
     stream = placements(items, source)
     assert [next(stream) for _ in range(k)] == list(range(size - 1, size - 1 - k, -1))
     source.close()
