@@ -198,17 +198,11 @@ def base_from_edges(order: int, edges, label: str = "") -> BaseGraph:
     degrees = {len(s) for s in nbrs}
     if len(degrees) != 1:
         raise NonRegularError(f"{label}: non-regular, degrees {sorted(degrees)}")
-    # connectivity by breadth-first search from vertex 0
-    seen_v = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for w in nbrs[u]:
-            if w not in seen_v:
-                seen_v.add(w)
-                queue.append(w)
-    if len(seen_v) != order:
-        raise DisconnectedError(f"{label}: disconnected ({len(seen_v)} of {order} vertices reachable)")
+    # the first component holds vertex 0
+    comps = components_from_bitmasks([sum(1 << w for w in s) for s in nbrs], (1 << order) - 1)
+    if len(comps) != 1:
+        reached = comps[0].bit_count()
+        raise DisconnectedError(f"{label}: disconnected ({reached} of {order} vertices reachable)")
     return BaseGraph(order=order, degree=degrees.pop(),
                      adjacency=tuple(tuple(sorted(s)) for s in nbrs), label=label)
 
@@ -359,7 +353,10 @@ class ProductGraph:
 
     @cached_property
     def shift_plan(self) -> tuple[itemgetter, tuple[tuple[int, tuple], ...]]:
-        """Where ``process.component_profile`` puts each edge-mask byte.
+        """Where ``process._shift_rows`` puts each edge-mask byte.
+
+        ``_shift_rows`` is the one reader: ``component_profile`` and the
+        tau2 fill of the hitting-time trials read their masks through it.
 
         Returns ``(gather, groups)``.  ``gather(mask)`` picks the mask
         bytes grouped by edge shift s = v - u, u rising within a group.

@@ -32,17 +32,20 @@ below ``lower``, the first prefix with few enough vertices of degree
 zero for the matching.  It counts each vertex's unplaced edges down
 from its degree: the first vertex to run out gives tau1, the
 (n mod 2 + 1)-th gives ``lower``, and no position below ``lower`` is
-drawn.  On n >= 2 vertices a connected graph has no isolated vertex, so
-tau2 >= tau1: one union pass over the first tau1 edges, then one edge
-at a time until one component remains.  tau3 is found with one matching
-solve at ``lower``, then, if that falls short, by one augmenting search
-per added edge.
+drawn.  The routine builds the edge mask of the edges below ``lower``
+once.  tau2 reads it first, as one n-bit int per edge shift, and tau3
+then solves on it.  On n >= 2 vertices a connected graph has no
+isolated vertex, so tau2 >= tau1: a shift-row fill from vertex 0 over
+the first tau1 edges, then one edge at a time, filling from an edge's
+outer end when it leaves the reached set, until every vertex is
+reached.  tau3 is found with one matching solve at ``lower``, then, if
+that falls short, by one augmenting search per added edge.
 
-``DisjointSet.union_all`` is the one union-find loop, used for tau2.
-``component_profile`` needs no edge list: it reads the sample as one
-n-bit int per edge shift of the product (``ProductGraph.shift_plan``,
-built once per product on first use) and grows each component by
-shifting and masking those ints.
+Both tau2 and ``component_profile`` read an edge mask as one n-bit int
+per edge shift of the product (``_shift_rows``, by way of
+``ProductGraph.shift_plan``, built once per product on first use) and
+grow components by shifting and masking those ints (``_fill``); neither
+reads an edge list for it.
 """
 
 from dataclasses import dataclass
@@ -50,7 +53,7 @@ from itertools import chain, compress, count
 
 from .catalog import TAU3_MODES
 from .graph_core import ProductGraph
-from .matching import _augment_once, _solve
+from .matching import _augment_once, _identity, _solve
 from .rng import (Xoshiro256StarStar, bernoulli_masks, lockstep_words, placements,
                   split_seeds)
 
@@ -107,35 +110,6 @@ class ComponentProfile:
     isolated: tuple[int, ...]
     min_isolated_distance: int | None
     mid_components: int
-
-
-class DisjointSet:
-    """Union-find with path halving and union by size."""
-
-    __slots__ = ("parent", "size", "components")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.components = n
-
-    def union_all(self, pairs) -> None:
-        """Merge the sets of a and b for every pair (a, b) in order."""
-        parent = self.parent
-        size = self.size
-        merged = 0
-        for a, b in pairs:
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                if size[a] < size[b]:
-                    a, b = b, a
-                parent[b] = a
-                size[a] += size[b]
-                merged += 1
-        self.components -= merged
 
 
 def sample_ordering(pg: ProductGraph, seed: int) -> EdgeOrdering:
@@ -207,20 +181,19 @@ def critical_p(pg: ProductGraph, omega: float = 1.0) -> float:
     return 1.0 - (omega / pg.n) ** (1.0 / pg.d)
 
 
-def _tau3(pg: ProductGraph, permutation, lower: int, target: int) -> int | None:
+def _tau3(pg: ProductGraph, permutation, lower: int, target: int, mask) -> int | None:
     """Smallest prefix whose maximum matching reaches ``target``.
 
     ``lower`` is the first prefix that leaves at most n - 2 * target
     vertices of degree zero; no shorter prefix can hold the matching.
-    One solve at ``lower`` usually succeeds.  Otherwise edges are added
-    one at a time: each raises the maximum matching by at most one, and
-    a new augmenting path must cross the new edge, so one search from an
-    exposed endpoint (or from each remaining exposed vertex when both
-    endpoints are matched) restores maximality.
+    ``mask`` is the edge mask of ``permutation[:lower]``; the edges
+    added after it are written into it.  One solve at ``lower`` usually
+    succeeds.  Otherwise edges are added one at a time: each raises the
+    maximum matching by at most one, and a new augmenting path must
+    cross the new edge, so one search from an exposed endpoint (or from
+    each remaining exposed vertex when both endpoints are matched)
+    restores maximality.
     """
-    mask = bytearray(pg.m)
-    for eid in permutation[:lower]:
-        mask[eid] = 1
     mate, size = _solve(pg, mask, stop_at=target)
     if size >= target:
         return lower
@@ -278,16 +251,30 @@ def _hitting_suffix(pg: ProductGraph, items, positions) -> HittingTimes:
             break
     else:
         raise AssertionError("process ended before minimum degree one; ordering incomplete?")
-    # on n >= 2 vertices a connected graph has no isolated vertex: tau2 >= tau1
-    dsu = DisjointSet(n)
-    dsu.union_all(map(edges.__getitem__, items[:tau1]))
+    mask = bytearray(pg.m)
+    for eid in items[:lower]:
+        mask[eid] = 1
+    # on n >= 2 vertices a connected graph has no isolated vertex, so
+    # tau2 >= tau1: fill from vertex 0 over the edges below tau1, then
+    # add one edge at a time, filling from its outer end when it leaves
+    # the reached set, until nothing is left.  lower <= tau1 (equal for
+    # even n), and _tau3 writes into the mask, so the rows come first.
+    rows = dict(_shift_rows(pg, mask))
+    for eid in items[lower:tau1]:
+        u, v = edges[eid]
+        rows[v - u] |= 1 << u
+    rest = _fill(rows.items(), 1, (1 << n) - 2)
     tau2 = tau1
-    while dsu.components > 1 and tau2 < pg.m:
-        dsu.union_all((edges[items[tau2]],))
+    while rest and tau2 < pg.m:
+        u, v = edges[items[tau2]]
         tau2 += 1
-    if dsu.components > 1:
+        rows[v - u] |= 1 << u
+        if (rest >> u & 1) != (rest >> v & 1):
+            outer = 1 << (u if rest >> u & 1 else v)
+            rest = _fill(rows.items(), outer, rest ^ outer)
+    if rest:
         raise AssertionError("process ended before connectivity; ordering incomplete?")
-    return HittingTimes(tau1=tau1, tau2=tau2, tau3=_tau3(pg, items, lower, target))
+    return HittingTimes(tau1=tau1, tau2=tau2, tau3=_tau3(pg, items, lower, target, mask))
 
 
 def hitting_times(pg: ProductGraph, seeds) -> list[HittingTimes]:
@@ -310,7 +297,7 @@ def hitting_times(pg: ProductGraph, seeds) -> list[HittingTimes]:
 
     out = []
     for lane, store in enumerate(stores):
-        items = list(range(pg.m))
+        items = _identity(pg.m).copy()  # a copy shares the cached ints
         words = chain.from_iterable(blocks(lane))
         out.append(_hitting_suffix(pg, items, placements(items, words)))
         store.clear()
@@ -333,50 +320,67 @@ def run_process(pg: ProductGraph, ordering: EdgeOrdering,
     return _hitting_suffix(pg, perm, range(pg.m - 1, -1, -1))
 
 
-def component_profile(pg: ProductGraph, sample: PercolationSample) -> ComponentProfile:
-    """Component sizes, isolated vertices, and their host-graph spacing.
+def _shift_rows(pg: ProductGraph, mask) -> list[tuple[int, int]]:
+    """The edges of the 0/1 edge mask ``mask`` as one n-bit int per edge
+    shift of the product, ``(s, E_s)`` in ``pg.shift_plan`` order.
 
     Every product edge is (u, u + s) for a shift s = (b - a) * stride_i
-    of a base edge a < b of factor i.  The kept edges become one n-bit
-    int E_s per shift: bit u is set iff edge (u, u + s) is kept.  Base
-    edges of one factor with the same b - a share E_s, as their u are
-    disjoint.  ``pg.shift_plan`` says where each mask byte goes; it is
-    built on the first call for a product and reused after.
-
-    The vertices with a kept edge are the OR of ``E_s | E_s << s``; the
-    rest are isolated.  Each other component grows from the lowest
-    unvisited vertex, one breadth-first layer F at a time: the next
-    layer is the OR of ``((F & E_s) << s) | ((F >> s) & E_s)`` over all
-    shifts, less the vertices already visited.
+    of a base edge a < b of factor i, and bit u of E_s is set iff edge
+    (u, u + s) is in the mask.  Base edges of one factor with the same
+    b - a share E_s, as their u are disjoint.  ``pg.shift_plan`` says
+    where each mask byte goes; it is built on the first call for a
+    product and reused after.
     """
     gather, groups = pg.shift_plan
     n = pg.n
-    picked = bytes(gather(sample.mask))
-    kept = []
-    covered = 0
+    picked = bytes(gather(mask))
+    rows = []
     for shift, moves in groups:
         row = bytearray(n)
         for dst, src in moves:
             row[dst] = picked[src]
         row.reverse()  # int(..., 2) reads the most significant bit first
-        bits = int(row.translate(_TO_DIGITS), 2)
+        rows.append((shift, int(row.translate(_TO_DIGITS), 2)))
+    return rows
+
+
+def _fill(rows, layer: int, rest: int) -> int:
+    """``rest`` less every vertex reachable from ``layer`` over the shift
+    rows ``(s, E_s)``; ``rest`` must not hold ``layer``.  The fill runs
+    one breadth-first layer F at a time: the next layer is the OR of
+    ``((F & E_s) << s) | ((F >> s) & E_s)`` over the rows, less the
+    vertices already reached."""
+    while layer:
+        grown = 0
+        for shift, bits in rows:
+            grown |= ((layer & bits) << shift) | ((layer >> shift) & bits)
+        layer = grown & rest
+        rest ^= layer
+    return rest
+
+
+def component_profile(pg: ProductGraph, sample: PercolationSample) -> ComponentProfile:
+    """Component sizes, isolated vertices, and their host-graph spacing.
+
+    The kept edges become one n-bit int E_s per edge shift s
+    (``_shift_rows``).  The vertices with a kept edge are the OR of
+    ``E_s | E_s << s``; the rest are isolated.  Each other component is
+    filled (``_fill``) from the lowest vertex not yet visited.
+    """
+    n = pg.n
+    kept = []
+    covered = 0
+    for shift, bits in _shift_rows(pg, sample.mask):
         if bits:
             kept.append((shift, bits))
             covered |= bits | bits << shift
     sizes = []
     rest = covered
     while rest:
-        layer = rest & -rest
-        rest ^= layer
-        size = 1
-        while layer:
-            grown = 0
-            for shift, bits in kept:
-                grown |= ((layer & bits) << shift) | ((layer >> shift) & bits)
-            layer = grown & rest
-            rest ^= layer
-            size += layer.bit_count()
-        sizes.append(size)
+        low = rest & -rest
+        left = _fill(kept, low, rest ^ low)
+        sizes.append((rest - left).bit_count())
+        rest = left
     lonely = format(((1 << n) - 1) ^ covered, f"0{n}b")[::-1].encode()
     isolated = tuple(compress(range(n), lonely.translate(_FROM_DIGITS)))
     sizes = tuple(sorted(sizes + [1] * len(isolated), reverse=True))

@@ -120,6 +120,27 @@ def test_one_bulk_xoshiro_stepper():
                               for sub in ast.walk(node)))
     assert stepping == ["rng.py:lockstep", "rng.py:next_u64"]
 
+
+def test_one_component_fill_over_shift_rows():
+    """``ProductGraph.shift_plan`` is read by exactly one function in
+    src/prodperc, the shared rows helper ``process._shift_rows``, and no
+    union-find (``DisjointSet``, ``union_all``) is left beside it."""
+    readers = []
+    union_find = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(sub, ast.Attribute) and sub.attr == "shift_plan"
+                       and isinstance(sub.ctx, ast.Load) for sub in ast.walk(node)):
+                    readers.append(f"{path.name}:{node.name}")
+            names = {getattr(node, field, None) for field in ("name", "id", "attr")}
+            if names & {"DisjointSet", "union_all"}:
+                union_find.append(f"{path.name}:{node.lineno}")
+    assert readers == ["process.py:_shift_rows"]
+    assert union_find == []
+
+
 def _attribute_reads(tree) -> Counter:
     return Counter(sub.attr for sub in ast.walk(tree)
                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))

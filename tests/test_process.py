@@ -306,6 +306,8 @@ PROFILE_PRODUCTS = {
     # hypercubes, down to the one-edge K2, and a K3 placed by strided
     # moves two offsets wide
     "K2": (K2,), "Q3": (K2,) * 3, "Q6": (K2,) * 6, "K2xK3xQ3": (K2, K3) + (K2,) * 3,
+    # odd n, where a hitting trial's prefix mask stops below tau1
+    "C5xK3": (C5, K3), "K3xC5xK3": (K3, C5, K3),
 }
 
 
@@ -363,6 +365,28 @@ def test_shift_plan_is_built_by_the_first_profile():
     plan = vars(pg)["shift_plan"]
     component_profile(pg, sample_percolation(pg, 0.5, 2))
     assert vars(pg)["shift_plan"] is plan
+
+
+def test_shift_plan_is_built_by_the_first_hitting_trial():
+    # tau2 reads the prefix mask through the same shift rows
+    pg = build_catalog_product("C5xK2xK3")
+    assert "shift_plan" not in vars(pg)
+    hitting_times(pg, [1])
+    plan = vars(pg)["shift_plan"]
+    hitting_times(pg, [2, 3])
+    assert vars(pg)["shift_plan"] is plan
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_PRODUCTS))
+def test_hitting_times_equal_prefix_oracles_on_every_shift_layout(tmp_path, name):
+    # tau2's shift-row fill on shared shifts, non-run shifts, edge-list
+    # bases and the one-edge K2, with odd and even n
+    pg = _profile_product(tmp_path, name)
+    seeds = range(12)
+    for seed, times in zip(seeds, hitting_times(pg, seeds), strict=True):
+        ordering = sample_ordering(pg, seed)
+        assert (times.tau1, times.tau2) == prefix_hitting_times(pg, ordering)
+        assert times.tau3 == _tau3_oracle(pg, ordering)
 
 
 @pytest.mark.parametrize("name", sorted(PROFILE_PRODUCTS))
