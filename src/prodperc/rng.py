@@ -20,17 +20,20 @@ implementation in any language can reproduce every experiment stream:
 ``next_u64``, ``next_double`` and ``next_below`` are the one-step
 reference.  ``lockstep(gens)`` is the one bulk stepper: an endless
 stream with one packed int per step, lane i's ``next_u64`` word in bits
-[128 i, 128 i + 64).  It packs the generators' states on its first step
+[72 i, 72 i + 64).  It packs the generators' states on its first step
 (lane i's four state words in the same bits of four packed ints), runs
-the reference update on all lanes at once with each result masked to
-the low 64 bits of every lane, and writes every state back when the
-stream is closed, so each generator continues exactly as after the
-same number of ``next_u64`` calls; none may be stepped otherwise while
-the stream is open.  No intermediate (``s1 * 5``, ``* 9``, ``s1 << 17``,
-the rotations) reaches past bit 127 of its lane, so no carry or shifted
-bit crosses into the next lane.  With one lane each packed int is the
-plain word.  A stream closed before its first step leaves every state
-as it was.  It feeds three loops:
+the reference update on all lanes at once, and writes every state back
+when the stream is closed, so each generator continues exactly as after
+the same number of ``next_u64`` calls; none may be stepped otherwise
+while the stream is open.  No bit crosses into another lane: each left
+shift is masked first (``(s1 & low47) << 17``, ``(s3 & low19) << 45``)
+and each right shift after (``s3 >> 19 & low45``; the top 7 bits of the
+rotated product come down by ``>> 64 & low7``), so every state word
+stays below 2**64; ``s1 * 5`` is below 2**67, the rotated word times 9
+below 2**68, and the largest intermediate, ``(s1 * 5 & lane) << 7``,
+below 2**71.  With one lane each packed int is the plain word.  A
+stream closed before its first step leaves every state as it was.  It
+feeds three loops:
 
 * ``placements(items, words)`` is the one shuffle loop: a top-down
   Fisher-Yates over raw 64-bit words that yields each position as it
@@ -44,33 +47,30 @@ as it was.  It feeds three loops:
   ``shuffle`` runs it on a one-lane stream to the end.
 * ``lockstep_words(gens, count)`` returns each generator's next
   ``count`` words as an ``array('Q')``, 8 bytes per lane and step:
-  each step's packed int becomes 16 bytes per lane, and lane i is every
-  ``2 * lanes``-th 64-bit word from the 2 i-th.
+  each step's packed int becomes 9 bytes per lane, and byte j of lane
+  i's words is every ``9 * lanes``-th byte from byte 9 i + j.
   ``process.hitting_times`` shuffles each trial of a group from them.
 * ``bernoulli_masks(gens, count, p)`` draws a Bernoulli mask for each
-  generator of a group and never turns a word into bytes: byte k of
-  generator i's mask is 1 iff the k-th of its next ``count``
-  ``next_double()`` values is below p.
+  generator of a group: byte k of generator i's mask is 1 iff the k-th
+  of its next ``count`` ``next_double()`` values is below p.
 
   - ``(x >> 11) * 2**-53 < p`` holds iff ``x < ceil(p * 2**53) << 11``:
     both products by powers of two are exact and ``x >> 11`` is an
     integer, so each raw word is compared with one threshold T.
-  - The keep test is a borrow into a guard bit: bit 64 of
-    ``2**64 + T - 1 - word`` is set iff ``word < T``.  That holds for
-    every threshold from T = 0 (p = 0) to T = 2**64 (p = 1), and the
-    difference is never negative, so it borrows nothing from the next
-    lane.
-  - The guard bits of up to 64 steps are shifted into one accumulator,
-    turned into bytes once per block, and expanded through a table from
-    a byte to its 8 bits as bytes; each lane's block is slice-assigned
-    into its mask.
+  - The keep test is byte 8 of each 9-byte lane of
+    ``2**64 + T - 1 - word``: that difference lies in [0, 2**65) for
+    every threshold from T = 0 (p = 0) to T = 2**64 (p = 1), so it
+    borrows nothing from the next lane and its byte 8 is 1 iff
+    ``word < T``, else 0.  A block of steps is turned into bytes at
+    once, and each lane's byte 8 of every step is slice-assigned into
+    its mask.
   - The trial runner and the coupling suite cap a group at
     ``GROUP_LANES = 32`` lanes.  On a 2-vCPU x86 VM (Python 3.11, 4096
-    draws per lane), one lane costs about 0.7 us per draw, 32 lanes
-    about 80 ns per lane and draw, and 256 still about 60 ns.  Wider
-    groups gain little, while every lane's mask is held until its trial
-    is computed and fewer, larger groups balance worse over pool
-    workers.
+    draws per lane, best of 7), one lane costs about 0.7 us per draw,
+    20 lanes about 62 ns per lane and draw, 32 lanes about 50 ns and
+    256 still about 40 ns.  Wider groups gain little, while every
+    lane's mask is held until its trial is computed and fewer, larger
+    groups balance worse over pool workers.
 """
 
 import math
@@ -177,15 +177,14 @@ def placements(items: list, words):
         yield 0
 
 
-_LANE_BITS = 128
-_LANE_BYTES = _LANE_BITS // 8
-# byte -> its 8 bits as 8 bytes of 0 or 1, least significant bit first
-_BITS_OF_BYTE = [bytes((b >> j) & 1 for j in range(8)) for b in range(256)]
+# a lane is a 64-bit word and 8 bits of room above it, for the
+# intermediates of ``lockstep`` and the keep bit of ``bernoulli_masks``
+_LANE_BYTES = 9
 _ONE_PER_LANE = (1).to_bytes(_LANE_BYTES, "little")
 
 
 def _pack(words) -> int:
-    """One int holding ``words[i]`` in bits [128 i, 128 i + 64)."""
+    """One int holding ``words[i]`` in bits [72 i, 72 i + 64)."""
     return int.from_bytes(b"".join(w.to_bytes(_LANE_BYTES, "little") for w in words),
                           "little")
 
@@ -198,26 +197,31 @@ def _unpack(packed: int, lanes: int) -> list[int]:
 
 def lockstep(gens):
     """Endless stream of one packed int per step of all ``gens``: lane
-    i's ``next_u64`` word sits in bits [128 i, 128 i + 64).  Every state
+    i's ``next_u64`` word sits in bits [72 i, 72 i + 64).  Every state
     is written back when the stream is closed; see the module docstring
     for the lane layout."""
     lanes = len(gens)
-    lane = MASK64 * int.from_bytes(_ONE_PER_LANE * lanes, "little")
+    ones = int.from_bytes(_ONE_PER_LANE * lanes, "little")
+    lane = MASK64 * ones
+    low7 = ((1 << 7) - 1) * ones
+    low19 = ((1 << 19) - 1) * ones
+    low45 = ((1 << 45) - 1) * ones
+    low47 = ((1 << 47) - 1) * ones
     s0 = _pack([g.s0 for g in gens])
     s1 = _pack([g.s1 for g in gens])
     s2 = _pack([g.s2 for g in gens])
     s3 = _pack([g.s3 for g in gens])
     try:
         while True:
-            x = (s1 * 5) & lane
-            x = (((x << 7) | (x >> 57)) & lane) * 9 & lane
-            t = (s1 << 17) & lane
+            y = ((s1 * 5) & lane) << 7
+            x = ((y & lane) | (y >> 64 & low7)) * 9 & lane
+            t = (s1 & low47) << 17
             s2 ^= s0
             s3 ^= s1
             s1 ^= s2
             s0 ^= s3
             s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & lane
+            s3 = (s3 & low19) << 45 | (s3 >> 19 & low45)
             yield x
     finally:
         for g, *state in zip(gens, *(_unpack(s, lanes) for s in (s0, s1, s2, s3))):
@@ -233,8 +237,13 @@ def lockstep_words(gens, count: int) -> list[array]:
     steps = list(islice(stream, count))
     stream.close()
     width = _LANE_BYTES * lanes
-    view = memoryview(b"".join([w.to_bytes(width, "little") for w in steps])).cast("Q")
-    words = [array("Q", view[2 * i::2 * lanes].tobytes()) for i in range(lanes)]
+    blob = b"".join([w.to_bytes(width, "little") for w in steps])
+    words = []
+    for i in range(lanes):
+        raw = bytearray(8 * count)
+        for j in range(8):
+            raw[j::8] = blob[_LANE_BYTES * i + j::width]
+        words.append(array("Q", raw))
     if sys.byteorder == "big":  # the blob is little-endian
         for lane_words in words:
             lane_words.byteswap()
@@ -245,6 +254,10 @@ def lockstep_words(gens, count: int) -> list[array]:
 # cost per draw, and every lane holds its whole mask until its row.
 GROUP_LANES = 32
 
+# Steps ``bernoulli_masks`` turns into bytes at once: a block holds
+# 9 bytes per lane and step.
+_MASK_BLOCK = 512
+
 
 def bernoulli_masks(gens, count: int, p: float) -> list[bytearray]:
     """Byte k of mask i is 1 iff the k-th of the next ``count`` doubles
@@ -253,21 +266,15 @@ def bernoulli_masks(gens, count: int, p: float) -> list[bytearray]:
     lanes = len(gens)
     masks = [bytearray(count) for _ in range(lanes)]
     threshold = math.ceil(p * 9007199254740992.0) << 11  # 2**53
-    ones = int.from_bytes(_ONE_PER_LANE * lanes, "little")
-    guard = ones << 64
-    bias = ((1 << 64) + threshold - 1) * ones
+    bias = ((1 << 64) + threshold - 1) * int.from_bytes(_ONE_PER_LANE * lanes, "little")
     stream = lockstep(gens)
-    table = _BITS_OF_BYTE.__getitem__
     width = _LANE_BYTES * lanes
-    for start in range(0, count, 64):
-        steps = min(64, count - start)
-        acc = 0
-        for word in islice(stream, steps):
-            acc = (acc >> 1) | ((bias - word) & guard)
-        # step k's bit now sits at bit 65 - steps + k of its lane
-        bits = b"".join(map(table, (acc >> (65 - steps)).to_bytes(width, "little")))
-        stop = start + steps
+    for start in range(0, count, _MASK_BLOCK):
+        stop = min(start + _MASK_BLOCK, count)
+        # byte 8 of each lane of bias - word is its keep bit
+        blob = b"".join([(bias - word).to_bytes(width, "little")
+                         for word in islice(stream, stop - start)])
         for i, mask in enumerate(masks):
-            mask[start:stop] = bits[_LANE_BITS * i:_LANE_BITS * i + steps]
+            mask[start:stop] = blob[_LANE_BYTES * i + 8::width]
     stream.close()
     return masks

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import reference_mask, reference_shuffle
-from prodperc.rng import (MASK64, Xoshiro256StarStar, bernoulli_masks,
+from prodperc.rng import (_LANE_BYTES, MASK64, Xoshiro256StarStar, bernoulli_masks,
                           derive_trial_seed, lockstep, lockstep_words,
                           placements, split_seeds, splitmix64)
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+# raw state words: all-ones lanes side by side are where a missing mask
+# or a borrow leaks into the next lane
+STATE_WORDS = st.one_of(U64, st.sampled_from((0, 1, 1 << 63, MASK64)))
 PROBABILITIES = st.one_of(st.sampled_from((0.0, 1.0, 1e-12, 1.0 - 1e-12)),
                           st.floats(min_value=0.0, max_value=1.0))
 
@@ -20,14 +23,18 @@ def state(gen):
     return gen.s0, gen.s1, gen.s2, gen.s3
 
 
+def generator_in_state(words) -> Xoshiro256StarStar:
+    gen = Xoshiro256StarStar(0)
+    gen.s0, gen.s1, gen.s2, gen.s3 = words
+    return gen
+
+
 def generator_whose_next_word_is(word: int) -> Xoshiro256StarStar:
     """Generator whose next ``next_u64`` returns ``word``: the output is
     rotl(s1 * 5, 7) * 9, so s1 = rotr(word / 9, 7) / 5 mod 2**64."""
     x = (word * pow(9, -1, 1 << 64)) & MASK64
     x = ((x >> 7) | (x << 57)) & MASK64
-    gen = Xoshiro256StarStar(0)
-    gen.s0, gen.s1, gen.s2, gen.s3 = 1, (x * pow(5, -1, 1 << 64)) & MASK64, 2, 3
-    return gen
+    return generator_in_state((1, (x * pow(5, -1, 1 << 64)) & MASK64, 2, 3))
 
 
 def placements_to_the_end(gen, items):
@@ -144,27 +151,30 @@ def test_lockstep_words_match_one_generator_at_a_time(seeds, count):
     assert [state(gen) for gen in lockstep] == [state(gen) for gen in reference]
 
 
-@given(st.lists(U64, min_size=1, max_size=5), st.integers(min_value=0, max_value=130))
-def test_closed_lockstep_stream_leaves_the_words_drawn(seeds, k):
+@given(st.lists(st.one_of(U64.map(lambda seed: state(Xoshiro256StarStar(seed))),
+                          st.tuples(*[STATE_WORDS] * 4)),
+                min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=130))
+def test_closed_lockstep_stream_leaves_the_words_drawn(states, k):
     # k = 0 closes a stream that never started
-    gens = [Xoshiro256StarStar(seed) for seed in seeds]
-    reference = [Xoshiro256StarStar(seed) for seed in seeds]
+    gens = [generator_in_state(words) for words in states]
+    reference = [generator_in_state(words) for words in states]
     stream = lockstep(gens)
     packed = [next(stream) for _ in range(k)]
     stream.close()
-    # lane i's word in bits [128 i, 128 i + 64), every other bit clear
-    assert packed == [sum(gen.next_u64() << 128 * i for i, gen in enumerate(reference))
+    # lane i's word in bits [w i, w i + 64), every other bit clear
+    width = 8 * _LANE_BYTES
+    assert packed == [sum(gen.next_u64() << width * i for i, gen in enumerate(reference))
                       for _ in range(k)]
     assert [state(gen) for gen in gens] == [state(gen) for gen in reference]
 
 
-def check_threshold_word(p, offset, others):
+def check_threshold_word(p, offset, others, at):
     """The largest word kept (offset -1) or the smallest word dropped
-    (offset 0) in a middle lane, with a lane for each seed in ``others``
+    (offset 0) in lane ``at``, with a lane for each seed in ``others``
     around it."""
     word = ((math.ceil(p * 2**53) << 11) + offset) & MASK64
     assert (generator_whose_next_word_is(word).next_double() < p) == (offset < 0)
-    at = len(others) // 2
 
     def lanes():
         gens = [Xoshiro256StarStar(seed) for seed in others]
@@ -180,13 +190,15 @@ def check_threshold_word(p, offset, others):
 @pytest.mark.parametrize("offset", [-1, 0])
 def test_bernoulli_mask_at_the_threshold_word(p, offset):
     # one lane on its own
-    check_threshold_word(p, offset, others=())
+    check_threshold_word(p, offset, others=(), at=0)
 
 
 @pytest.mark.parametrize("p", [0.5, 1 / 3, 1e-12, 1.0 - 1e-12])
 @pytest.mark.parametrize("offset", [-1, 0])
 def test_bernoulli_masks_at_the_threshold_word(p, offset):
-    check_threshold_word(p, offset, others=(1, 2, 3, 4))
+    # first, middle and last lane of a 5-lane group
+    for at in (0, 2, 4):
+        check_threshold_word(p, offset, others=(1, 2, 3, 4), at=at)
 
 
 @given(U64, st.integers(min_value=0, max_value=200))
