@@ -10,7 +10,9 @@ deficiency formula
     deficiency = max over U of (odd components of G - U) - |U|
 
 by enumerating all vertex subsets, which is feasible up to 20 vertices
-and serves as the independent oracle for the solver.
+and serves as the independent oracle for the solver.  It skips every U
+with n - 2|U| no larger than the best value so far, since G - U has at
+most n - |U| odd components.
 """
 
 from dataclasses import dataclass
@@ -151,7 +153,12 @@ def tutte_berge_deficiency(pg: ProductGraph, mask) -> int:
 
 
 def brute_deficiency(pg: ProductGraph, mask) -> int:
-    """Deficiency by enumerating every vertex subset U (oracle, n <= 20)."""
+    """Deficiency by enumerating every vertex subset U (oracle, n <= 20).
+
+    G - U has at most n - |U| odd components, so a U with
+    n - 2|U| <= best cannot raise the maximum and is skipped before its
+    components are computed.
+    """
     n = pg.n
     if n > 20:
         raise ValueError(f"brute-force deficiency capped at 20 vertices, got {n}")
@@ -159,6 +166,8 @@ def brute_deficiency(pg: ProductGraph, mask) -> int:
     all_mask = (1 << n) - 1
     best = 0
     for u_mask in range(1 << n):
+        if n - 2 * u_mask.bit_count() <= best:
+            continue
         odd = 0
         for comp in components_from_bitmasks(nbr, all_mask & ~u_mask):
             if comp.bit_count() & 1:

@@ -115,8 +115,13 @@ def find_minimal_obstructions(pg: ProductGraph, sample: PercolationSample,
     obstruction; an empty result means no obstruction exists with size
     up to ``u_max``.  Sizes above (n - 1) / 2 can never obstruct (there
     are not enough remaining vertices for |U| + 1 components), so the
-    scan is cut there.  Enumeration cost is sum of C(n, u), hence the
-    precondition n <= 16 or u_max <= 3.
+    scan is cut there.  The sets U = P + {w} of size u are taken in
+    lexicographic order by prefix: the components of G - P are found
+    once per (u - 1)-prefix P, and removing w > max(P) only splits w's
+    component C, into at most deg(w) pieces in G - P.  So U cannot
+    obstruct unless the components of G - P other than C that are not
+    of size two, plus deg(w), reach u + 1; only then is C - w split.
+    Enumeration needs n <= 16 or u_max <= 3.
     """
     n = pg.n
     if n > 16 and u_max > 3:
@@ -128,15 +133,28 @@ def find_minimal_obstructions(pg: ProductGraph, sample: PercolationSample,
     effective_max = min(u_max, (n - 1) // 2)
     for u in range(1, effective_max + 1):
         found = []
-        for combo in combinations(range(n), u):
-            u_bits = 0
-            for v in combo:
-                u_bits |= 1 << v
-            comp_masks = components_from_bitmasks(nbr, all_mask & ~u_bits)
-            not_two = sum(1 for c in comp_masks if c.bit_count() != 2)
-            if not_two >= u + 1:
-                record = _record_from_components(pg, frozenset(combo), comp_masks, threshold)
-                found.append(record)
+        for prefix in combinations(range(n), u - 1):
+            avail = all_mask & ~sum(1 << v for v in prefix)
+            comp_of = [0] * n
+            not_two = 0
+            for comp in components_from_bitmasks(nbr, avail):
+                not_two += comp.bit_count() != 2
+                rem = comp
+                while rem:
+                    low = rem & -rem
+                    rem ^= low
+                    comp_of[low.bit_length() - 1] = comp
+            for w in range(prefix[-1] + 1 if prefix else 0, n):
+                comp = comp_of[w]
+                rest = not_two - (comp.bit_count() != 2)
+                if rest + (nbr[w] & avail).bit_count() < u + 1:
+                    continue
+                w_bit = 1 << w
+                pieces = components_from_bitmasks(nbr, comp & ~w_bit)
+                if rest + sum(c.bit_count() != 2 for c in pieces) >= u + 1:
+                    comp_masks = components_from_bitmasks(nbr, avail & ~w_bit)
+                    found.append(_record_from_components(
+                        pg, frozenset(prefix + (w,)), comp_masks, threshold))
         if found:
             return found
     return []

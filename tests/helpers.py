@@ -3,6 +3,7 @@
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from prodperc.catalog import CATALOG
 from prodperc.graph_core import (ProductGraph, build_base,
@@ -64,6 +65,36 @@ def edge_boundary(pg: ProductGraph, subset, mask=None) -> int:
             if flat[k] not in inside:
                 total += 1
     return total
+
+
+def reference_profile(pg: ProductGraph) -> tuple[int, ...]:
+    """f(k) for k in [1, n - 1]: the least ``edge_boundary`` over every
+    k-subset (reference for ``isoperimetry.exhaustive_profile``)."""
+    return tuple(min(edge_boundary(pg, subset) for subset in combinations(range(pg.n), k))
+                 for k in range(1, pg.n))
+
+
+def reference_deficiency(pg: ProductGraph, mask) -> int:
+    """The Tutte-Berge maximum of odd(G - U) - |U| over every vertex
+    set U, none skipped (reference for ``matching.brute_deficiency``)."""
+    nbr = neighbor_bitmasks(pg, mask)
+    all_mask = (1 << pg.n) - 1
+    return max(sum(comp.bit_count() & 1 for comp in components_from_bitmasks(nbr, all_mask & ~u))
+               - u.bit_count() for u in range(1 << pg.n))
+
+
+def reference_obstructions(pg: ProductGraph, sample: PercolationSample,
+                           u_max: int) -> list[ObstructionRecord]:
+    """The records of every removal set of the smallest obstructing size
+    up to ``u_max``, each set in ``combinations`` order through
+    ``band_removal`` (reference for ``find_minimal_obstructions``)."""
+    for u in range(1, u_max + 1):
+        records = [band_removal(pg, sample, combo) for combo in combinations(range(pg.n), u)]
+        found = [record for record in records
+                 if sum(len(comp) != 2 for comp in record.components) >= u + 1]
+        if found:
+            return found
+    return []
 
 
 def reference_mask(gen, count: int, p: float) -> bytes:

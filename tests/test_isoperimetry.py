@@ -5,10 +5,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import edge_boundary
+from helpers import edge_boundary, reference_profile
 from prodperc.catalog import build_catalog_product
 from prodperc.graph_core import (BaseGraph, BaseGraphSpec, TooLargeError,
-                                 build_product, cartesian_product)
+                                 build_base, build_product, cartesian_product)
 from prodperc.isoperimetry import (BoundParams, count_rooted_trees,
                                    edge_connectivity, exhaustive_profile,
                                    f_star, rooted_tree_bound)
@@ -31,6 +31,29 @@ def test_profile_witnesses_attain_their_value():
     pg = build_catalog_product("Q3")
     profile = exhaustive_profile(pg)
     assert profile.witnesses is not None
+    for k in range(1, pg.n):
+        witness = profile.witnesses[k - 1]
+        assert len(witness) == k
+        assert edge_boundary(pg, witness) == profile.f_of(k)
+
+
+# the path 0-2-1: its middle vertex is the last, so the last vertex of
+# a product with it has more than the least degree
+PATH_MIDDLE_LAST = BaseGraph(order=3, degree=None, adjacency=((2,), (2,), (0, 1)), label="P3")
+
+
+@pytest.mark.parametrize("name", ["K3xK2", "K3xK3", "C5xK2", "petersen", "P3xK3", "P3xC5"])
+def test_profile_matches_subset_oracle(name):
+    # odd n and non-bipartite factors; with P3 the product is not
+    # vertex-transitive, and the only (n - 1)-set without the last vertex
+    # has boundary above f(n - 1)
+    bases = {"K2": build_base(BaseGraphSpec.complete(2)),
+             "K3": build_base(BaseGraphSpec.complete(3)),
+             "C5": build_base(BaseGraphSpec.cycle(5)),
+             "petersen": build_base(BaseGraphSpec.petersen()), "P3": PATH_MIDDLE_LAST}
+    pg = cartesian_product([bases[factor] for factor in name.split("x")])
+    profile = exhaustive_profile(pg)
+    assert profile.f == reference_profile(pg)
     for k in range(1, pg.n):
         witness = profile.witnesses[k - 1]
         assert len(witness) == k

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import mask_from_edges
+from helpers import mask_from_edges, reference_deficiency
 from prodperc import matching
 from prodperc.catalog import build_catalog_product, tiny_names
 from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product,
@@ -155,6 +155,19 @@ def test_adding_one_edge_grows_matching_by_at_most_one(seed):
         mask[eid] = 1
         after = maximum_matching(pg, bytes(mask)).size
         assert after in (before, before + 1)
+
+
+@pytest.mark.parametrize("name", ["K5", "petersen", "K3xK3", "C5xK2", "C4xK3", "S3xS2"])
+def test_brute_deficiency_matches_unpruned_loop(name):
+    # S3xS2 = star(3) x star(2) has bipartition classes of 7 and 5, so
+    # its full deficiency is reached only at a U whose removal leaves
+    # isolated vertices alone
+    pg = (cartesian_product([star(3), star(2)]) if name == "S3xS2"
+          else build_catalog_product(name))
+    masks = [bytes(pg.m), full_mask(pg)] + [
+        random_mask(pg, derive_trial_seed(11, k), p=0.05 + 0.1 * k) for k in range(7)]
+    for mask in masks:
+        assert brute_deficiency(pg, mask) == reference_deficiency(pg, mask)
 
 
 def test_brute_deficiency_cap():

@@ -5,8 +5,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import band_removal, deficiency_consistency, mask_from_edges
-from prodperc.catalog import build_catalog_product
+from helpers import (band_removal, deficiency_consistency, mask_from_edges,
+                     reference_obstructions)
+from prodperc.catalog import build_catalog_product, tiny_names
 from prodperc.graph_core import (BaseGraphSpec, build_product,
                                  cartesian_product, star)
 from prodperc.obstructions import (default_threshold, find_minimal_obstructions,
@@ -280,3 +281,14 @@ def test_deficiency_solver_matches_brute(seed, p):
     report = deficiency_consistency(pg, sample_percolation(pg, p, seed))
     assert report.deficiency == report.brute
     assert report.ok
+
+
+@pytest.mark.parametrize("p", [0.2, 0.45, 0.7])
+@pytest.mark.parametrize("name", tiny_names(14))
+def test_scan_matches_full_combinations(name, p):
+    pg = build_catalog_product(name)
+    u_max = (pg.n - 1) // 2
+    for seed in range(4):
+        sample = sample_percolation(pg, p, seed)
+        assert find_minimal_obstructions(pg, sample, u_max=u_max) == \
+            reference_obstructions(pg, sample, u_max)
