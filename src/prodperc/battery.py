@@ -49,77 +49,33 @@ def _suite(outcomes):
     return tally
 
 
-def _blossom_edges(gen: Xoshiro256StarStar) -> set[tuple[int, int]]:
-    """Two odd cycles joined by one edge, each with a pendant path from
-    an end vertex to the cycle's base, on the vertices 0 .. 9 or 0 .. 11.
-
-    The joining edge leaves each cycle at a neighbour of its base, so
-    an augmenting path between the two ends must pass each cycle
-    against its matched pairs: the solver finds it only by contracting
-    a blossom.  The labels steer its greedy warm start to match the
-    path and cycle pairs and leave both ends exposed: the pairs take
-    consecutive labels, the ends the top two, and each joining vertex
-    takes the lower label of its pair, so its base scans it first.
-    """
-    grow = gen.next_below(5)  # the path or cycle given two more vertices, if any
-    edges, pairs, ends, joins = [], [], [], []
-    for side in range(2):
-        start = 2 * len(pairs) + len(ends)
-        path = list(range(start, start + 2 + 2 * (grow == side)))
-        cycle = list(range(path[-1] + 1, path[-1] + 4 + 2 * (grow == side + 2)))
-        chain = path + cycle
-        edges += zip(chain, chain[1:])
-        edges.append((cycle[-1], cycle[0]))
-        pairs += zip(chain[1::2], chain[2::2])
-        ends.append(path[0])
-        joins.append(cycle[1])
-    edges.append(tuple(joins))
-    gen.shuffle(pairs)
-    gen.shuffle(ends)
-    order = []
-    for a, b in pairs:
-        order += (a, b) if a in joins or gen.next_below(2) else (b, a)
-    label = {v: i for i, v in enumerate(order + ends)}
-    return {tuple(sorted((label[a], label[b]))) for a, b in edges}
-
-
 @_suite
-def _suite_oracle_equivalence(seed: int, blossom_masks: int = 0):
-    """Solver deficiency vs subset enumeration on random masks, the
-    small catalog, and ``blossom_masks`` odd cycles with pendant paths
-    (``_blossom_edges``), which the solver matches only by contracting
-    blossoms."""
+def _suite_oracle_equivalence(seed: int):
+    """Solver deficiency vs subset enumeration on random masks and the
+    small catalog."""
     hosts: dict[int, ProductGraph] = {}
-
-    def complete_host(order: int) -> ProductGraph:
-        if order not in hosts:
-            hosts[order] = build_product((BaseGraphSpec.complete(order),))
-        return hosts[order]
-
-    def check(label: str, pg: ProductGraph, mask):
-        return label if tutte_berge_deficiency(pg, mask) != brute_deficiency(pg, mask) else None
-
     for i in range(200):
         trial_seed = derive_trial_seed(seed, i)
         gen = Xoshiro256StarStar(trial_seed)
         order = 4 + gen.next_below(7)
-        host = complete_host(order)
+        host = hosts.get(order)
+        if host is None:
+            host = build_product((BaseGraphSpec.complete(order),))
+            hosts[order] = host
         p = 0.2 + 0.6 * gen.next_double()
         mask = bernoulli_masks([gen], host.m, p)[0]
-        yield check(f"random mask K{order} trial {i} seed {trial_seed}", host, mask)
+        yield (f"random mask K{order} trial {i} seed {trial_seed}"
+               if tutte_berge_deficiency(host, mask) != brute_deficiency(host, mask)
+               else None)
     for j, name in enumerate(tiny_names(12)):
         pg = build_catalog_product(name)
         base = derive_trial_seed(seed, 1000 + j)
         samples = sample_percolations(pg, 0.55, [derive_trial_seed(base, k) for k in range(3)])
         masks = [full_mask(pg)] + [sample.mask for sample in samples]
         for k, mask in enumerate(masks):
-            yield check(f"catalog {name} mask {k}", pg, mask)
-    for i in range(blossom_masks):
-        trial_seed = derive_trial_seed(seed, 2000 + i)
-        edges = _blossom_edges(Xoshiro256StarStar(trial_seed))
-        host = complete_host(1 + max(v for _, v in edges))
-        mask = bytes(edge in edges for edge in host.edges)
-        yield check(f"blossom mask K{host.n} trial {i} seed {trial_seed}", host, mask)
+            yield (f"catalog {name} mask {k}"
+                   if tutte_berge_deficiency(pg, mask) != brute_deficiency(pg, mask)
+                   else None)
 
 
 @_suite

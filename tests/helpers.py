@@ -97,6 +97,41 @@ def reference_obstructions(pg: ProductGraph, sample: PercolationSample,
     return []
 
 
+def blossom_edges(gen) -> set[tuple[int, int]]:
+    """Two odd cycles (3 or 5 vertices) joined by one edge, each with a
+    pendant path (2 or 4 vertices) from an end vertex to the cycle's
+    base, on the vertices 0 .. 9 or 0 .. 11.
+
+    The joining edge leaves each cycle at a neighbour of its base, so
+    an augmenting path between the two ends must pass each cycle
+    against its matched pairs: the solver finds it only by contracting
+    a blossom.  The labels steer its greedy warm start to match the
+    path and cycle pairs and leave both ends exposed: the pairs take
+    consecutive labels, the ends the top two, and each joining vertex
+    takes the lower label of its pair, so its base scans it first.
+    """
+    grow = gen.next_below(5)  # the path or cycle given two more vertices, if any
+    edges, pairs, ends, joins = [], [], [], []
+    for side in range(2):
+        start = 2 * len(pairs) + len(ends)
+        path = list(range(start, start + 2 + 2 * (grow == side)))
+        cycle = list(range(path[-1] + 1, path[-1] + 4 + 2 * (grow == side + 2)))
+        chain = path + cycle
+        edges += zip(chain, chain[1:])
+        edges.append((cycle[-1], cycle[0]))
+        pairs += zip(chain[1::2], chain[2::2])
+        ends.append(path[0])
+        joins.append(cycle[1])
+    edges.append(tuple(joins))
+    gen.shuffle(pairs)
+    gen.shuffle(ends)
+    order = []
+    for a, b in pairs:
+        order += (a, b) if a in joins or gen.next_below(2) else (b, a)
+    label = {v: i for i, v in enumerate(order + ends)}
+    return {tuple(sorted((label[a], label[b]))) for a, b in edges}
+
+
 def reference_mask(gen, count: int, p: float) -> bytes:
     """Byte k is 1 iff the k-th ``next_double()`` is below p, one draw at
     a time (reference for one lane of ``rng.bernoulli_masks``)."""

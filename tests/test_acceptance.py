@@ -59,10 +59,9 @@ def _report_suite(number: int, claim: str, result: tuple[int, int, str]):
 
 
 def test_criterion_01_matching_oracle_equivalence():
-    _report_suite(1, "solver vs enumeration on 200 random masks (n <= 10), "
-                     "on full and sampled masks of the catalog (n <= 12) "
-                     "and on 40 blossom-forcing masks (n = 12)",
-                  _suite_oracle_equivalence(BASE_SEED, blossom_masks=40))
+    _report_suite(1, "solver vs enumeration on 200 random masks (n <= 10) "
+                     "and on full and sampled masks of the catalog (n <= 12)",
+                  _suite_oracle_equivalence(BASE_SEED))
 
 
 def test_criterion_02_profile_dominates_analytic_bound():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import mask_from_edges, reference_deficiency
+from helpers import blossom_edges, mask_from_edges, reference_deficiency
 from prodperc import matching
 from prodperc.catalog import build_catalog_product, tiny_names
 from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product,
@@ -80,6 +80,17 @@ def test_augment_contracts_blossom():
     assert _augment_once(pg, mask, mate, root=6)
     size = sum(1 for v, w in enumerate(mate) if w > v)
     assert size == (pg.n - brute_deficiency(pg, mask)) // 2 == 3
+
+
+def test_solver_matches_brute_on_blossom_forcing_masks():
+    # the greedy warm start leaves both path ends exposed, and every
+    # augmenting path between them needs a contracted blossom
+    hosts = {n: build_product((BaseGraphSpec.complete(n),)) for n in (10, 12)}
+    for i in range(40):
+        edges = blossom_edges(Xoshiro256StarStar(derive_trial_seed(2026, i)))
+        pg = hosts[1 + max(v for _, v in edges)]
+        mask = mask_from_edges(pg, edges)
+        assert tutte_berge_deficiency(pg, mask) == brute_deficiency(pg, mask) == 0
 
 
 def test_augment_leaves_the_cached_identity_unshared():
