@@ -16,8 +16,8 @@ with e Euler's constant and C the largest base-graph order; f* extends
 to k > n/2 by the symmetry f(k) = f(n - k) and accepts real arguments
 because the component-counting bounds evaluate it at real split points.
 The module also provides the exact global minimum cut (maximum adjacency
-orderings) and exact counts of rooted subtrees against the (e*d)**(k-1)
-bound.
+orderings) and exact counts of rooted subtrees, grown from the root one
+frontier edge at a time, against the (e*d)**(k-1) bound.
 """
 
 import heapq
@@ -198,91 +198,32 @@ def edge_connectivity(pg: ProductGraph) -> int:
     return int(best)
 
 
-def _int_det(matrix: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free Gaussian elimination."""
-    size = len(matrix)
-    if size == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for i in range(size - 1):
-        if m[i][i] == 0:
-            pivot = next((r for r in range(i + 1, size) if m[r][i] != 0), None)
-            if pivot is None:
-                return 0
-            m[i], m[pivot] = m[pivot], m[i]
-            sign = -sign
-        for r in range(i + 1, size):
-            for c in range(i + 1, size):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = m[i][i]
-    return sign * m[size - 1][size - 1]
-
-
-def _spanning_tree_count(pg: ProductGraph, vertices: tuple[int, ...]) -> int:
-    """Spanning trees of the induced subgraph (matrix-tree theorem)."""
-    k = len(vertices)
-    if k == 1:
-        return 1
-    index = {v: i for i, v in enumerate(vertices)}
-    lap = [[0] * k for _ in range(k)]
-    for i, v in enumerate(vertices):
-        for w in pg.neighbors(v):
-            j = index.get(w)
-            if j is not None:
-                lap[i][j] -= 1
-                lap[i][i] += 1
-    reduced = [row[:-1] for row in lap[:-1]]
-    return _int_det(reduced)
-
-
 def count_rooted_trees(pg: ProductGraph, root: int, k: int) -> int:
     """Exact number of k-vertex subtrees of the graph containing ``root``.
 
-    Sums spanning-tree counts over all connected k-sets containing the
-    root.  Feasible for k up to about 7.
+    Grows each tree from ``root`` one frontier edge at a time; a
+    frontier entry is the far end of an edge leaving the tree.  The
+    branch that takes entry j keeps only the later entries not ending
+    at the new vertex w, then adds w's neighbours outside the tree, so
+    every tree is counted once.  Feasible for k up to about 7.
     """
     if k < 1:
         raise ValueError(f"tree size must be at least 1, got {k}")
     if k > 7:
         raise ValueError(f"rooted tree counting capped at k = 7, got {k}")
-    total = 0
-    for subset in _connected_ksets(pg, root, k):
-        total += _spanning_tree_count(pg, subset)
-    return total
 
+    def grow(tree: set, frontier: list) -> int:
+        if len(tree) == k:
+            return 1
+        total = 0
+        for j, w in enumerate(frontier):
+            tree.add(w)
+            later = [x for x in frontier[j + 1:] if x != w]
+            total += grow(tree, later + [x for x in pg.neighbors(w) if x not in tree])
+            tree.remove(w)
+        return total
 
-def _connected_ksets(pg: ProductGraph, root: int, k: int):
-    """All connected vertex sets of size k containing ``root``.
-
-    Standard growth enumeration: each branch picks one frontier vertex
-    and bans it from later branches of the same node, so every set is
-    produced exactly once.
-    """
-    results: list[tuple[int, ...]] = []
-
-    def grow(current: set, banned: set):
-        if len(current) == k:
-            results.append(tuple(sorted(current)))
-            return
-        frontier = []
-        seen_local = set()
-        for v in current:
-            for w in pg.neighbors(v):
-                if w not in current and w not in banned and w not in seen_local:
-                    seen_local.add(w)
-                    frontier.append(w)
-        local_ban = set()
-        for w in sorted(frontier):
-            current.add(w)
-            grow(current, banned | local_ban)
-            current.remove(w)
-            local_ban.add(w)
-
-    grow({root}, set())
-    return results
+    return grow({root}, pg.neighbors(root))
 
 
 def rooted_tree_bound(d: int, k: int) -> float:

@@ -39,7 +39,8 @@ isolated vertex, so tau2 >= tau1: a shift-row fill from vertex 0 over
 the first tau1 edges, then one edge at a time, filling from an edge's
 outer end when it leaves the reached set, until every vertex is
 reached.  tau3 is found with one matching solve at ``lower``, then, if
-that falls short, by one augmenting search per added edge.
+that falls short, by bisecting the later prefixes with the same solve,
+each on a copy of the mask.
 
 Both tau2 and ``component_profile`` read an edge mask as one n-bit int
 per edge shift of the product (``_shift_rows``, by way of
@@ -53,7 +54,7 @@ from itertools import chain, compress, count
 
 from .catalog import TAU3_MODES
 from .graph_core import ProductGraph
-from .matching import _augment_once, _identity, _solve
+from .matching import _identity, _solve
 from .rng import (Xoshiro256StarStar, bernoulli_masks, lockstep_words, placements,
                   split_seeds)
 
@@ -186,36 +187,25 @@ def _tau3(pg: ProductGraph, permutation, lower: int, target: int, mask) -> int |
 
     ``lower`` is the first prefix that leaves at most n - 2 * target
     vertices of degree zero; no shorter prefix can hold the matching.
-    ``mask`` is the edge mask of ``permutation[:lower]``; the edges
-    added after it are written into it.  One solve at ``lower`` usually
-    succeeds.  Otherwise edges are added one at a time: each raises the
-    maximum matching by at most one, and a new augmenting path must
-    cross the new edge, so one search from an exposed endpoint (or from
-    each remaining exposed vertex when both endpoints are matched)
-    restores maximality.
+    ``mask`` is the edge mask of ``permutation[:lower]``.  One solve at
+    ``lower`` usually succeeds.  Otherwise the prefixes in (lower, m]
+    are bisected with the same solve, each on a copy of ``mask`` with
+    the edges up to the probe written in; ``hi = m + 1`` stands for
+    "never", which gives None.
     """
-    mate, size = _solve(pg, mask, stop_at=target)
-    if size >= target:
+    if _solve(pg, mask, stop_at=target)[1] >= target:
         return lower
-    exposed = [v for v in range(pg.n) if mate[v] < 0]
-    for i in range(lower, pg.m):
-        eid = permutation[i]
-        mask[eid] = 1
-        u, v = pg.edges[eid]
-        if mate[u] < 0 and mate[v] < 0:
-            mate[u] = v
-            mate[v] = u
-            grew = True
-        elif mate[u] < 0 or mate[v] < 0:
-            grew = _augment_once(pg, mask, mate, u if mate[u] < 0 else v)
+    lo, hi = lower + 1, pg.m + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probe = bytearray(mask)
+        for eid in permutation[lower:mid]:
+            probe[eid] = 1
+        if _solve(pg, probe, stop_at=target)[1] >= target:
+            hi = mid
         else:
-            grew = any(_augment_once(pg, mask, mate, root) for root in exposed)
-        if grew:
-            size += 1
-            if size >= target:
-                return i + 1
-            exposed = [x for x in exposed if mate[x] < 0]
-    return None
+            lo = mid + 1
+    return hi if hi <= pg.m else None
 
 
 def _hitting_suffix(pg: ProductGraph, items, positions) -> HittingTimes:
@@ -258,7 +248,7 @@ def _hitting_suffix(pg: ProductGraph, items, positions) -> HittingTimes:
     # tau2 >= tau1: fill from vertex 0 over the edges below tau1, then
     # add one edge at a time, filling from its outer end when it leaves
     # the reached set, until nothing is left.  lower <= tau1 (equal for
-    # even n), and _tau3 writes into the mask, so the rows come first.
+    # even n).
     rows = dict(_shift_rows(pg, mask))
     for eid in items[lower:tau1]:
         u, v = edges[eid]

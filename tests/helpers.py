@@ -83,6 +83,53 @@ def reference_deficiency(pg: ProductGraph, mask) -> int:
                - u.bit_count() for u in range(1 << pg.n))
 
 
+def degree_bound(pg: ProductGraph, ordering) -> int:
+    """First prefix of the ordering that leaves at most n mod 2 vertices
+    of degree zero: no shorter prefix holds a matching of floor(n / 2)
+    edges."""
+    first = {}
+    for length, eid in enumerate(ordering.permutation, 1):
+        for v in pg.edges[eid]:
+            first.setdefault(v, length)
+    return sorted(first.values())[pg.n - pg.n % 2 - 1]
+
+
+def reference_tau3(pg: ProductGraph, ordering) -> int | None:
+    """First prefix of the ordering whose ``reference_deficiency`` is
+    n mod 2, that is, which holds a matching of floor(n / 2) edges; None
+    when the whole graph has none.  Every prefix is scanned from the
+    empty one up (reference for ``process._tau3``: no matching solve and
+    no bisection; n <= 12)."""
+    if pg.n > 12:
+        raise ValueError(f"prefix deficiency scan capped at 12 vertices, got {pg.n}")
+    mask = bytearray(pg.m)
+    for length in range(pg.m + 1):
+        if length:
+            mask[ordering.permutation[length - 1]] = 1
+        if reference_deficiency(pg, mask) == pg.n % 2:
+            return length
+    return None
+
+
+def reference_rooted_trees(pg: ProductGraph, root: int, k: int) -> int:
+    """Number of (k - 1)-edge subsets of the graph that form a tree
+    containing ``root``: k vertices with ``root`` among them, all
+    reached from it (reference for ``isoperimetry.count_rooted_trees``)."""
+    count = 0
+    for subset in combinations(pg.edges, k - 1):
+        vertices = {root}.union(*subset)
+        reached = {root}
+        grew = True
+        while grew:
+            grew = False
+            for u, v in subset:
+                if (u in reached) != (v in reached):
+                    reached.update((u, v))
+                    grew = True
+        count += len(vertices) == k and reached == vertices
+    return count
+
+
 def reference_obstructions(pg: ProductGraph, sample: PercolationSample,
                            u_max: int) -> list[ObstructionRecord]:
     """The records of every removal set of the smallest obstructing size

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import edge_boundary, reference_profile
+from helpers import edge_boundary, reference_profile, reference_rooted_trees
 from prodperc.catalog import build_catalog_product
 from prodperc.graph_core import (BaseGraph, BaseGraphSpec, TooLargeError,
                                  build_base, build_product, cartesian_product)
@@ -156,6 +156,17 @@ def test_rooted_tree_counts_complete_graphs():
     assert count_rooted_trees(k4, 0, 3) == 9  # three triangles, three trees each
     k3 = build_product((BaseGraphSpec.complete(3),))
     assert count_rooted_trees(k3, 0, 3) == 3
+
+
+@pytest.mark.parametrize("name", ["K4", "Q3", "petersen", "C5xK2"])
+def test_rooted_tree_counts_equal_edge_subset_oracle(name):
+    if name == "K4":
+        pg = build_product((BaseGraphSpec.complete(4),))
+    else:
+        pg = build_catalog_product(name)
+    for root in range(pg.n):
+        for k in range(1, 5):
+            assert count_rooted_trees(pg, root, k) == reference_rooted_trees(pg, root, k)
 
 
 def test_rooted_tree_counts_respect_analytic_ceiling():

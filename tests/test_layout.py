@@ -141,6 +141,20 @@ def test_one_component_fill_over_shift_rows():
     assert union_find == []
 
 
+def test_augmenting_search_stays_in_matching():
+    """No module in src/prodperc, scripts/ or perfbench/ but matching.py
+    names ``_augment_once``: tau3 reaches the solver through ``_solve``
+    alone."""
+    namers = []
+    for path in [*SRC.glob("*.py"), *(path for folder in CALLERS for path in folder.glob("*.py"))]:
+        if path == SRC / "matching.py":
+            continue
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "_augment_once" in {getattr(sub, field, None) for field in ("id", "attr", "name")}:
+                namers.append(f"{path.name}:{sub.lineno}")
+    assert namers == []
+
+
 def _attribute_reads(tree) -> Counter:
     return Counter(sub.attr for sub in ast.walk(tree)
                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))

@@ -5,7 +5,8 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import mask_from_edges, prefix_hitting_times
+from helpers import (degree_bound, mask_from_edges, prefix_hitting_times,
+                     reference_tau3)
 import prodperc.process as process
 from prodperc.battery import _tau3_oracle
 from prodperc.catalog import build_catalog_product
@@ -117,20 +118,64 @@ def test_tau3_matches_prefix_oracle():
 
 
 def test_one_matching_solve_per_trial(monkeypatch):
-    # tau3 is one solve at the degree lower bound plus per-edge
-    # augmentation; a probe loop over prefixes would solve again
-    calls = []
+    # tau3 is one solve at the degree bound lower when that prefix holds
+    # the matching; otherwise the later prefixes are bisected, at most
+    # 2 + ceil(log2(m - lower)) solves in all and none on a prefix
+    # solved before.  On K4 the star at vertex 0 (edges 0, 1, 2) is
+    # lower = 3 and edge 5 = (2, 3) gives tau3 = 4; Q8 seeds 0..19
+    # include one more such trial.
+    sizes = []
     solve = process._solve
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counting(pg, mask, **kwargs):
+        sizes.append(sum(mask))
+        return solve(pg, mask, **kwargs)
 
     monkeypatch.setattr(process, "_solve", counting)
-    pg = build_catalog_product("Q8")
-    for seed in range(20):
-        run_process(pg, sample_ordering(pg, seed))
-        assert len(calls) == seed + 1
+    k4 = build_product((BaseGraphSpec.complete(4),))
+    trials = [(k4, EdgeOrdering(permutation=(0, 1, 2, 5, 3, 4)))]
+    q8 = build_catalog_product("Q8")
+    trials += [(q8, sample_ordering(q8, seed)) for seed in range(20)]
+    past = 0
+    for pg, ordering in trials:
+        sizes.clear()
+        times = run_process(pg, ordering)
+        lower = times.tau1  # n is even
+        assert sizes[0] == lower
+        if times.tau3 == lower:
+            assert len(sizes) == 1
+        else:
+            past += 1
+            assert len(sizes) <= 2 + math.ceil(math.log2(pg.m - lower))
+            assert len(set(sizes)) == len(sizes)
+    assert past >= 2
+
+
+def test_tau3_far_past_the_degree_bound():
+    # Q12 seed 38: the solve at lower falls 1256 edges short of tau3
+    pg = build_product((BaseGraphSpec.complete(2),) * 12)
+    times = hitting_times(pg, [38])[0]
+    assert times.tau3 - times.tau1 == 1256
+    assert times.tau3 == _tau3_oracle(pg, sample_ordering(pg, 38))
+
+
+def test_tau3_equals_linear_deficiency_scan():
+    # reference_tau3 shares neither the solver nor the bisection; odd n
+    # (K3xK3, K5), non-bipartite hosts and star(3), whose tau3 is None.
+    # 48 of these 120 trials are decided past the degree bound.
+    specs = [(BaseGraphSpec.complete(c),) for c in (4, 5, 6)]
+    specs.append((BaseGraphSpec.complete(3), BaseGraphSpec.complete(2)))
+    hosts = [build_product(spec) for spec in specs]
+    hosts += [build_catalog_product(name) for name in ("Q3", "K3xK3", "petersen")]
+    hosts.append(cartesian_product([star(3)]))
+    past = 0
+    for pg in hosts:
+        for seed in range(15):
+            ordering = sample_ordering(pg, seed)
+            tau3 = run_process(pg, ordering).tau3
+            assert tau3 == reference_tau3(pg, ordering)
+            past += tau3 is None or tau3 > degree_bound(pg, ordering)
+    assert past >= 40, past
 
 
 # --- percolation sampling ---------------------------------------------------
