@@ -49,8 +49,8 @@ from datetime import datetime, timezone
 
 from .catalog import TAU3_MODES, ConfigError, resolve_product
 from .graph_core import BaseGraphSpec, ProductGraph, build_product, is_integer
-from .process import (HittingTimes, PercolationSample, component_profile, critical_p,
-                      hitting_times, sample_percolations)
+from .process import (ComponentProfile, HittingTimes, PercolationSample,
+                      component_profiles, critical_p, hitting_times, sample_percolations)
 from .rng import GROUP_LANES, derive_trial_seed
 
 KINDS = ("hitting_times", "percolation_profile", "isoperimetry",
@@ -258,9 +258,7 @@ def _hitting_row(index: int, trial_seed: int, times: HittingTimes) -> tuple:
     return (index, trial_seed, times.tau1, times.tau2, tau3, coincident)
 
 
-def _percolation_row(config: ExperimentConfig, pg: ProductGraph, index: int,
-                     sample: PercolationSample) -> tuple:
-    prof = component_profile(pg, sample)
+def _percolation_row(index: int, sample: PercolationSample, prof: ComponentProfile) -> tuple:
     non_singletons = sum(1 for size in prof.sizes if size >= 2)
     non_giant_isolated = int(non_singletons <= 1)
     dist = prof.min_isolated_distance
@@ -297,20 +295,20 @@ def _compute_rows(config: ExperimentConfig, pg: ProductGraph, indices) -> list[t
     """Rows of the given trial indices, in order.
 
     Every kind draws the random words of all the indices in one call,
-    ``hitting_times`` or ``sample_percolations``; each row still depends
-    only on the config and its own index.
+    ``hitting_times`` or ``sample_percolations``, and percolation
+    profiles are computed in one ``component_profiles`` call; each row
+    still depends only on the config and its own index.
     """
     seeds = [derive_trial_seed(config.seed, index) for index in indices]
     if config.kind == "hitting_times":
         return list(map(_hitting_row, indices, seeds, hitting_times(pg, seeds)))
-    if config.kind == "percolation_profile":
-        row = _percolation_row
-    elif config.kind == "obstructions":
-        row = _obstruction_row
-    else:
+    if config.kind not in _PERCOLATION_KINDS:
         raise ConfigError(f"kind {config.kind!r} has no per-trial rows")
     samples = sample_percolations(pg, config.effective_p(pg), seeds)
-    return [row(config, pg, index, sample) for index, sample in zip(indices, samples)]
+    if config.kind == "percolation_profile":
+        return list(map(_percolation_row, indices, samples, component_profiles(pg, samples)))
+    return [_obstruction_row(config, pg, index, sample)
+            for index, sample in zip(indices, samples)]
 
 
 def _trial_groups(trials: int, workers: int) -> list[range]:

@@ -355,8 +355,11 @@ class ProductGraph:
     def shift_plan(self) -> tuple[itemgetter, tuple[tuple[int, tuple], ...]]:
         """Where ``process._shift_rows`` puts each edge-mask byte.
 
-        ``_shift_rows`` is the one reader: ``component_profile`` and the
+        ``_shift_rows`` is the one reader: ``component_profiles`` and the
         tau2 fill of the hitting-time trials read their masks through it.
+        It gathers masks eight to a byte plane (mask j in bit j), so the
+        plan runs once per eight masks; the bytes it moves are planes,
+        not single masks.
 
         Returns ``(gather, groups)``.  ``gather(mask)`` picks the mask
         bytes grouped by edge shift s = v - u, u rising within a group.

@@ -42,13 +42,17 @@ reached.  tau3 is found with one matching solve at ``lower``, then, if
 that falls short, by bisecting the later prefixes with the same solve,
 each on a copy of the mask.
 
-Both tau2 and ``component_profile`` read an edge mask as one n-bit int
+Both tau2 and ``component_profiles`` read edge masks as one n-bit int
 per edge shift of the product (``_shift_rows``, by way of
 ``ProductGraph.shift_plan``, built once per product on first use) and
 grow components by shifting and masking those ints (``_fill``); neither
-reads an edge list for it.
+reads an edge list for it.  ``_shift_rows`` gathers a list of masks
+eight to a byte plane, mask j of a block in bit j, so a trial group's
+profiles pay one gather per eight masks; tau2 passes its one mask, and
+``component_profile`` is the one-sample case of ``component_profiles``.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, compress, count
 
@@ -63,8 +67,12 @@ from .rng import (Xoshiro256StarStar, bernoulli_masks, lockstep_words, placement
 # lane 4 KiB.
 _WORD_BLOCK = 512
 
-# mask bytes (0 or 1) to binary digits for int(..., 2), and back
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# _shift_rows packs eight masks to a byte plane: lane j's mask bytes (0
+# or 1) to 0 or bit j, and plane bytes to lane j's binary digits for
+# int(..., 2)
+_LANE_BITS = [bytes.maketrans(b"\x00\x01", bytes((0, 1 << j))) for j in range(8)]
+_LANE_DIGITS = [bytes(b"01"[b >> j & 1] for b in range(256)) for j in range(8)]
+# binary digits to bytes 0 or 1, for compress
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -249,7 +257,8 @@ def _hitting_suffix(pg: ProductGraph, items, positions) -> HittingTimes:
     # add one edge at a time, filling from its outer end when it leaves
     # the reached set, until nothing is left.  lower <= tau1 (equal for
     # even n).
-    rows = dict(_shift_rows(pg, mask))
+    [rows] = _shift_rows(pg, [mask])
+    rows = dict(rows)
     for eid in items[lower:tau1]:
         u, v = edges[eid]
         rows[v - u] |= 1 << u
@@ -310,9 +319,10 @@ def run_process(pg: ProductGraph, ordering: EdgeOrdering,
     return _hitting_suffix(pg, perm, range(pg.m - 1, -1, -1))
 
 
-def _shift_rows(pg: ProductGraph, mask) -> list[tuple[int, int]]:
-    """The edges of the 0/1 edge mask ``mask`` as one n-bit int per edge
-    shift of the product, ``(s, E_s)`` in ``pg.shift_plan`` order.
+def _shift_rows(pg: ProductGraph, masks) -> Iterator[list[tuple[int, int]]]:
+    """The edges of each 0/1 edge mask in ``masks`` as one n-bit int per
+    edge shift of the product: yields, mask by mask, the list of
+    ``(s, E_s)`` in ``pg.shift_plan`` order.
 
     Every product edge is (u, u + s) for a shift s = (b - a) * stride_i
     of a base edge a < b of factor i, and bit u of E_s is set iff edge
@@ -320,18 +330,33 @@ def _shift_rows(pg: ProductGraph, mask) -> list[tuple[int, int]]:
     b - a share E_s, as their u are disjoint.  ``pg.shift_plan`` says
     where each mask byte goes; it is built on the first call for a
     product and reused after.
+
+    The masks go through the plan eight at a time.  Mask j of a block
+    becomes bit j of one byte plane, which is gathered once and moved
+    into an n-byte row per shift once; lane j's E_s is then read from
+    bit j of that row.  A block's rows are made when the caller reaches
+    it, not for every mask up front.
     """
     gather, groups = pg.shift_plan
-    n = pg.n
-    picked = bytes(gather(mask))
-    rows = []
-    for shift, moves in groups:
-        row = bytearray(n)
-        for dst, src in moves:
-            row[dst] = picked[src]
-        row.reverse()  # int(..., 2) reads the most significant bit first
-        rows.append((shift, int(row.translate(_TO_DIGITS), 2)))
-    return rows
+    n, m = pg.n, pg.m
+    for first in range(0, len(masks), 8):
+        block = masks[first:first + 8]
+        plane = block[0]  # its 0/1 bytes already are bit 0
+        if len(block) > 1:
+            bits = int.from_bytes(plane, "little")
+            for mask, lane_bit in zip(block[1:], _LANE_BITS[1:]):
+                bits |= int.from_bytes(mask.translate(lane_bit), "little")
+            plane = bits.to_bytes(m, "little")
+        picked = bytes(gather(plane))
+        lanes = [[] for _ in block]
+        for shift, moves in groups:
+            row = bytearray(n)
+            for dst, src in moves:
+                row[dst] = picked[src]
+            row.reverse()  # int(..., 2) reads the most significant bit first
+            for rows, digits in zip(lanes, _LANE_DIGITS):
+                rows.append((shift, int(row.translate(digits), 2)))
+        yield from lanes
 
 
 def _fill(rows, layer: int, rest: int) -> int:
@@ -350,35 +375,47 @@ def _fill(rows, layer: int, rest: int) -> int:
 
 
 def component_profile(pg: ProductGraph, sample: PercolationSample) -> ComponentProfile:
-    """Component sizes, isolated vertices, and their host-graph spacing.
+    """Component sizes, isolated vertices, and their host-graph spacing
+    of one sample: ``component_profiles(pg, [sample])[0]``."""
+    return component_profiles(pg, [sample])[0]
 
-    The kept edges become one n-bit int E_s per edge shift s
-    (``_shift_rows``).  The vertices with a kept edge are the OR of
+
+def component_profiles(pg: ProductGraph, samples) -> list[ComponentProfile]:
+    """``component_profile(pg, sample)`` for every sample, with the masks
+    read as shift rows together (``_shift_rows``, one gather per eight
+    samples).
+
+    For each sample, the kept edges are one n-bit int E_s per edge
+    shift s.  The vertices with a kept edge are the OR of
     ``E_s | E_s << s``; the rest are isolated.  Each other component is
     filled (``_fill``) from the lowest vertex not yet visited.
     """
     n = pg.n
-    kept = []
-    covered = 0
-    for shift, bits in _shift_rows(pg, sample.mask):
-        if bits:
-            kept.append((shift, bits))
-            covered |= bits | bits << shift
-    sizes = []
-    rest = covered
-    while rest:
-        low = rest & -rest
-        left = _fill(kept, low, rest ^ low)
-        sizes.append((rest - left).bit_count())
-        rest = left
-    lonely = format(((1 << n) - 1) ^ covered, f"0{n}b")[::-1].encode()
-    isolated = tuple(compress(range(n), lonely.translate(_FROM_DIGITS)))
-    sizes = tuple(sorted(sizes + [1] * len(isolated), reverse=True))
-    giant = sizes[0]
-    mid = sum(1 for s in sizes if 2 <= s < giant)
-    min_dist = _min_isolated_distance(pg, isolated)
-    return ComponentProfile(sizes=sizes, giant=giant, isolated=isolated,
-                            min_isolated_distance=min_dist, mid_components=mid)
+    profiles = []
+    for rows in _shift_rows(pg, [sample.mask for sample in samples]):
+        kept = []
+        covered = 0
+        for shift, bits in rows:
+            if bits:
+                kept.append((shift, bits))
+                covered |= bits | bits << shift
+        sizes = []
+        rest = covered
+        while rest:
+            low = rest & -rest
+            left = _fill(kept, low, rest ^ low)
+            sizes.append((rest - left).bit_count())
+            rest = left
+        lonely = format(((1 << n) - 1) ^ covered, f"0{n}b")[::-1].encode()
+        isolated = tuple(compress(range(n), lonely.translate(_FROM_DIGITS)))
+        sizes = tuple(sorted(sizes + [1] * len(isolated), reverse=True))
+        giant = sizes[0]
+        mid = sum(1 for s in sizes if 2 <= s < giant)
+        profiles.append(ComponentProfile(
+            sizes=sizes, giant=giant, isolated=isolated,
+            min_isolated_distance=_min_isolated_distance(pg, isolated),
+            mid_components=mid))
+    return profiles
 
 
 def _min_isolated_distance(pg: ProductGraph, isolated) -> int | None:

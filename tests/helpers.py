@@ -217,6 +217,17 @@ def prefix_hitting_times(pg: ProductGraph, ordering) -> tuple[int, int]:
     return tau1, tau2
 
 
+def reference_shift_rows(pg: ProductGraph, mask) -> dict[int, int]:
+    """Bit u of ``rows[s]`` is set iff edge (u, u + s) is in the 0/1 edge
+    mask, built edge by edge over ``pg.edges``; every shift of the
+    product has a row (reference for ``process._shift_rows``)."""
+    rows = dict.fromkeys((v - u for u, v in pg.edges), 0)
+    for eid, (u, v) in enumerate(pg.edges):
+        if mask[eid]:
+            rows[v - u] |= 1 << u
+    return rows
+
+
 def even_order_names(max_vertices: int) -> list[str]:
     """Catalog names with an even vertex count up to ``max_vertices``."""
     orders = {name: math.prod(build_base(spec).order for spec in specs)

@@ -161,12 +161,14 @@ def test_workers_do_not_change_rows(kwargs):
     assert run_trials(serial).rows == run_trials(parallel).rows
 
 
-@pytest.mark.parametrize("kwargs, row_function", [
-    ({"kind": "hitting_times", "product": "Q4"}, None),
-    ({"kind": "percolation_profile", "product": "Q4", "omega": 1.0}, "_percolation_row"),
-    ({"kind": "obstructions", "product": "Q3", "p": 0.35}, "_obstruction_row"),
+@pytest.mark.parametrize("kwargs, row_function, trial_of", [
+    ({"kind": "hitting_times", "product": "Q4"}, None, None),
+    ({"kind": "percolation_profile", "product": "Q4", "omega": 1.0}, "_percolation_row",
+     lambda index, sample, profile: (index, sample)),
+    ({"kind": "obstructions", "product": "Q3", "p": 0.35}, "_obstruction_row",
+     lambda config, pg, index, sample: (index, sample)),
 ], ids=["hitting", "percolation", "obstructions"])
-def test_trial_groups_do_not_change_rows(kwargs, row_function, monkeypatch):
+def test_trial_groups_do_not_change_rows(kwargs, row_function, trial_of, monkeypatch):
     # 70 trials run as 3 lockstep groups serially and as 4 with two workers
     rows = run_trials(make(trials=70, seed=31, workers=2, **kwargs)).rows
     assert run_trials(make(trials=5, seed=31, workers=1, **kwargs)).rows == rows[:5]
@@ -182,9 +184,10 @@ def test_trial_groups_do_not_change_rows(kwargs, row_function, monkeypatch):
     masks = {}
     compute = getattr(experiments, row_function)
 
-    def recording(config, pg, index, sample):
+    def recording(*args):
+        index, sample = trial_of(*args)
         masks[index] = sample.mask
-        return compute(config, pg, index, sample)
+        return compute(*args)
 
     monkeypatch.setattr(experiments, row_function, recording)
     config = make(trials=70, seed=31, workers=1, **kwargs)

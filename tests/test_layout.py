@@ -124,9 +124,12 @@ def test_one_bulk_xoshiro_stepper():
 def test_one_component_fill_over_shift_rows():
     """``ProductGraph.shift_plan`` is read by exactly one function in
     src/prodperc, the shared rows helper ``process._shift_rows``, and no
-    union-find (``DisjointSet``, ``union_all``) is left beside it."""
+    union-find (``DisjointSet``, ``union_all``) is left beside it.
+    ``component_profile`` holds no fill of its own: all it calls is
+    ``component_profiles``."""
     readers = []
     union_find = []
+    one_profile_calls = None
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -134,11 +137,15 @@ def test_one_component_fill_over_shift_rows():
                 if any(isinstance(sub, ast.Attribute) and sub.attr == "shift_plan"
                        and isinstance(sub.ctx, ast.Load) for sub in ast.walk(node)):
                     readers.append(f"{path.name}:{node.name}")
+                if f"{path.name}:{node.name}" == "process.py:component_profile":
+                    one_profile_calls = [ast.unparse(sub.func) for sub in ast.walk(node)
+                                         if isinstance(sub, ast.Call)]
             names = {getattr(node, field, None) for field in ("name", "id", "attr")}
             if names & {"DisjointSet", "union_all"}:
                 union_find.append(f"{path.name}:{node.lineno}")
     assert readers == ["process.py:_shift_rows"]
     assert union_find == []
+    assert one_profile_calls == ["component_profiles"]
 
 
 def test_augmenting_search_stays_in_matching():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (degree_bound, mask_from_edges, prefix_hitting_times,
-                     reference_tau3)
+                     reference_shift_rows, reference_tau3)
 import prodperc.process as process
 from prodperc.battery import _tau3_oracle
 from prodperc.catalog import build_catalog_product
@@ -14,10 +14,10 @@ from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product
                                  components_from_bitmasks, full_mask,
                                  neighbor_bitmasks, star)
 from prodperc.matching import maximum_matching
-from prodperc.process import (EdgeOrdering, HittingTimes, PercolationSample,
-                              component_profile, critical_p, double_exposures,
-                              hitting_times, run_process,
-                              sample_ordering, sample_percolation)
+from prodperc.process import (ComponentProfile, EdgeOrdering, HittingTimes,
+                              PercolationSample, component_profile, component_profiles,
+                              critical_p, double_exposures, hitting_times, run_process,
+                              sample_ordering, sample_percolation, sample_percolations)
 from prodperc.rng import split_seeds
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -383,24 +383,62 @@ def _isolated_spacing(pg, isolated):
     return spacing
 
 
+def _oracle_profile(pg, mask):
+    """The profile of a mask by a flood fill over neighbour bitmasks."""
+    comps = components_from_bitmasks(neighbor_bitmasks(pg, mask), (1 << pg.n) - 1)
+    sizes = tuple(sorted((c.bit_count() for c in comps), reverse=True))
+    isolated = tuple(sorted(c.bit_length() - 1 for c in comps if c.bit_count() == 1))
+    return ComponentProfile(
+        sizes=sizes, giant=sizes[0], isolated=isolated,
+        min_isolated_distance=_isolated_spacing(pg, isolated),
+        mid_components=sum(1 for size in sizes if 2 <= size < sizes[0]))
+
+
+PROBABILITIES = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0))
+
+
 @settings(deadline=None, max_examples=80,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(U64, st.sampled_from(sorted(PROFILE_PRODUCTS)),
-       st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0)))
+@given(U64, st.sampled_from(sorted(PROFILE_PRODUCTS)), PROBABILITIES)
 def test_profile_partition(tmp_path, seed, name, p):
     pg = _profile_product(tmp_path, name)
     sample = sample_percolation(pg, p, seed)
-    prof = component_profile(pg, sample)
     # the shift-row flood fill against a flood fill over neighbour bitmasks
-    comps = components_from_bitmasks(neighbor_bitmasks(pg, sample.mask),
-                                     (1 << pg.n) - 1)
-    sizes = tuple(sorted((c.bit_count() for c in comps), reverse=True))
-    isolated = tuple(sorted(c.bit_length() - 1 for c in comps if c.bit_count() == 1))
-    assert prof.sizes == sizes
-    assert prof.giant == sizes[0]
-    assert prof.isolated == isolated
-    assert prof.mid_components == sum(1 for size in sizes if 2 <= size < sizes[0])
-    assert prof.min_isolated_distance == _isolated_spacing(pg, isolated)
+    assert component_profile(pg, sample) == _oracle_profile(pg, sample.mask)
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(PROFILE_PRODUCTS)),
+       st.lists(st.tuples(U64, PROBABILITIES), min_size=1, max_size=20))
+def test_profile_group_partition(tmp_path, name, draws):
+    # 1-20 samples, so the last byte plane of a group may be short and
+    # every lane bit is read; each sample has its own p
+    pg = _profile_product(tmp_path, name)
+    samples = [sample_percolation(pg, p, seed) for seed, p in draws]
+    profiles = component_profiles(pg, samples)
+    assert profiles == [_oracle_profile(pg, sample.mask) for sample in samples]
+
+
+@pytest.mark.parametrize("count", [1, 8, 9, 17])
+def test_shift_rows_equal_edge_by_edge_rows(count):
+    pg = build_catalog_product("C5xK2xK3")  # m = 75 is not a multiple of 8
+    assert pg.m % 8
+    masks = [sample.mask for sample in sample_percolations(pg, 0.5, range(count))]
+    masks[0] = bytearray(masks[0])  # tau2 passes a bytearray
+    gather, groups = pg.shift_plan
+    gathers = []
+
+    def counting(plane):
+        gathers.append(plane)
+        return gather(plane)
+
+    vars(pg)["shift_plan"] = (counting, groups)
+    lanes = list(process._shift_rows(pg, masks))
+    assert len(gathers) == -(-count // 8)
+    order = [shift for shift, _ in groups]
+    assert [[shift for shift, _ in rows] for rows in lanes] == [order] * count
+    assert [dict(rows) for rows in lanes] == [reference_shift_rows(pg, mask) for mask in masks]
 
 
 def test_shift_plan_is_built_by_the_first_profile():
