@@ -349,6 +349,8 @@ def _trial_rows(config: ExperimentConfig, pg: ProductGraph) -> list[tuple]:
     workers = min(config.workers or cpus, cpus)
     groups = _trial_groups(config.trials, workers)
     if workers > 1 and config.trials > 1:
+        if config.kind != "percolation_profile":
+            pg.edges  # builds the adjacency arrays once, for the forked workers to share
         _WORKER = (config, pg)
         try:
             # Only pooled runs load the pool.  No more workers than

@@ -6,8 +6,12 @@ vertex id is its coordinate in base graph i, with digit 0 least
 significant.  Two product vertices are adjacent when they differ in
 exactly one coordinate and that pair of digits is an edge of the
 corresponding base graph.  Edges carry canonical ids: sort all pairs
-(u, v) with u < v lexicographically and number them from 0.  They are
-filled in one walk over the sorted rows with u rising (see ProductGraph).
+(u, v) with u < v lexicographically and number them from 0.  A product
+is built from its bases alone, m included.  Its adjacency arrays are
+filled in one walk over the sorted rows with u rising on their first
+read, while the per-shift edge layout of ``shift_plan`` and the
+per-shift rows of ``host_rows`` come from the digits (see ProductGraph),
+so a run that reads only those never builds the arrays.
 
 The module also hosts the edge-list file parser, the size cap that
 protects against accidentally huge products, a bipartiteness probe used
@@ -17,8 +21,9 @@ by the parity checks, and the neighbour bitmasks the exact oracles use.
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
+from functools import cache, cached_property
+from itertools import accumulate
+from operator import add, itemgetter
 
 DEFAULT_MAX_VERTICES = 1 << 26
 MAX_VERTICES_ENV = "PPL_MAX_VERTICES"
@@ -314,18 +319,46 @@ def star(leaves: int) -> BaseGraph:
     return BaseGraph(leaves + 1, None, adjacency, f"Star{leaves}")
 
 
+class _Csr:
+    """One of the four adjacency fields of a ``ProductGraph``.  The first
+    read of any of them builds all four (``ProductGraph._build_csr``)
+    into the instance dict, where later reads find them first."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, pg, owner=None):
+        if pg is None:
+            return self
+        vars(pg).update(pg._build_csr())
+        return vars(pg)[self.name]
+
+
+@cache
+def _identity(n: int) -> list[int]:
+    """``list(range(n))``, kept for copying: a copy shares its ints,
+    which is cheaper than building n new ones on every search."""
+    return list(range(n))
+
+
 @dataclass(frozen=True)
 class ProductGraph:
-    """Cartesian product of base graphs with flat adjacency arrays.
+    """Cartesian product of base graphs.
+
+    The fields hold only what the bases give: ``m`` is the sum over
+    factors of (n / order_i) * |E_i|.  ``adj_off``, ``adj_flat``,
+    ``adj_eid`` and ``edges`` are built together on the first read of
+    any of them, and ``shift_plan`` and ``host_rows`` each on its own
+    first read; a percolation run reads only those two, so it never
+    builds the adjacency arrays.
 
     ``adj_off``, ``adj_flat`` and ``adj_eid`` form a compressed
     adjacency: the neighbours of v are ``adj_flat[adj_off[v]:adj_off[v+1]]``
     in increasing order, and the incident edge ids sit at the same
     positions in ``adj_eid``.  With u rising, each forward slot (v > u)
     of row u takes the next id, which also fills the next free slot of
-    row v.  Instances are immutable after construction (``shift_plan``
-    is computed once, on first use) and safe to share across worker
-    processes.
+    row v.  Instances are immutable apart from these fields built on
+    first read, and safe to share across worker processes.
     """
 
     bases: tuple[BaseGraph, ...]
@@ -333,14 +366,12 @@ class ProductGraph:
     d: int | None
     C: int
     strides: tuple[int, ...]
-    adj_off: list[int]
-    adj_flat: list[int]
-    adj_eid: list[int]
-    edges: list[tuple[int, int]]
+    m: int
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    adj_off = _Csr()
+    adj_flat = _Csr()
+    adj_eid = _Csr()
+    edges = _Csr()
 
     def neighbors(self, v: int) -> list[int]:
         return self.adj_flat[self.adj_off[v]:self.adj_off[v + 1]]
@@ -350,6 +381,38 @@ class ProductGraph:
 
     def label(self) -> str:
         return "x".join(b.label or "?" for b in self.bases)
+
+    def _build_csr(self) -> dict:
+        """The four adjacency fields by name, for ``_Csr``."""
+        n = self.n
+        adj_off = [0] * (n + 1)
+        adj_flat: list[int] = []
+        for v in range(n):
+            rest = v
+            row = []
+            for base, stride in zip(self.bases, self.strides):
+                digit = rest % base.order
+                rest //= base.order
+                anchor = v - digit * stride
+                for w in base.adjacency[digit]:
+                    row.append(anchor + w * stride)
+            row.sort()
+            adj_flat.extend(row)
+            adj_off[v + 1] = len(adj_flat)
+
+        # u rises and rows are sorted, so forward slots (v > u) come in (u, v)
+        # order; fill[v] is the next slot of row v still waiting for its id
+        edges: list[tuple[int, int]] = []
+        adj_eid = [0] * len(adj_flat)
+        fill = adj_off[:n]
+        for u in range(n):
+            for k in range(adj_off[u], adj_off[u + 1]):
+                v = adj_flat[k]
+                if v > u:
+                    adj_eid[k] = adj_eid[fill[v]] = len(edges)
+                    fill[v] += 1
+                    edges.append((u, v))
+        return {"adj_off": adj_off, "adj_flat": adj_flat, "adj_eid": adj_eid, "edges": edges}
 
     @cached_property
     def shift_plan(self) -> tuple[itemgetter, tuple[tuple[int, tuple], ...]]:
@@ -371,52 +434,98 @@ class ProductGraph:
         consecutive vertices.  A group takes one move per block or one
         strided move per offset inside a block, whichever is fewer.
         Factors never share a shift, as (b - a) * stride_i < stride_i+1.
-        Built on first use, not by ``cartesian_product``.
+
+        The gather order comes from the digits, not from the adjacency
+        arrays.  Ids rise with (u, v), and u's forward neighbours in
+        factor i lie above those in lower factors and below those in
+        higher ones, so edge (u, u + s) has id F(u) + low_i(u mod
+        stride_i) + rank_i(a, b).  F(u) sums the forward degrees of the
+        vertices below u, low_i is u's forward degree in the factors
+        below i, and rank_i(a, b) counts a's forward neighbours below b.
+        Each move's ids are filled in with one slice assignment.
         """
         n = self.n
-        off, flat, eid = self.adj_off, self.adj_flat, self.adj_eid
-        # ids taken from adj_eid are the int objects it already holds, so
-        # the plan adds about one pointer per edge
-        by_shift: dict[int, list[int]] = {}
-        for u in range(n):
-            for k in range(off[u], off[u + 1]):
-                if flat[k] > u:
-                    by_shift.setdefault(flat[k] - u, []).append(eid[k])
+        # low[x]: the forward degree of x over the factors so far, for x
+        # below the next stride; lows keeps the one each factor starts from
+        low = [0]
+        lows = []
+        for base in self.bases:
+            lows.append(low)
+            fwd = [sum(b > a for b in row) for a, row in enumerate(base.adjacency)]
+            low = [x + f for f in fwd for x in low]
+        first = list(accumulate(low, initial=0))  # F(u)
+        # arrays built, as in a hitting-time run, whose shuffles copy
+        # _identity(m): take its ints a group at a time rather than hold m
+        # more; a product without the arrays keeps the new ints
+        shared = _identity(self.m) if "adj_eid" in vars(self) else None
+        order = [0] * self.m
         groups = []
         start = 0
-        for base, stride in zip(self.bases, self.strides):
+        for base, stride, below in zip(self.bases, self.strides, lows):
             period = stride * base.order
-            by_gap: dict[int, list[int]] = {}
-            for a, row in enumerate(base.adjacency):
-                for b in row:
-                    if b > a:
-                        by_gap.setdefault(b - a, []).append(a)
-            for gap, digits in sorted(by_gap.items()):
-                size = n // base.order * len(digits)
+            for gap, pairs in _forward_gaps(base):
+                size = n // base.order * len(pairs)
                 moves = []
                 if n // period <= stride:  # fewer blocks than offsets in a block
+                    lifted = [(a, [x + rank for x in below]) for a, rank in pairs]
                     src = start
                     for top in range(0, n, period):
-                        for a in digits:
+                        for a, within in lifted:
                             dst = top + a * stride
                             moves.append((slice(dst, dst + stride), slice(src, src + stride)))
+                            order[src:src + stride] = map(add, first[dst:dst + stride], within)
                             src += stride
                 else:
-                    step = len(digits) * stride
-                    for j, a in enumerate(digits):
-                        for low in range(stride):
-                            moves.append((slice(a * stride + low, n, period),
-                                          slice(start + j * stride + low, start + size, step)))
+                    step = len(pairs) * stride
+                    for j, (a, rank) in enumerate(pairs):
+                        for x in range(stride):
+                            dst = slice(a * stride + x, n, period)
+                            src = slice(start + j * stride + x, start + size, step)
+                            moves.append((dst, src))
+                            lift = below[x] + rank
+                            order[src] = [f + lift for f in first[dst]]
                 groups.append((gap * stride, tuple(moves)))
+                if shared is not None:
+                    order[start:start + size] = map(shared.__getitem__, order[start:start + size])
                 start += size
-        order = [e for shift, _ in groups for e in by_shift[shift]]
         # one index past the groups keeps gather returning a tuple when m == 1
         return itemgetter(*order, order[0]), tuple(groups)
+
+    @cached_property
+    def host_rows(self) -> tuple[tuple[int, int], ...]:
+        """The product's own edges as ``(s, H_s)`` in ``shift_plan``
+        order: bit u of H_s is set iff (u, u + s) is an edge, as
+        ``process._shift_rows`` gives for the all-ones mask.  H_s repeats
+        one period of factor i every stride_i * order_i bits, and that
+        period holds a block of stride_i ones at a * stride_i for each of
+        the shift's a, so each row is two int products, with no gather.
+        Built on first use."""
+        n = self.n
+        rows = []
+        for base, stride in zip(self.bases, self.strides):
+            # bit k * period for each of the n / period periods
+            tops = ((1 << n) - 1) // ((1 << stride * base.order) - 1)
+            for gap, pairs in _forward_gaps(base):
+                pattern = sum(1 << a * stride for a, _ in pairs) * ((1 << stride) - 1)
+                rows.append((gap * stride, pattern * tops))
+        return tuple(rows)
+
+
+def _forward_gaps(base: BaseGraph) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The base edges a < b grouped by b - a, gaps rising, as ``(gap,
+    [(a, rank), ...])`` with a rising; rank counts a's neighbours above
+    a and below b."""
+    by_gap: dict[int, list[tuple[int, int]]] = {}
+    for a, row in enumerate(base.adjacency):
+        for rank, b in enumerate(b for b in row if b > a):
+            by_gap.setdefault(b - a, []).append((a, rank))
+    return sorted(by_gap.items())
 
 
 def cartesian_product(bases) -> ProductGraph:
     """Assemble the Cartesian product of validated base graphs; ``d`` is
-    None when a base is irregular."""
+    None when a base is irregular.  Only the bases are read: the
+    adjacency arrays wait for their first read."""
     bases = tuple(bases)
     if not bases:
         raise GraphBuildError("product needs at least one base graph")
@@ -429,39 +538,9 @@ def cartesian_product(bases) -> ProductGraph:
     d = None
     if all(b.degree is not None for b in bases):
         d = sum(b.degree for b in bases)
-
-    adj_off = [0] * (n + 1)
-    adj_flat: list[int] = []
-    for v in range(n):
-        rest = v
-        row = []
-        for base, stride, radix in zip(bases, strides, radices):
-            digit = rest % radix
-            rest //= radix
-            anchor = v - digit * stride
-            for w in base.adjacency[digit]:
-                row.append(anchor + w * stride)
-        row.sort()
-        adj_flat.extend(row)
-        adj_off[v + 1] = len(adj_flat)
-
-    # u rises and rows are sorted, so forward slots (v > u) come in (u, v)
-    # order; fill[v] is the next slot of row v still waiting for its id
-    edges: list[tuple[int, int]] = []
-    adj_eid = [0] * len(adj_flat)
-    fill = adj_off[:n]
-    for u in range(n):
-        for k in range(adj_off[u], adj_off[u + 1]):
-            v = adj_flat[k]
-            if v > u:
-                adj_eid[k] = adj_eid[fill[v]] = len(edges)
-                fill[v] += 1
-                edges.append((u, v))
-
-    C = max(radices)
-    return ProductGraph(bases=bases, n=n, d=d, C=C, strides=strides,
-                        adj_off=adj_off, adj_flat=adj_flat, adj_eid=adj_eid,
-                        edges=edges)
+    # each of the n / order_i copies of factor i has its |E_i| edges
+    m = sum(n // b.order * sum(map(len, b.adjacency)) // 2 for b in bases)
+    return ProductGraph(bases=bases, n=n, d=d, C=max(radices), strides=strides, m=m)
 
 
 def _declared_order(spec: BaseGraphSpec) -> int | None:

@@ -16,9 +16,8 @@ most n - |U| odd components.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
-from .graph_core import ProductGraph, components_from_bitmasks, neighbor_bitmasks
+from .graph_core import ProductGraph, _identity, components_from_bitmasks, neighbor_bitmasks
 
 
 @dataclass(frozen=True)
@@ -49,13 +48,6 @@ def _greedy_extend(pg: ProductGraph, mask, mate: list[int]) -> int:
                 gained += 1
                 break
     return gained
-
-
-@cache
-def _identity(n: int) -> list[int]:
-    """``list(range(n))``, kept for copying: a copy shares its ints,
-    which is cheaper than building n new ones on every search."""
-    return list(range(n))
 
 
 def _augment_once(pg: ProductGraph, mask, mate: list[int], root: int) -> bool:

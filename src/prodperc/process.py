@@ -50,6 +50,12 @@ reads an edge list for it.  ``_shift_rows`` gathers a list of masks
 eight to a byte plane, mask j of a block in bit j, so a trial group's
 profiles pay one gather per eight masks; tau2 passes its one mask, and
 ``component_profile`` is the one-sample case of ``component_profiles``.
+The profiles take the spacing of the isolated vertices from the host
+graph's shift rows (``ProductGraph.host_rows``, built once per product
+from the bases), so they read ``pg.m``, the plan, those rows and
+nothing else: a percolation run never builds the product's adjacency
+arrays.  The hitting-time trials read them (``pg.edges`` and the
+degrees) and the matching solve walks them.
 """
 
 from collections.abc import Iterator
@@ -57,8 +63,8 @@ from dataclasses import dataclass
 from itertools import chain, compress, count
 
 from .catalog import TAU3_MODES
-from .graph_core import ProductGraph
-from .matching import _identity, _solve
+from .graph_core import ProductGraph, _identity
+from .matching import _solve
 from .rng import (Xoshiro256StarStar, bernoulli_masks, lockstep_words, placements,
                   split_seeds)
 
@@ -383,7 +389,8 @@ def component_profile(pg: ProductGraph, sample: PercolationSample) -> ComponentP
 def component_profiles(pg: ProductGraph, samples) -> list[ComponentProfile]:
     """``component_profile(pg, sample)`` for every sample, with the masks
     read as shift rows together (``_shift_rows``, one gather per eight
-    samples).
+    masks).  The spacing of the isolated vertices is read from the host
+    graph's rows, ``pg.host_rows``.
 
     For each sample, the kept edges are one n-bit int E_s per edge
     shift s.  The vertices with a kept edge are the OR of
@@ -406,30 +413,38 @@ def component_profiles(pg: ProductGraph, samples) -> list[ComponentProfile]:
             left = _fill(kept, low, rest ^ low)
             sizes.append((rest - left).bit_count())
             rest = left
-        lonely = format(((1 << n) - 1) ^ covered, f"0{n}b")[::-1].encode()
+        alone = ((1 << n) - 1) ^ covered
+        lonely = format(alone, f"0{n}b")[::-1].encode()
         isolated = tuple(compress(range(n), lonely.translate(_FROM_DIGITS)))
         sizes = tuple(sorted(sizes + [1] * len(isolated), reverse=True))
         giant = sizes[0]
         mid = sum(1 for s in sizes if 2 <= s < giant)
         profiles.append(ComponentProfile(
             sizes=sizes, giant=giant, isolated=isolated,
-            min_isolated_distance=_min_isolated_distance(pg, isolated),
+            min_isolated_distance=_min_isolated_distance(pg.host_rows, alone),
             mid_components=mid))
     return profiles
 
 
-def _min_isolated_distance(pg: ProductGraph, isolated) -> int | None:
-    """Minimum host-graph distance between isolated vertices, capped at 3."""
-    if len(isolated) < 2:
+def _min_isolated_distance(host, iso: int) -> int | None:
+    """Minimum host-graph distance between the vertices of ``iso`` (an
+    n-bit int), capped at 3; None below two vertices.  ``host`` holds
+    the host graph's shift rows ``(s, H_s)``.
+
+    Each row gives two sets of neighbours of ``iso``:
+    ``(iso & H_s) << s`` above and ``(iso >> s) & H_s`` below.  The
+    offset w - v of a neighbour w of v fixes the row and the side, so a
+    vertex in two of these sets has two different neighbours in ``iso``.
+    The distance is 1 when a set meets ``iso``, else 2 when some vertex
+    is in two sets.
+    """
+    if not iso & (iso - 1):
         return None
-    iso = set(isolated)
-    for v in isolated:
-        for w in pg.neighbors(v):
-            if w in iso:
+    once = twice = 0
+    for shift, bits in host:
+        for near in ((iso & bits) << shift, (iso >> shift) & bits):
+            if near & iso:
                 return 1
-    for v in isolated:
-        for u in pg.neighbors(v):
-            for w in pg.neighbors(u):
-                if w != v and w in iso:
-                    return 2
-    return 3
+            twice |= once & near
+            once |= near
+    return 2 if twice else 3

@@ -228,6 +228,20 @@ def reference_shift_rows(pg: ProductGraph, mask) -> dict[int, int]:
     return rows
 
 
+def reference_gather_order(pg: ProductGraph) -> list[int]:
+    """Edge ids by shift s = v - u, shifts rising and u rising within
+    one, from a walk over ``adj_off``, ``adj_flat`` and ``adj_eid``
+    (reference for the gather order of ``ProductGraph.shift_plan``,
+    which takes its ids from the digits)."""
+    off, flat, eid = pg.adj_off, pg.adj_flat, pg.adj_eid
+    by_shift: dict[int, list[int]] = {}
+    for u in range(pg.n):
+        for k in range(off[u], off[u + 1]):
+            if flat[k] > u:
+                by_shift.setdefault(flat[k] - u, []).append(eid[k])
+    return [e for shift in sorted(by_shift) for e in by_shift[shift]]
+
+
 def even_order_names(max_vertices: int) -> list[str]:
     """Catalog names with an even vertex count up to ``max_vertices``."""
     orders = {name: math.prod(build_base(spec).order for spec in specs)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import report_digest
-from prodperc import battery, experiments, graph_core
+from prodperc import battery, cli, experiments, graph_core
 from prodperc.cli import main
 from prodperc.experiments import (ConfigError, ExperimentConfig, emit_report,
                                   render_report, resolve_product, round9,
@@ -213,6 +213,56 @@ def test_pool_workers_reuse_the_parent_product(monkeypatch):
     monkeypatch.setattr(ExperimentConfig, "build", build_again)
     assert experiments._trial_rows(config, pg) == serial
     assert experiments._WORKER is None
+
+
+CSR_FIELDS = {"adj_off", "adj_flat", "adj_eid", "edges"}
+
+
+@pytest.mark.parametrize("product", ["C5xK2xK3", "Q6"])
+def test_percolation_group_leaves_the_adjacency_arrays_unbuilt(product):
+    # the profiles read the shift plan and the host rows alone
+    config = make(kind="percolation_profile", product=product, seed=3, trials=20, p=0.3)
+    pg = config.build()
+    rows = experiments._compute_rows(config, pg, range(20))
+    assert len(rows) == 20 and "shift_plan" in vars(pg)
+    assert not CSR_FIELDS & set(vars(pg))
+
+
+def test_cli_product_leaves_the_adjacency_arrays_unbuilt(monkeypatch, capsys):
+    built = []
+
+    def recording(specs):
+        built.append(graph_core.build_product(specs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_product", recording)
+    assert main(["product", "--product", "Q10"]) == 0
+    assert "m=5120" in capsys.readouterr().out.splitlines()
+    [pg] = built
+    assert not CSR_FIELDS & set(vars(pg))
+
+
+@pytest.mark.parametrize("kind, extra, arrays", [
+    ("hitting_times", {}, True),
+    ("obstructions", {"p": 0.35}, True),
+    ("percolation_profile", {"omega": 1.0}, False),
+], ids=["hitting", "obstructions", "percolation"])
+def test_pool_starts_with_the_arrays_its_workers_read(monkeypatch, pools, kind, extra,
+                                                      arrays):
+    # forked workers share what the parent built before the pool starts;
+    # arrays a worker builds itself cost every worker the build
+    built = []
+    init = experiments._init_worker
+
+    def recording(config):
+        built.append(CSR_FIELDS <= set(vars(experiments._WORKER[1])))
+        init(config)
+
+    monkeypatch.setattr(experiments, "_init_worker", recording)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    config = make(kind=kind, product="Q3", seed=2, trials=8, workers=2, **extra)
+    experiments._trial_rows(config, config.build())
+    assert built == [arrays]
 
 
 @pytest.fixture

@@ -1,12 +1,14 @@
 """Edge processes, percolation sampling, and hitting times."""
 
 import math
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (degree_bound, mask_from_edges, prefix_hitting_times,
-                     reference_shift_rows, reference_tau3)
+                     reference_gather_order, reference_shift_rows, reference_tau3)
 import prodperc.process as process
 from prodperc.battery import _tau3_oracle
 from prodperc.catalog import build_catalog_product
@@ -356,11 +358,16 @@ PROFILE_PRODUCTS = {
 }
 
 
+# products whose gather order is checked against the adjacency walk
+GATHER_PRODUCTS = {**PROFILE_PRODUCTS, "C5^3": (C5,) * 3, "K3^4": (K3,) * 4}
+CSR_FIELDS = ("adj_off", "adj_flat", "adj_eid", "edges")
+
+
 def _profile_product(tmp_path, name):
     edge_list = tmp_path / "q3.txt"
     edge_list.write_text(Q3_EDGE_LIST, encoding="utf-8")
     return build_product([BaseGraphSpec.edge_list(edge_list) if spec == "edge_list" else spec
-                          for spec in PROFILE_PRODUCTS[name]])
+                          for spec in GATHER_PRODUCTS[name]])
 
 
 def _isolated_spacing(pg, isolated):
@@ -395,6 +402,25 @@ def _oracle_profile(pg, mask):
 
 
 PROBABILITIES = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0))
+
+
+@pytest.mark.parametrize("name", ["Circ(8;1,3,5,7)xK3", "petersenxK2", "edge-list Q3xK3",
+                                  "C5xK3"])
+def test_profile_isolated_distances_on_every_pair(tmp_path, name):
+    # shifts shared by several base edges, an edge-list base and odd n:
+    # every vertex pair, and larger sets, isolated by dropping their
+    # edges; the shift-row spacing against the host-bitmask oracle
+    pg = _profile_product(tmp_path, name)
+    picks = random.Random(name)
+    blocked = [set(pair) for pair in combinations(range(pg.n), 2)]
+    blocked += [set(picks.sample(range(pg.n), size)) for size in range(3, 7) for _ in range(40)]
+    samples = [_sample(pg, bytes(u not in out and v not in out for u, v in pg.edges))
+               for out in blocked]
+    profiles = component_profiles(pg, samples)
+    for out, profile in zip(blocked, profiles, strict=True):
+        assert set(profile.isolated) >= out
+        assert profile.min_isolated_distance == _isolated_spacing(pg, profile.isolated)
+    assert {profile.min_isolated_distance for profile in profiles} == {1, 2, 3}
 
 
 @settings(deadline=None, max_examples=80,
@@ -441,13 +467,40 @@ def test_shift_rows_equal_edge_by_edge_rows(count):
     assert [dict(rows) for rows in lanes] == [reference_shift_rows(pg, mask) for mask in masks]
 
 
+@pytest.mark.parametrize("count", [1, 8, 16, 20])
+def test_profiles_gather_once_per_eight_samples(count):
+    # the host rows come from the plan's moves, not from one more lane
+    pg = build_catalog_product("C5xK2xK3")
+    samples = sample_percolations(pg, 0.5, range(count))
+    gather, groups = pg.shift_plan
+    gathers = []
+
+    def counting(plane):
+        gathers.append(plane)
+        return gather(plane)
+
+    vars(pg)["shift_plan"] = (counting, groups)
+    for _ in range(2):
+        component_profiles(pg, samples)
+    assert len(gathers) == 2 * -(-count // 8)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_PRODUCTS))
+def test_host_rows_are_the_rows_of_the_all_ones_mask(tmp_path, name):
+    pg = _profile_product(tmp_path, name)
+    [rows] = process._shift_rows(pg, [full_mask(pg)])
+    assert pg.host_rows == tuple(rows)
+    assert dict(rows) == reference_shift_rows(pg, full_mask(pg))
+
+
 def test_shift_plan_is_built_by_the_first_profile():
     pg = build_catalog_product("C5xK2xK3")
-    assert "shift_plan" not in vars(pg)  # cartesian_product leaves it unbuilt
+    # cartesian_product leaves both unbuilt
+    assert not {"shift_plan", "host_rows"} & set(vars(pg))
     component_profile(pg, sample_percolation(pg, 0.5, 1))
-    plan = vars(pg)["shift_plan"]
+    plan, host = vars(pg)["shift_plan"], vars(pg)["host_rows"]
     component_profile(pg, sample_percolation(pg, 0.5, 2))
-    assert vars(pg)["shift_plan"] is plan
+    assert vars(pg)["shift_plan"] is plan and vars(pg)["host_rows"] is host
 
 
 def test_shift_plan_is_built_by_the_first_hitting_trial():
@@ -488,3 +541,21 @@ def test_shift_plan_puts_each_edge_at_its_lower_end(tmp_path, name):
             row[dst] = picked[src]
         rows[shift] = list(row)
     assert rows == expected
+
+
+@pytest.mark.parametrize("name", sorted(GATHER_PRODUCTS))
+def test_gather_order_equals_the_adjacency_walk(tmp_path, name):
+    pg = _profile_product(tmp_path, name)
+    gather, _ = pg.shift_plan
+    assert list(gather(range(pg.m + 1)))[:-1] == reference_gather_order(pg)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_PRODUCTS))
+def test_adjacency_arrays_are_built_together_on_first_read(tmp_path, name):
+    # m comes from the bases; any one of the four arrays builds them all
+    for field in CSR_FIELDS:
+        pg = _profile_product(tmp_path, name)
+        assert not set(CSR_FIELDS) & set(vars(pg))
+        getattr(pg, field)
+        assert set(CSR_FIELDS) <= set(vars(pg))
+        assert pg.m == len(pg.edges)
