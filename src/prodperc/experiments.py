@@ -428,10 +428,10 @@ def _aggregate_obstructions(rows) -> dict:
 
 
 def _run_isoperimetry(pg: ProductGraph, p: float | None, params):
-    from .isoperimetry import edge_connectivity, exhaustive_profile, f_star
+    from .isoperimetry import EXHAUSTIVE_MAX_VERTICES, edge_connectivity, exhaustive_profile, f_star
     exact: tuple[int, ...] | None = None
     symmetry_ok = 1
-    if pg.n <= 24:
+    if pg.n <= EXHAUSTIVE_MAX_VERTICES:
         profile = exhaustive_profile(pg, keep_witnesses=False)
         exact = profile.f
         symmetry_ok = int(all(profile.f_of(k) == profile.f_of(pg.n - k)

@@ -2,9 +2,13 @@
 
 ``exhaustive_profile`` computes f(k), the minimum edge boundary over all
 vertex sets of size k.  The boundary of S is that of V - S on every
-graph, so it walks only the subsets of the first n - 1 vertices, in
-Gray-code order so each step updates the boundary in O(d), and records
-each boundary for both |S| and n - |S|: half the subsets.  So
+graph, so it walks only the subsets of the first n - 1 vertices and
+records each boundary for both |S| and n - |S|: half the subsets.  It
+keeps the boundaries of the subsets of a low block of up to ten
+vertices in packed lanes of one big int, walks the remaining high
+vertices in Gray-code order with one big-int add or subtract per step,
+and reads each size's minimum as one ``min`` over a slice of the
+lanes.  So
 f(k) = f(n - k) holds by construction, and with it the ``symmetry_ok``
 aggregate of ``iso`` reports and the symmetry check of the ``verify``
 battery, which stay as report bytes and instance counts.  The analytic
@@ -22,9 +26,17 @@ frontier edge at a time, against the (e*d)**(k-1) bound.
 
 import heapq
 import math
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .graph_core import ProductGraph, TooLargeError, components_from_bitmasks, neighbor_bitmasks
+
+# Largest order ``exhaustive_profile`` accepts: 2^23 subsets at 24 vertices.
+EXHAUSTIVE_MAX_VERTICES = 24
+# Vertices in the profile walk's low block: one packed lane per low subset.
+_LOW_BLOCK = 10
 
 
 @dataclass(frozen=True)
@@ -87,44 +99,91 @@ class IsoperimetricProfile:
 
 
 def exhaustive_profile(pg: ProductGraph, keep_witnesses: bool | None = None) -> IsoperimetricProfile:
-    """Exact minimum boundary per size by Gray-code subset enumeration.
+    """Exact minimum boundary per size over every subset, in packed lanes.
 
-    The walk covers the nonempty subsets S of the first n - 1 vertices
-    and records each boundary for both |S| and n - |S|, with witness
-    V - S for the latter: every other proper subset is such a
-    complement, and the boundary of V - S is that of S.  Feasible up
-    to 24 vertices.  Witnesses are kept by default up to 16 vertices.
+    The walk covers the subsets S of the first n - 1 vertices and
+    records each boundary for both |S| and n - |S|, with witness V - S
+    for the latter: every other proper subset is such a complement, and
+    the boundary of V - S is that of S.  (The empty set's records fall
+    at sizes 0 and n, outside the profile.)  It splits those vertices
+    into a low block of b = min(n - 1, 10) and the high block after it,
+    and writes S = L + H with L a low and H a high subset, so that, with
+    e(L, H) the number of edges between L and H,
+
+        boundary(S) = boundary(H) + (boundary(L) - 2 * e(L, H)).
+
+    One big int holds a lane per low subset L, ordered by |L| so each
+    size class is a contiguous run; lane L holds boundary(L) - 2e(L, H)
+    + off, with off the low block's degree sum.  A Gray-code walk over
+    the high subsets moves one vertex h per step and adds or subtracts
+    the step int whose lane L holds 2|N(h) & L|, keeping boundary(H) as
+    it goes; the least boundary of each size |L| + |H| is then
+    one ``min`` over that class's slice of the lanes, read as bytes.
+    No lane can borrow from or carry into the next: e(L, H) and
+    boundary(L) are each at most L's degree sum, so every lane stays
+    in [0, 2 * off], and lanes are one byte when 2 * off < 256, else
+    two.  A witness is the class's argmin, found when a minimum strictly
+    improves.  Feasible up to EXHAUSTIVE_MAX_VERTICES vertices;
+    witnesses are kept by default up to 16 vertices.
     """
     n = pg.n
-    if n > 24:
-        raise TooLargeError(f"exhaustive profile capped at 24 vertices, got {n}")
+    if n > EXHAUSTIVE_MAX_VERTICES:
+        raise TooLargeError(f"exhaustive profile capped at {EXHAUSTIVE_MAX_VERTICES} vertices, got {n}")
     if keep_witnesses is None:
         keep_witnesses = n <= 16
     nbr = neighbor_bitmasks(pg)
     deg = [pg.degree_of(v) for v in range(n)]
+    b = min(n - 1, _LOW_BLOCK)
+    lows = sorted(range(1 << b), key=int.bit_count)
+    low_boundary = [0] * (1 << b)
+    for low in range(1, 1 << b):
+        v = (low & -low).bit_length() - 1
+        rest = low & (low - 1)
+        low_boundary[low] = low_boundary[rest] + deg[v] - 2 * (nbr[v] & rest).bit_count()
+    off = sum(deg[:b])
+    fmt = "B" if 2 * off < 256 else "H"
+    nbytes = len(lows) * array(fmt).itemsize
+
+    def pack(values) -> int:
+        return int.from_bytes(array(fmt, values).tobytes(), sys.byteorder)
+
+    lanes = pack([low_boundary[low] + off for low in lows])
+    steps = [pack([2 * (nbr[h] & low).bit_count() for low in lows]) for h in range(b, n - 1)]
+    bounds = list(accumulate((math.comb(b, s) for s in range(b + 1)), initial=0))
+    classes = list(zip(range(b + 1), bounds, bounds[1:]))
+
     full = (1 << n) - 1
     best = [sum(deg) + 1] * (n + 1)
     wit = [0] * (n + 1)
-    subset = 0
-    boundary = 0
-    size = 0
-    for i in range(1, 1 << (n - 1)):
-        bit = i & -i
-        v = bit.bit_length() - 1
-        inside = (nbr[v] & subset).bit_count()
-        if subset & bit:
-            size -= 1
-            boundary += 2 * inside - deg[v]
-        else:
-            size += 1
-            boundary += deg[v] - 2 * inside
-        subset ^= bit
-        if boundary < best[size]:
-            best[size] = boundary
-            wit[size] = subset
-        if boundary < best[n - size]:
-            best[n - size] = boundary
-            wit[n - size] = full ^ subset
+    high = 0
+    high_boundary = 0
+    for i in range(1 << len(steps)):
+        if i:
+            j = (i & -i).bit_length() - 1
+            h = b + j
+            inside = (nbr[h] & high).bit_count()
+            if high >> h & 1:
+                high_boundary += 2 * inside - deg[h]
+                lanes += steps[j]
+            else:
+                high_boundary += deg[h] - 2 * inside
+                lanes -= steps[j]
+            high ^= 1 << h
+        view = memoryview(lanes.to_bytes(nbytes, sys.byteorder)).cast(fmt)
+        shift = high_boundary - off
+        high_size = high.bit_count()
+        for s, lo, hi in classes:
+            least = min(view[lo:hi])
+            boundary = least + shift
+            k = s + high_size
+            if boundary < best[k] or boundary < best[n - k]:
+                subset = high | lows[lo + view[lo:hi].tolist().index(least)]
+                if boundary < best[k]:
+                    best[k] = boundary
+                    wit[k] = subset
+                if boundary < best[n - k]:
+                    best[n - k] = boundary
+                    wit[n - k] = full ^ subset
     f = tuple(best[1:n])
     witnesses = None
     if keep_witnesses:

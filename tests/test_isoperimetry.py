@@ -9,9 +9,9 @@ from helpers import edge_boundary, reference_profile, reference_rooted_trees
 from prodperc.catalog import build_catalog_product
 from prodperc.graph_core import (BaseGraph, BaseGraphSpec, TooLargeError,
                                  build_base, build_product, cartesian_product)
-from prodperc.isoperimetry import (BoundParams, count_rooted_trees,
-                                   edge_connectivity, exhaustive_profile,
-                                   f_star, rooted_tree_bound)
+from prodperc.isoperimetry import (EXHAUSTIVE_MAX_VERTICES, BoundParams,
+                                   count_rooted_trees, edge_connectivity,
+                                   exhaustive_profile, f_star, rooted_tree_bound)
 
 
 # --- exact profiles ---------------------------------------------------------
@@ -42,11 +42,12 @@ def test_profile_witnesses_attain_their_value():
 PATH_MIDDLE_LAST = BaseGraph(order=3, degree=None, adjacency=((2,), (2,), (0, 1)), label="P3")
 
 
-@pytest.mark.parametrize("name", ["K3xK2", "K3xK3", "C5xK2", "petersen", "P3xK3", "P3xC5"])
+@pytest.mark.parametrize("name", ["K3xK2", "K3xK3", "C5xK2", "petersen", "P3xK3", "P3xC5",
+                                  "K2xK2xK2xK2"])
 def test_profile_matches_subset_oracle(name):
     # odd n and non-bipartite factors; with P3 the product is not
     # vertex-transitive, and the only (n - 1)-set without the last vertex
-    # has boundary above f(n - 1)
+    # has boundary above f(n - 1); Q4 walks five vertices past the low block
     bases = {"K2": build_base(BaseGraphSpec.complete(2)),
              "K3": build_base(BaseGraphSpec.complete(3)),
              "C5": build_base(BaseGraphSpec.cycle(5)),
@@ -58,6 +59,29 @@ def test_profile_matches_subset_oracle(name):
         witness = profile.witnesses[k - 1]
         assert len(witness) == k
         assert edge_boundary(pg, witness) == profile.f_of(k)
+
+
+@pytest.mark.parametrize("n", [20, EXHAUSTIVE_MAX_VERTICES])
+def test_complete_graph_profile_is_k_times_n_minus_k(n):
+    # degree n - 1 puts the low block's lanes past one byte
+    pg = build_product([BaseGraphSpec.complete(n)])
+    profile = exhaustive_profile(pg, keep_witnesses=False)
+    assert profile.f == tuple(k * (n - k) for k in range(1, n))
+
+
+@pytest.mark.parametrize("specs", [(BaseGraphSpec.petersen(), BaseGraphSpec.complete(2)),
+                                   (BaseGraphSpec.complete(20),)],
+                         ids=["petersenxK2", "K20"])
+def test_witnesses_past_one_block_attain_their_value(specs):
+    pg = build_product(list(specs))
+    profile = exhaustive_profile(pg, keep_witnesses=True)
+    for k in range(1, pg.n):
+        witness = profile.witnesses[k - 1]
+        assert len(witness) == k
+        assert edge_boundary(pg, witness) == profile.f_of(k)
+    # the walk leaves out the last vertex: witnesses holding it were
+    # recorded as complements, the others as the walked subset itself
+    assert {pg.n - 1 in witness for witness in profile.witnesses} == {False, True}
 
 
 def test_witness_retention_defaults():
@@ -72,6 +96,10 @@ def test_witness_retention_defaults():
 def test_profile_size_cap():
     with pytest.raises(TooLargeError):
         exhaustive_profile(build_catalog_product("Q5"))
+    over = build_product([BaseGraphSpec.complete(5), BaseGraphSpec.complete(5)])
+    assert over.n == EXHAUSTIVE_MAX_VERTICES + 1
+    with pytest.raises(TooLargeError):
+        exhaustive_profile(over)
 
 
 @pytest.mark.parametrize("name", ["Q4", "K3xK3", "C4xK3", "C5xK2"])
