@@ -27,7 +27,7 @@ _EXPORTS = {name: module for module, names in (
                    "build_base build_product cartesian_product"),
     ("isoperimetry", "BoundParams IsoperimetricProfile edge_connectivity "
                      "exhaustive_profile f_star"),
-    ("matching", "MatchingState maximum_matching tutte_berge_deficiency"),
+    ("matching", "MatchingState maximum_matching"),
     ("obstructions", "ObstructionRecord default_threshold "
                      "find_minimal_obstructions"),
     ("process", "EdgeOrdering HittingTimes PercolationSample component_profile "

@@ -1,11 +1,12 @@
 """The invariant battery behind ``prodperc verify`` (kind ``verify_all``).
 
-Each suite checks one cross-module invariant against an independent
-oracle at small scale: solver deficiency against subset enumeration,
-exhaustive isoperimetric profiles against the analytic bound, minimum
-cuts, rooted-tree counts, the star-power bipartition identity,
-obstruction structure, two-round coupling frequencies, and hitting-time
-order and tau3 against a from-scratch prefix bisection.
+Each suite checks one cross-module invariant at small scale: the
+solver's matchings, each proved maximum by its Tutte-Berge barrier
+(``matching.certified_deficiency``), exhaustive isoperimetric profiles
+against the analytic bound, minimum cuts, rooted-tree counts, the
+star-power bipartition identity, obstruction structure, two-round
+coupling frequencies, and hitting-time order with tau3 certified by a
+matching of floor(n/2) edges at tau3 and a barrier one edge earlier.
 
 A suite is a generator that yields one outcome per instance it checks:
 None when the check holds, else a detail naming the counterexample.
@@ -24,7 +25,7 @@ from .graph_core import (BaseGraphSpec, ProductGraph, bipartition_signature,
                          build_product, cartesian_product, full_mask, star)
 from .isoperimetry import (BoundParams, count_rooted_trees, edge_connectivity,
                            exhaustive_profile, f_star, rooted_tree_bound)
-from .matching import brute_deficiency, maximum_matching, tutte_berge_deficiency
+from .matching import certified_deficiency, maximum_matching
 from .obstructions import (find_minimal_obstructions, verify_determination,
                            verify_three_components)
 from .process import (EdgeOrdering, double_exposures, run_process,
@@ -49,10 +50,15 @@ def _suite(outcomes):
     return tally
 
 
+def _certified(pg: ProductGraph, mask) -> int | None:
+    """The solver's deficiency on the view if its barrier proves it."""
+    return certified_deficiency(pg, mask, maximum_matching(pg, mask).mate)
+
+
 @_suite
 def _suite_oracle_equivalence(seed: int):
-    """Solver deficiency vs subset enumeration on random masks and the
-    small catalog."""
+    """The solver's matching certified on random masks and the small
+    catalog."""
     hosts: dict[int, ProductGraph] = {}
     for i in range(200):
         trial_seed = derive_trial_seed(seed, i)
@@ -65,17 +71,14 @@ def _suite_oracle_equivalence(seed: int):
         p = 0.2 + 0.6 * gen.next_double()
         mask = bernoulli_masks([gen], host.m, p)[0]
         yield (f"random mask K{order} trial {i} seed {trial_seed}"
-               if tutte_berge_deficiency(host, mask) != brute_deficiency(host, mask)
-               else None)
+               if _certified(host, mask) is None else None)
     for j, name in enumerate(tiny_names(12)):
         pg = build_catalog_product(name)
         base = derive_trial_seed(seed, 1000 + j)
         samples = sample_percolations(pg, 0.55, [derive_trial_seed(base, k) for k in range(3)])
         masks = [full_mask(pg)] + [sample.mask for sample in samples]
         for k, mask in enumerate(masks):
-            yield (f"catalog {name} mask {k}"
-                   if tutte_berge_deficiency(pg, mask) != brute_deficiency(pg, mask)
-                   else None)
+            yield f"catalog {name} mask {k}" if _certified(pg, mask) is None else None
 
 
 @_suite
@@ -181,33 +184,22 @@ def _suite_coupling(seed: int, sigmas: float = 4.0):
                if abs(total / rounds - p) > sigmas * sigma else None)
 
 
-def _tau3_oracle(pg: ProductGraph, ordering: EdgeOrdering) -> int | None:
-    """First prefix of the ordering whose maximum matching has floor(n/2)
-    edges, or None: bisection over from-scratch ``maximum_matching``
-    solves that share nothing between probes."""
-    target = pg.n // 2
-
-    def reaches(length: int) -> bool:
-        mask = bytearray(pg.m)
-        for eid in ordering.permutation[:length]:
-            mask[eid] = 1
-        return maximum_matching(pg, mask).size >= target
-
-    if not reaches(pg.m):
-        return None
-    lo, hi = 0, pg.m
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _tau3_certified(pg: ProductGraph, ordering: EdgeOrdering, tau3: int | None) -> bool:
+    """Whether ``tau3`` is the first prefix of the ordering that holds a
+    matching of floor(n/2) edges: the solver's matching there is one,
+    and the barrier of the prefix one edge shorter (of the whole graph
+    when ``tau3`` is None) proves a deficiency above n mod 2."""
+    rank = sorted(range(pg.m), key=ordering.permutation.__getitem__)  # edge id -> position
+    parity = pg.n % 2
+    if tau3 is not None and _certified(pg, bytes(r < tau3 for r in rank)) != parity:
+        return False
+    short = pg.m if tau3 is None else tau3 - 1
+    return (_certified(pg, bytes(r < short for r in rank)) or 0) > parity  # None: unproved
 
 
 @_suite
 def _suite_hitting_sanity(seed: int):
-    """Order invariants and tau3 against the prefix oracle on small runs."""
+    """Order invariants and a certified tau3 on small runs."""
     for name_index, name in enumerate(("Q4", "K3xK3", "C4xK3")):
         pg = build_catalog_product(name)
         for i in range(10):
@@ -217,7 +209,7 @@ def _suite_hitting_sanity(seed: int):
             bad_order = times.tau1 > times.tau2 or (
                 pg.n % 2 == 0 and times.tau3 is not None and times.tau1 > times.tau3)
             yield (f"{name} trial {i} seed {trial_seed}"
-                   if bad_order or times.tau3 != _tau3_oracle(pg, ordering) else None)
+                   if bad_order or not _tau3_certified(pg, ordering, times.tau3) else None)
 
 
 def run_battery(seed: int):

@@ -4,18 +4,24 @@ The solver is an augmenting-path search with blossom contraction over a
 (graph, edge mask) view, warm-started by a greedy maximal matching.  A
 view never copies adjacency: ``mask`` is a bytes-like array indexed by
 canonical edge id, and every entry point takes one (``full_mask(pg)``
-views the whole graph).  The brute-force dual route evaluates the
-deficiency formula
+views the whole graph).
+
+A matching M is proved maximum without trusting the search by the
+Tutte-Berge formula
 
     deficiency = max over U of (odd components of G - U) - |U|
 
-by enumerating all vertex subsets, which is feasible up to 20 vertices
-and serves as the independent oracle for the solver.  It skips every U
-with n - 2|U| no larger than the best value so far, since G - U has at
-most n - |U| odd components.
+with its Gallai-Edmonds barrier.  For every vertex set A,
+odd(G - A) - |A| <= deficiency <= n - 2|M|, so equality at one A is a
+proof.  Let D be the vertices that the failed searches from the exposed
+vertices mark outer; when M is maximum, A = N(D) - D attains the
+equality (Lovasz-Plummer, *Matching Theory*, ch. 3).
+``certified_deficiency`` checks it with one component count.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .graph_core import ProductGraph, _identity, components_from_bitmasks, neighbor_bitmasks
 
@@ -50,11 +56,13 @@ def _greedy_extend(pg: ProductGraph, mask, mate: list[int]) -> int:
     return gained
 
 
-def _augment_once(pg: ProductGraph, mask, mate: list[int], root: int) -> bool:
+def _augment_once(pg: ProductGraph, mask, mate: list[int], root: int) -> bytearray | None:
     """Search for an augmenting path from ``root``; apply it if found.
 
     Breadth-first alternating search; odd cycles are contracted by
     rerooting the ``base`` array at the cycle's lowest common ancestor.
+    Returns None after augmenting, else the outer marks of the failed
+    search: byte v is 1 iff v is reached by an even alternating path.
     """
     n = pg.n
     off, flat, eids = pg.adj_off, pg.adj_flat, pg.adj_eid
@@ -113,10 +121,10 @@ def _augment_once(pg: ProductGraph, mask, mate: list[int], root: int) -> bool:
                         mate[u2] = pv
                         mate[pv] = u2
                         u2 = nxt
-                    return True
+                    return None
                 used[mate[to]] = 1
                 queue.append(mate[to])
-    return False
+    return used
 
 
 def _solve(pg: ProductGraph, mask, stop_at: int | None = None) -> tuple[list[int], int]:
@@ -128,7 +136,7 @@ def _solve(pg: ProductGraph, mask, stop_at: int | None = None) -> tuple[list[int
             break
         if mate[root] >= 0:
             continue
-        if _augment_once(pg, mask, mate, root):
+        if _augment_once(pg, mask, mate, root) is None:
             size += 1
     return mate, size
 
@@ -139,32 +147,29 @@ def maximum_matching(pg: ProductGraph, mask) -> MatchingState:
     return MatchingState(mate=tuple(mate), size=size)
 
 
-def tutte_berge_deficiency(pg: ProductGraph, mask) -> int:
-    """Number of vertices left exposed by a maximum matching."""
-    return pg.n - 2 * maximum_matching(pg, mask).size
+def certified_deficiency(pg: ProductGraph, mask, mate) -> int | None:
+    """n - 2|M| when ``mate`` is a matching M of present edges that its
+    barrier proves maximum, else None.
 
-
-def brute_deficiency(pg: ProductGraph, mask) -> int:
-    """Deficiency by enumerating every vertex subset U (oracle, n <= 20).
-
-    G - U has at most n - |U| odd components, so a U with
-    n - 2|U| <= best cannot raise the maximum and is skipped before its
-    components are computed.
+    The barrier is A = N(D) - D, with D the union of the outer marks of
+    a search from each exposed vertex on a copy of ``mate``; a search
+    that augments disproves M at once.  M is proved when
+    odd(G - A) - |A| = n - 2|M|.
     """
     n = pg.n
-    if n > 20:
-        raise ValueError(f"brute-force deficiency capped at 20 vertices, got {n}")
     nbr = neighbor_bitmasks(pg, mask)
-    all_mask = (1 << n) - 1
-    best = 0
-    for u_mask in range(1 << n):
-        if n - 2 * u_mask.bit_count() <= best:
-            continue
-        odd = 0
-        for comp in components_from_bitmasks(nbr, all_mask & ~u_mask):
-            if comp.bit_count() & 1:
-                odd += 1
-        value = odd - u_mask.bit_count()
-        if value > best:
-            best = value
-    return best
+    if len(mate) != n or any(w >= 0 and (w >= n or mate[w] != v or not nbr[v] >> w & 1)
+                             for v, w in enumerate(mate)):
+        return None
+    work, outer = list(mate), set()
+    for root in range(n):
+        if mate[root] < 0:
+            marks = _augment_once(pg, mask, work, root)
+            if marks is None:
+                return None
+            outer.update(v for v, mark in enumerate(marks) if mark)
+    barrier = reduce(or_, (nbr[v] for v in outer), 0) & ~sum(1 << v for v in outer)
+    odd = sum(comp.bit_count() & 1
+              for comp in components_from_bitmasks(nbr, ((1 << n) - 1) & ~barrier))
+    deficiency = sum(w < 0 for w in mate)
+    return deficiency if odd - barrier.bit_count() == deficiency else None

@@ -8,7 +8,7 @@ from itertools import combinations
 from prodperc.catalog import CATALOG
 from prodperc.graph_core import (ProductGraph, build_base,
                                  components_from_bitmasks, neighbor_bitmasks)
-from prodperc.matching import brute_deficiency, maximum_matching
+from prodperc.matching import maximum_matching
 from prodperc.obstructions import (ObstructionRecord, _record_from_components,
                                    default_threshold, find_minimal_obstructions)
 from prodperc.process import PercolationSample
@@ -76,7 +76,7 @@ def reference_profile(pg: ProductGraph) -> tuple[int, ...]:
 
 def reference_deficiency(pg: ProductGraph, mask) -> int:
     """The Tutte-Berge maximum of odd(G - U) - |U| over every vertex
-    set U, none skipped (reference for ``matching.brute_deficiency``)."""
+    set U, none skipped (reference for ``matching.certified_deficiency``)."""
     nbr = neighbor_bitmasks(pg, mask)
     all_mask = (1 << pg.n) - 1
     return max(sum(comp.bit_count() & 1 for comp in components_from_bitmasks(nbr, all_mask & ~u))
@@ -285,7 +285,7 @@ def deficiency_consistency(pg: ProductGraph, sample: PercolationSample,
     if n > 16:
         raise ValueError(f"deficiency consistency capped at 16 vertices, got {n}")
     deficiency = n - 2 * maximum_matching(pg, sample.mask).size
-    brute = brute_deficiency(pg, sample.mask)
+    brute = reference_deficiency(pg, sample.mask)
     nbr = neighbor_bitmasks(pg, sample.mask)
     comp_masks = components_from_bitmasks(nbr, (1 << n) - 1)
     sizes = sorted((c.bit_count() for c in comp_masks), reverse=True)

@@ -21,7 +21,7 @@ from prodperc.battery import (_suite_coupling, _suite_edge_connectivity,
                               _suite_isoperimetry_bounds,
                               _suite_obstruction_properties,
                               _suite_oracle_equivalence, _suite_star_identity,
-                              _suite_tree_bounds, _tau3_oracle)
+                              _suite_tree_bounds, _tau3_certified)
 from prodperc.experiments import ExperimentConfig, render_report, run_trials
 from prodperc.graph_core import full_mask
 from prodperc.isoperimetry import exhaustive_profile
@@ -59,8 +59,9 @@ def _report_suite(number: int, claim: str, result: tuple[int, int, str]):
 
 
 def test_criterion_01_matching_oracle_equivalence():
-    _report_suite(1, "solver vs enumeration on 200 random masks (n <= 10) "
-                     "and on full and sampled masks of the catalog (n <= 12)",
+    _report_suite(1, "solver matchings certified by their barriers on 200 "
+                     "random masks (n <= 10) and on full and sampled masks "
+                     "of the catalog (n <= 12)",
                   _suite_oracle_equivalence(BASE_SEED))
 
 
@@ -114,16 +115,16 @@ def test_criterion_08_hitting_time_sanity():
             order_violations += 1
     hosts = [build_catalog_product(name) for name in even_order_names(64)]
     hosts = [g for g in hosts if g.n <= 64]
-    oracle_disagreements = 0
+    uncertified = 0
     for i in range(100):
         g = hosts[i % len(hosts)]
         ordering = sample_ordering(g, derive_trial_seed(BASE_SEED + 1, i))
-        if run_process(g, ordering).tau3 != _tau3_oracle(g, ordering):
-            oracle_disagreements += 1
-    _report(8, order_violations == 0 and oracle_disagreements == 0,
+        if not _tau3_certified(g, ordering, run_process(g, ordering).tau3):
+            uncertified += 1
+    _report(8, order_violations == 0 and uncertified == 0,
             f"tau1 <= tau2, tau1 <= tau3 in 1000/1000 Q6 trials "
-            f"({order_violations} violations); tau3 == prefix oracle on "
-            f"100 cross-checks ({oracle_disagreements} disagreements)")
+            f"({order_violations} violations); tau3 certified by its "
+            f"matching and barrier on 100 trials ({uncertified} not)")
 
 
 def test_criterion_09_coincidence_rate_grows_with_dimension():

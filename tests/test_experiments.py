@@ -1,13 +1,14 @@
 """Experiment configs, trial runners, reports, and the CLI."""
 
 import concurrent.futures
+import inspect
 import json
 from dataclasses import replace
 
 import pytest
 
 from helpers import report_digest
-from prodperc import battery, cli, experiments, graph_core
+from prodperc import battery, cli, experiments, graph_core, matching
 from prodperc.cli import main
 from prodperc.experiments import (ConfigError, ExperimentConfig, emit_report,
                                   render_report, resolve_product, round9,
@@ -425,14 +426,19 @@ def test_render_report_rejects_unknown_format():
 
 @pytest.fixture
 def broken_matching(monkeypatch):
-    """Make the battery's matching solver report one vertex too many.
+    """Make the battery's matching solver pair vertex 0 with itself, a
+    mate that no certificate may accept.
 
     The coupling suite never calls the solver, so it is stubbed out to
     keep the fault tests fast.
     """
-    solver = battery.tutte_berge_deficiency
-    monkeypatch.setattr(battery, "tutte_berge_deficiency",
-                        lambda pg, mask=None: solver(pg, mask) + 1)
+    solver = battery.maximum_matching
+
+    def self_paired(pg, mask):
+        state = solver(pg, mask)
+        return replace(state, mate=(0, *state.mate[1:]))
+
+    monkeypatch.setattr(battery, "maximum_matching", self_paired)
     monkeypatch.setattr(battery, "_suite_coupling", lambda seed: (1, 0, ""))
 
 
@@ -458,6 +464,26 @@ def test_battery_catches_injected_fault(broken_matching):
     # every instance fails, and the row carries the first one's detail
     assert summary.rows[0] == ("oracle_equivalence", 232, 232, "fail",
                                "random mask K4 trial 0 seed 1722442076919654607")
+
+
+def test_battery_catches_a_search_that_skips_blossoms(monkeypatch):
+    # _augment_once recompiled with `continue` at the top of its blossom
+    # branch: the solver and the certificate's searches both run it
+    source = inspect.getsource(matching._augment_once)
+    anchor = next((line for line in source.splitlines(keepends=True)
+                   if line.strip() == "# blossom: find the lowest common ancestor of v and to"),
+                  None)
+    assert anchor is not None, "the blossom branch of _augment_once lost its anchor line"
+    indent = anchor[:len(anchor) - len(anchor.lstrip())]
+    namespace = dict(vars(matching))
+    exec(compile(source.replace(anchor, indent + "continue\n" + anchor), matching.__file__,
+                 "exec"), namespace)
+    monkeypatch.setattr(matching, "_augment_once", namespace["_augment_once"])
+    monkeypatch.setattr(battery, "_suite_coupling", lambda seed: (1, 0, ""))
+    rows, aggregates = battery.run_battery(0)
+    failing = {row[0] for row in rows if row[2] > 0}
+    assert {"oracle_equivalence", "hitting_sanity"} <= failing
+    assert aggregates["exit_status"] == 1
 
 
 def test_coupling_suite_reports_union_mismatch(monkeypatch):

@@ -1,16 +1,16 @@
-"""Maximum matching, augmenting search, and the deficiency oracles."""
+"""Maximum matching, augmenting search, and the barrier certificate."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import blossom_edges, mask_from_edges, reference_deficiency
 from prodperc import matching
+from prodperc.battery import _certified as certified
 from prodperc.catalog import build_catalog_product, tiny_names
 from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product,
                                  components_from_bitmasks, full_mask,
                                  neighbor_bitmasks, star)
-from prodperc.matching import (brute_deficiency, maximum_matching,
-                               tutte_berge_deficiency, _augment_once)
+from prodperc.matching import certified_deficiency, maximum_matching, _augment_once
 from prodperc.process import sample_percolation
 from prodperc.rng import Xoshiro256StarStar, bernoulli_masks, derive_trial_seed
 
@@ -50,15 +50,14 @@ def test_star_deficiency():
     host = cartesian_product([star(3)])
     mask = full_mask(host)
     assert maximum_matching(host, mask).size == 1
-    assert tutte_berge_deficiency(host, mask) == 2
-    assert brute_deficiency(host, mask) == 2
+    assert certified(host, mask) == reference_deficiency(host, mask) == 2
 
 
 def test_empty_and_full_masks():
     pg = build_catalog_product("Q3")
     assert maximum_matching(pg, bytes(pg.m)).size == 0
-    assert brute_deficiency(pg, bytes(pg.m)) == 8
-    assert tutte_berge_deficiency(pg, full_mask(pg)) == 0
+    assert certified(pg, bytes(pg.m)) == reference_deficiency(pg, bytes(pg.m)) == 8
+    assert certified(pg, full_mask(pg)) == 0
 
 
 def test_blossom_contraction_path():
@@ -66,7 +65,7 @@ def test_blossom_contraction_path():
     c5 = build_product((BaseGraphSpec.cycle(5),))
     for seed in range(20):
         mask = random_mask(c5, seed, p=0.7)
-        assert tutte_berge_deficiency(c5, mask) == brute_deficiency(c5, mask)
+        assert certified(c5, mask) == reference_deficiency(c5, mask)
 
 
 def test_augment_contracts_blossom():
@@ -77,9 +76,9 @@ def test_augment_contracts_blossom():
     mate = [-1] * pg.n
     for u, v in ((3, 0), (1, 2)):
         mate[u], mate[v] = v, u
-    assert _augment_once(pg, mask, mate, root=6)
+    assert _augment_once(pg, mask, mate, root=6) is None
     size = sum(1 for v, w in enumerate(mate) if w > v)
-    assert size == (pg.n - brute_deficiency(pg, mask)) // 2 == 3
+    assert size == (pg.n - reference_deficiency(pg, mask)) // 2 == 3
 
 
 def test_solver_matches_brute_on_blossom_forcing_masks():
@@ -90,7 +89,7 @@ def test_solver_matches_brute_on_blossom_forcing_masks():
         edges = blossom_edges(Xoshiro256StarStar(derive_trial_seed(2026, i)))
         pg = hosts[1 + max(v for _, v in edges)]
         mask = mask_from_edges(pg, edges)
-        assert tutte_berge_deficiency(pg, mask) == brute_deficiency(pg, mask) == 0
+        assert certified(pg, mask) == reference_deficiency(pg, mask) == 0
 
 
 def test_augment_leaves_the_cached_identity_unshared():
@@ -102,7 +101,7 @@ def test_augment_leaves_the_cached_identity_unshared():
     assert matching._identity(pg.n) == list(range(pg.n))
     mask = mask_from_edges(pg, [(3, 0), (0, 1), (1, 2), (0, 2), (2, 8), (8, 5)])
     _, size = matching._solve(pg, mask)
-    assert pg.n - 2 * size == brute_deficiency(pg, mask) == 3
+    assert pg.n - 2 * size == reference_deficiency(pg, mask) == 3
 
 
 # --- oracle equivalence --------------------------------------------------
@@ -115,24 +114,24 @@ def test_oracle_equivalence_random_masks():
         host = build_product((BaseGraphSpec.complete(order),))
         p = 0.2 + 0.6 * gen.next_double()
         mask = bernoulli_masks([gen], host.m, p)[0]
-        assert tutte_berge_deficiency(host, mask) == brute_deficiency(host, mask)
+        assert certified(host, mask) == reference_deficiency(host, mask)
 
 
 @pytest.mark.parametrize("name", tiny_names(12))
 def test_oracle_equivalence_catalog(name):
     pg = build_catalog_product(name)
     mask = full_mask(pg)
-    assert tutte_berge_deficiency(pg, mask) == brute_deficiency(pg, mask)
+    assert certified(pg, mask) == reference_deficiency(pg, mask)
     for k in range(3):
         mask = random_mask(pg, derive_trial_seed(7, k), p=0.5)
-        assert tutte_berge_deficiency(pg, mask) == brute_deficiency(pg, mask)
+        assert certified(pg, mask) == reference_deficiency(pg, mask)
 
 
 # --- structural properties -----------------------------------------------
 
 def test_no_augmenting_path_at_maximum():
     def augments(mate):
-        return any(mate[root] < 0 and _augment_once(pg, mask, list(mate), root)
+        return any(mate[root] < 0 and _augment_once(pg, mask, list(mate), root) is None
                    for root in range(pg.n))
 
     pg = build_catalog_product("K3xK3")
@@ -148,7 +147,7 @@ def test_no_augmenting_path_at_maximum():
 def test_deficiency_parity_and_range(seed):
     pg = build_catalog_product("K3xK3")
     mask = random_mask(pg, seed)
-    deficiency = tutte_berge_deficiency(pg, mask)
+    deficiency = certified(pg, mask)
     assert 0 <= deficiency <= pg.n
     assert deficiency % 2 == pg.n % 2
 
@@ -168,8 +167,8 @@ def test_adding_one_edge_grows_matching_by_at_most_one(seed):
         assert after in (before, before + 1)
 
 
-@pytest.mark.parametrize("name", ["K5", "petersen", "K3xK3", "C5xK2", "C4xK3", "S3xS2"])
-def test_brute_deficiency_matches_unpruned_loop(name):
+@pytest.mark.parametrize("name", [*tiny_names(12), "S3xS2"])
+def test_barrier_proves_the_reference_deficiency(name):
     # S3xS2 = star(3) x star(2) has bipartition classes of 7 and 5, so
     # its full deficiency is reached only at a U whose removal leaves
     # isolated vertices alone
@@ -178,13 +177,36 @@ def test_brute_deficiency_matches_unpruned_loop(name):
     masks = [bytes(pg.m), full_mask(pg)] + [
         random_mask(pg, derive_trial_seed(11, k), p=0.05 + 0.1 * k) for k in range(7)]
     for mask in masks:
-        assert brute_deficiency(pg, mask) == reference_deficiency(pg, mask)
+        assert certified(pg, mask) == reference_deficiency(pg, mask)
 
 
-def test_brute_deficiency_cap():
-    q5 = build_catalog_product("Q5")
-    with pytest.raises(ValueError):
-        brute_deficiency(q5, full_mask(q5))
+def test_barrier_rejects_bad_mates():
+    # on a blossom-forcing mask the greedy warm start is maximal but two
+    # short of a perfect matching.  The other two mates cover every
+    # vertex along present edges but one, or one-sidedly, so only the
+    # matching check can reject them: with no vertex exposed the barrier
+    # is empty and G has no odd component.
+    pg = build_product((BaseGraphSpec.complete(10),))
+    for i in range(40):
+        edges = blossom_edges(Xoshiro256StarStar(derive_trial_seed(2026, i)))
+        if max(v for _, v in edges) == 9:
+            break
+    mask = mask_from_edges(pg, edges)
+    greedy = [-1] * pg.n
+    assert matching._greedy_extend(pg, mask, greedy) == 4
+    assert certified_deficiency(pg, mask, greedy) is None
+    mate = list(maximum_matching(pg, mask).mate)
+    assert certified_deficiency(pg, mask, mate) == 0
+    pairs = [(v, w) for v, w in enumerate(mate) if v < w]
+    (a, b), (c, d) = next(((a, b), (c, d)) for a, b in pairs for c, d in pairs
+                          if a < c and (a, c) not in edges)
+    crossed = list(mate)
+    crossed[a], crossed[c], crossed[b], crossed[d] = c, a, d, b
+    assert certified_deficiency(pg, mask, crossed) is None
+    u, v = next((u, v) for u, v in sorted(edges) if mate[u] != v)
+    one_sided = list(mate)
+    one_sided[u] = v
+    assert certified_deficiency(pg, mask, one_sided) is None
 
 
 def test_components_from_bitmasks():
