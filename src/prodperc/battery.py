@@ -28,7 +28,7 @@ from .isoperimetry import (BoundParams, count_rooted_trees, edge_connectivity,
 from .matching import certified_deficiency, maximum_matching
 from .obstructions import (find_minimal_obstructions, verify_determination,
                            verify_three_components)
-from .process import (EdgeOrdering, double_exposures, run_process,
+from .process import (EdgeOrdering, double_exposures, hitting_times,
                       sample_ordering, sample_percolation, sample_percolations)
 from .rng import GROUP_LANES, Xoshiro256StarStar, bernoulli_masks, derive_trial_seed
 
@@ -149,8 +149,8 @@ def _suite_obstruction_properties(seed: int, samples: int = 48,
         u_cap = (pg.n - 1) // 2 if u_max is None else min(u_max, (pg.n - 1) // 2)
         minimal = find_minimal_obstructions(pg, sample, u_max=u_cap)
         for record in minimal:
-            if len(record.u_set) + len(record.v1) + len(record.w_set) + \
-                    len(record.s_set) + len(record.b_set) != pg.n:
+            if record.u + record.v1.bit_count() + record.w_set.bit_count() + \
+                    record.s_set.bit_count() + record.b_set.bit_count() != pg.n:
                 yield f"partition {name} trial {i}"
             elif verify_three_components(pg, sample, record).counterexamples:
                 yield f"three-component {name} trial {i} seed {trial_seed}"
@@ -199,13 +199,13 @@ def _tau3_certified(pg: ProductGraph, ordering: EdgeOrdering, tau3: int | None) 
 
 @_suite
 def _suite_hitting_sanity(seed: int):
-    """Order invariants and a certified tau3 on small runs."""
+    """Order invariants and a certified tau3 on small runs, each host's
+    trials drawn in one ``hitting_times`` call as the CLI draws them."""
     for name_index, name in enumerate(("Q4", "K3xK3", "C4xK3")):
         pg = build_catalog_product(name)
-        for i in range(10):
-            trial_seed = derive_trial_seed(derive_trial_seed(seed, name_index), i)
+        seeds = [derive_trial_seed(derive_trial_seed(seed, name_index), i) for i in range(10)]
+        for i, (trial_seed, times) in enumerate(zip(seeds, hitting_times(pg, seeds))):
             ordering = sample_ordering(pg, trial_seed)
-            times = run_process(pg, ordering)
             bad_order = times.tau1 > times.tau2 or (
                 pg.n % 2 == 0 and times.tau3 is not None and times.tau1 > times.tau3)
             yield (f"{name} trial {i} seed {trial_seed}"

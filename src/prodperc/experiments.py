@@ -470,22 +470,21 @@ def run_trials(config: ExperimentConfig) -> TrialSummary:
         rows, aggregates = run_battery(config.seed)
     else:
         pg = config.build()
-        if config.kind == "obstructions" and pg.n > 16 and config.u_max > 3:
-            raise ConfigError(
-                f"obstruction enumeration needs n <= 16 or u_max <= 3 "
-                f"(n={pg.n}, u_max={config.u_max})")
-        # Derive p, the bound parameters and the default obstruction
-        # threshold before any worker starts, so a value outside their
-        # domain is a config error, not a traceback.
+        # Check the obstruction enumeration limit, and derive p, the bound
+        # parameters and the default obstruction threshold, before any
+        # worker starts, so a value outside their domain is a config
+        # error, not a traceback.
         try:
             p = (None if config.p is None and config.omega is None
                  else config.effective_p(pg))
             if config.kind == "isoperimetry":
                 from .isoperimetry import BoundParams
                 params = BoundParams.from_product(pg, 0.5 if p is None else p)
-            elif config.kind == "obstructions" and config.component_threshold is None:
-                from .obstructions import default_threshold
-                default_threshold(pg, p)
+            elif config.kind == "obstructions":
+                from .obstructions import check_enumeration_limit, default_threshold
+                check_enumeration_limit(pg.n, config.u_max)
+                if config.component_threshold is None:
+                    default_threshold(pg, p)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if config.kind == "isoperimetry":

@@ -9,6 +9,9 @@ default threshold is max(3, floor(n / d**(C**3 / p))): the analytic
 split point is far below 3 at desk scale, and sizes below 3 would make
 the S band empty by definition.
 
+Every vertex set here is an n-bit int, bit v standing for vertex v, as
+in the scan's neighbour masks (``graph_core.neighbor_bitmasks``).
+
 A minimal obstruction is one of the globally smallest size.  Records
 come only from the scan ``find_minimal_obstructions``, so every
 ``ObstructionRecord`` is a minimal obstruction.  Two structural checks
@@ -34,20 +37,21 @@ from .process import PercolationSample
 @dataclass(frozen=True)
 class ObstructionRecord:
     """One minimal obstruction U of a sample, with the components of the
-    sample less U banded by size."""
+    sample less U banded by size.  Every field is an n-bit vertex mask
+    (``components`` a tuple of them, in the scan's order)."""
 
-    u_set: frozenset
-    components: tuple[frozenset, ...]
-    v1: frozenset
-    w_set: frozenset
-    s_set: frozenset
-    b_set: frozenset
+    u_set: int
+    components: tuple[int, ...]
+    v1: int
+    w_set: int
+    s_set: int
+    b_set: int
 
     @property
     def u(self) -> int:
-        return len(self.u_set)
+        return self.u_set.bit_count()
 
-    def wsb_key(self) -> frozenset:
+    def wsb_key(self) -> int:
         return self.w_set | self.s_set | self.b_set
 
 
@@ -66,7 +70,7 @@ class DeterminationReport:
 
     group_count: int
     max_group: int
-    violating_groups: tuple[frozenset, ...]
+    violating_groups: tuple[int, ...]  # W+S+B masks
 
 
 def default_threshold(pg: ProductGraph, p: float) -> int:
@@ -80,30 +84,28 @@ def default_threshold(pg: ProductGraph, p: float) -> int:
     return max(3, math.floor(analytic))
 
 
-def _record_from_components(pg: ProductGraph, u_frozen: frozenset,
-                            comp_masks: list[int], threshold: float) -> ObstructionRecord:
-    v1_bits = 0
-    w_bits = 0
-    s_bits = 0
-    b_bits = 0
+def check_enumeration_limit(n: int, u_max: int) -> None:
+    """Raise ValueError unless the scan is affordable: n <= 16 or u_max <= 3."""
+    if n > 16 and u_max > 3:
+        raise ValueError(f"obstruction enumeration needs n <= 16 or u_max <= 3 "
+                         f"(n={n}, u_max={u_max})")
+
+
+def _record_from_components(u_set: int, comp_masks: list[int],
+                            threshold: float) -> ObstructionRecord:
+    v1 = w_set = s_set = b_set = 0
     for comp in comp_masks:
         size = comp.bit_count()
         if size == 1:
-            v1_bits |= comp
+            v1 |= comp
         elif size == 2:
-            w_bits |= comp
+            w_set |= comp
         elif size <= threshold:
-            s_bits |= comp
+            s_set |= comp
         else:
-            b_bits |= comp
-
-    def unpack(bits: int) -> frozenset:
-        return frozenset(i for i in range(pg.n) if bits >> i & 1)
-
-    return ObstructionRecord(
-        u_set=u_frozen,
-        components=tuple(unpack(c) for c in comp_masks),
-        v1=unpack(v1_bits), w_set=unpack(w_bits), s_set=unpack(s_bits), b_set=unpack(b_bits))
+            b_set |= comp
+    return ObstructionRecord(u_set=u_set, components=tuple(comp_masks),
+                             v1=v1, w_set=w_set, s_set=s_set, b_set=b_set)
 
 
 def find_minimal_obstructions(pg: ProductGraph, sample: PercolationSample,
@@ -121,11 +123,10 @@ def find_minimal_obstructions(pg: ProductGraph, sample: PercolationSample,
     component C, into at most deg(w) pieces in G - P.  So U cannot
     obstruct unless the components of G - P other than C that are not
     of size two, plus deg(w), reach u + 1; only then is C - w split.
-    Enumeration needs n <= 16 or u_max <= 3.
+    Enumeration needs n <= 16 or u_max <= 3 (``check_enumeration_limit``).
     """
     n = pg.n
-    if n > 16 and u_max > 3:
-        raise ValueError(f"enumeration needs n <= 16 or u_max <= 3 (n={n}, u_max={u_max})")
+    check_enumeration_limit(n, u_max)
     if threshold is None:
         threshold = default_threshold(pg, sample.p)
     nbr = neighbor_bitmasks(pg, sample.mask)
@@ -154,7 +155,7 @@ def find_minimal_obstructions(pg: ProductGraph, sample: PercolationSample,
                 if rest + sum(c.bit_count() != 2 for c in pieces) >= u + 1:
                     comp_masks = components_from_bitmasks(nbr, avail & ~w_bit)
                     found.append(_record_from_components(
-                        pg, frozenset(prefix + (w,)), comp_masks, threshold))
+                        all_mask ^ avail | w_bit, comp_masks, threshold))
         if found:
             return found
     return []
@@ -164,6 +165,9 @@ def verify_three_components(pg: ProductGraph, sample: PercolationSample,
                             record: ObstructionRecord) -> ThreeComponentReport:
     """Check that every vertex of a minimal obstruction has sampled
     edges into three components of the subgraph induced on V1 + S + B.
+    A vertex's sampled neighbours are its ``neighbor_bitmasks`` entry,
+    so a call costs O(m), as the scan's component walk for each record
+    it finds does.
 
     Minimal obstructions of size 1 are outside the property's scope and
     are reported as skipped, not as failures.
@@ -171,23 +175,14 @@ def verify_three_components(pg: ProductGraph, sample: PercolationSample,
     if record.u < 2:
         return ThreeComponentReport(checked_vertices=0, skipped_out_of_scope=True,
                                     counterexamples=())
-    comp_of = {}
-    for idx, comp in enumerate(record.components):
-        if len(comp) != 2:
-            for v in comp:
-                comp_of[v] = idx
+    nbr = neighbor_bitmasks(pg, sample.mask)
+    kept = [comp for comp in record.components if comp.bit_count() != 2]
     counterexamples = []
-    for v in sorted(record.u_set):
-        seen = set()
-        off, flat, eids = pg.adj_off, pg.adj_flat, pg.adj_eid
-        for k in range(off[v], off[v + 1]):
-            if not sample.mask[eids[k]]:
-                continue
-            idx = comp_of.get(flat[k])
-            if idx is not None:
-                seen.add(idx)
-        if len(seen) < 3:
-            counterexamples.append((v, len(seen)))
+    for v in range(pg.n):
+        if record.u_set >> v & 1:
+            seen = sum(1 for comp in kept if comp & nbr[v])
+            if seen < 3:
+                counterexamples.append((v, seen))
     return ThreeComponentReport(checked_vertices=record.u,
                                 skipped_out_of_scope=False,
                                 counterexamples=tuple(counterexamples))
@@ -207,7 +202,7 @@ def verify_determination(pg: ProductGraph, sample: PercolationSample,
         minimal = find_minimal_obstructions(pg, sample, u_max=u_max, threshold=threshold)
     if not minimal:
         return DeterminationReport(group_count=0, max_group=0, violating_groups=())
-    groups: dict[frozenset, int] = {}
+    groups: dict[int, int] = {}
     for record in minimal:
         key = record.wsb_key()
         groups[key] = groups.get(key, 0) + 1

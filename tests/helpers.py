@@ -39,17 +39,21 @@ def coordinates(pg: ProductGraph, v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def band_removal(pg: ProductGraph, sample: PercolationSample, u_set,
+def vertex_mask(vertices) -> int:
+    """A vertex set as an n-bit int, bit v standing for vertex v."""
+    return sum(1 << v for v in set(vertices))
+
+
+def band_removal(pg: ProductGraph, sample: PercolationSample, u_set: int,
                  threshold: float | None = None) -> ObstructionRecord:
-    """The record the obstruction scan builds for removal set ``u_set``,
-    obstruction or not: the components of the sample less ``u_set``,
-    banded by size."""
+    """The record the obstruction scan builds for the removal set with
+    vertex mask ``u_set``, obstruction or not: the components of the
+    sample less ``u_set``, banded by size."""
     if threshold is None:
         threshold = default_threshold(pg, sample.p)
-    u_bits = sum(1 << v for v in set(u_set))
     comps = components_from_bitmasks(neighbor_bitmasks(pg, sample.mask),
-                                     ((1 << pg.n) - 1) & ~u_bits)
-    return _record_from_components(pg, frozenset(u_set), comps, threshold)
+                                     ((1 << pg.n) - 1) & ~u_set)
+    return _record_from_components(u_set, comps, threshold)
 
 
 def edge_boundary(pg: ProductGraph, subset, mask=None) -> int:
@@ -136,9 +140,10 @@ def reference_obstructions(pg: ProductGraph, sample: PercolationSample,
     up to ``u_max``, each set in ``combinations`` order through
     ``band_removal`` (reference for ``find_minimal_obstructions``)."""
     for u in range(1, u_max + 1):
-        records = [band_removal(pg, sample, combo) for combo in combinations(range(pg.n), u)]
+        records = [band_removal(pg, sample, vertex_mask(combo))
+                   for combo in combinations(range(pg.n), u)]
         found = [record for record in records
-                 if sum(len(comp) != 2 for comp in record.components) >= u + 1]
+                 if sum(comp.bit_count() != 2 for comp in record.components) >= u + 1]
         if found:
             return found
     return []

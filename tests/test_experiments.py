@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import report_digest
-from prodperc import battery, cli, experiments, graph_core, matching
+from prodperc import battery, cli, experiments, graph_core, matching, process
 from prodperc.cli import main
 from prodperc.experiments import (ConfigError, ExperimentConfig, emit_report,
                                   render_report, resolve_product, round9,
@@ -483,6 +483,22 @@ def test_battery_catches_a_search_that_skips_blossoms(monkeypatch):
     rows, aggregates = battery.run_battery(0)
     failing = {row[0] for row in rows if row[2] > 0}
     assert {"oracle_equivalence", "hitting_sanity"} <= failing
+    assert aggregates["exit_status"] == 1
+
+
+def test_battery_catches_rotated_hitting_lanes(monkeypatch):
+    # each lockstep block hands lane i the words of lane i + 1: the
+    # hitting suite must run the CLI's lockstep path to notice
+    words = process.lockstep_words
+
+    def rotated(gens, count):
+        lanes = words(gens, count)
+        return lanes[1:] + lanes[:1]
+
+    monkeypatch.setattr(process, "lockstep_words", rotated)
+    monkeypatch.setattr(battery, "_suite_coupling", lambda seed: (1, 0, ""))
+    rows, aggregates = battery.run_battery(0)
+    assert {row[0] for row in rows if row[2] > 0} == {"hitting_sanity"}
     assert aggregates["exit_status"] == 1
 
 

@@ -162,6 +162,43 @@ def test_augmenting_search_stays_in_matching():
     assert namers == []
 
 
+def test_obstructions_hold_vertex_masks_only():
+    """``obstructions.py`` names no ``frozenset`` and reads no adjacency
+    array of the product (``adj_off``, ``adj_flat``, ``adj_eid``,
+    ``edges``): its vertex sets are n-bit ints, and it sees the sample
+    through ``neighbor_bitmasks`` alone."""
+    tree = ast.parse((SRC / "obstructions.py").read_text(encoding="utf-8"))
+    named = sorted(f"{name}:{sub.lineno}" for sub in ast.walk(tree)
+                   for name in {getattr(sub, "id", None), getattr(sub, "attr", None)}
+                   & {"frozenset", "adj_off", "adj_flat", "adj_eid", "edges"})
+    assert named == []
+
+
+def test_one_obstruction_enumeration_limit():
+    """Only ``obstructions.check_enumeration_limit`` compares ``u_max``
+    with the constant 3 in src/prodperc, and the scan and the CLI's
+    config check both call it."""
+    owners, callers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            site = f"{path.name}:{node.name}"
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Compare):
+                    parts = [sub.left, *sub.comparators]
+                    if "u_max" in {getattr(part, "id", getattr(part, "attr", None))
+                                   for part in parts} \
+                            and any(isinstance(part, ast.Constant) and part.value == 3
+                                    for part in parts):
+                        owners.append(site)
+                elif isinstance(sub, ast.Call) and \
+                        getattr(sub.func, "id", None) == "check_enumeration_limit":
+                    callers.append(site)
+    assert owners == ["obstructions.py:check_enumeration_limit"]
+    assert callers == ["experiments.py:run_trials", "obstructions.py:find_minimal_obstructions"]
+
+
 def _attribute_reads(tree) -> Counter:
     return Counter(sub.attr for sub in ast.walk(tree)
                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))

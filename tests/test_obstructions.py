@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (band_removal, deficiency_consistency, mask_from_edges,
-                     reference_obstructions)
+                     reference_obstructions, vertex_mask)
 from prodperc.catalog import build_catalog_product, tiny_names
 from prodperc.graph_core import (BaseGraphSpec, build_product,
                                  cartesian_product, star)
@@ -34,7 +34,7 @@ def _without_vertices(pg, blocked):
 
 def _bands(record):
     """(ell1, ell2, ell3): the number of components in V1, S and B."""
-    return tuple(sum(1 for comp in record.components if comp <= band)
+    return tuple(sum(1 for comp in record.components if comp & ~band == 0)
                  for band in (record.v1, record.s_set, record.b_set))
 
 
@@ -76,15 +76,15 @@ def test_default_threshold_domain():
 
 def test_classify_empty_square():
     pg = build_catalog_product("Q2")
-    record = band_removal(pg, _sample(pg, bytes(pg.m)), {0})
+    record = band_removal(pg, _sample(pg, bytes(pg.m)), vertex_mask({0}))
     assert _bands(record) == (3, 0, 0)
-    assert record.v1 == frozenset({1, 2, 3})
+    assert record.v1 == vertex_mask({1, 2, 3})
     assert _obstructs(record) and not _trivial(record)
 
 
 def test_classify_full_cube_vertex():
     pg = build_catalog_product("Q3")
-    record = band_removal(pg, sample_percolation(pg, 1.0, 0), {0})
+    record = band_removal(pg, sample_percolation(pg, 1.0, 0), vertex_mask({0}))
     assert _bands(record) == (0, 0, 1)
     assert not _obstructs(record)
 
@@ -94,21 +94,21 @@ def test_classify_two_starved_antipodes():
     # leaves the isolated pair plus one five-vertex component
     pg = build_catalog_product("Q3")
     sample = _sample(pg, _without_vertices(pg, {0, 7}))
-    record = band_removal(pg, sample, {1})
-    assert record.v1 == frozenset({0, 7})
-    assert record.b_set == frozenset({2, 3, 4, 5, 6})
+    record = band_removal(pg, sample, vertex_mask({1}))
+    assert record.v1 == vertex_mask({0, 7})
+    assert record.b_set == vertex_mask({2, 3, 4, 5, 6})
     assert _bands(record) == (2, 0, 1)
     assert _obstructs(record) and not _trivial(record)
     # a larger working threshold rebands the five-set from B to S
-    rebanded = band_removal(pg, sample, {1}, threshold=10)
-    assert rebanded.s_set == frozenset({2, 3, 4, 5, 6})
+    rebanded = band_removal(pg, sample, vertex_mask({1}), threshold=10)
+    assert rebanded.s_set == vertex_mask({2, 3, 4, 5, 6})
     assert _bands(rebanded)[1:] == (1, 0)
 
 
 def test_classify_trivial_obstruction():
     pg = build_catalog_product("Q3")
     sample = _sample(pg, _without_vertices(pg, {0}))
-    record = band_removal(pg, sample, {1})
+    record = band_removal(pg, sample, vertex_mask({1}))
     assert _obstructs(record) and _trivial(record)
     assert _bands(record) == (1, 0, 1)
     assert not record.w_set
@@ -119,14 +119,16 @@ def test_classify_trivial_obstruction():
 def test_bands_partition_the_vertices(seed, p):
     pg = build_catalog_product("C4xK3")
     sample = sample_percolation(pg, p, seed)
-    record = band_removal(pg, sample, {0, 5})
+    record = band_removal(pg, sample, vertex_mask({0, 5}))
     pieces = (record.u_set, record.v1, record.w_set, record.s_set, record.b_set)
-    assert sum(len(part) for part in pieces) == pg.n
-    union = frozenset().union(*pieces)
-    assert len(union) == pg.n
-    assert _bands(record)[0] == len(record.v1)
-    assert len(record.w_set) % 2 == 0
-    assert sum(len(c) for c in record.components) == pg.n - record.u
+    assert sum(part.bit_count() for part in pieces) == pg.n
+    union = 0
+    for part in pieces:
+        union |= part
+    assert union == (1 << pg.n) - 1
+    assert _bands(record)[0] == record.v1.bit_count()
+    assert record.w_set.bit_count() % 2 == 0
+    assert sum(c.bit_count() for c in record.components) == pg.n - record.u
 
 
 # --- minimal enumeration ------------------------------------------------------
@@ -136,7 +138,7 @@ def test_minimal_obstructions_empty_square():
     minimal = find_minimal_obstructions(pg, _sample(pg, bytes(pg.m)))
     assert len(minimal) == 4
     assert all(rec.u == 1 for rec in minimal)
-    assert sorted(tuple(rec.u_set) for rec in minimal) == [(0,), (1,), (2,), (3,)]
+    assert sorted(rec.u_set for rec in minimal) == [vertex_mask({v}) for v in range(4)]
 
 
 def test_no_obstruction_in_perfect_matching_sample():
@@ -159,9 +161,9 @@ def test_theta_sample_has_unique_minimal_pair():
     minimal = find_minimal_obstructions(pg, sample)
     assert len(minimal) == 1
     record = minimal[0]
-    assert record.u_set == frozenset({0, 4})
+    assert record.u_set == vertex_mask({0, 4})
     assert _obstructs(record)
-    assert sorted(len(c) for c in record.components) == [1, 3, 3]
+    assert sorted(c.bit_count() for c in record.components) == [1, 3, 3]
     assert _bands(record) == (1, 2, 0)
 
 
@@ -189,7 +191,7 @@ def test_three_components_flags_forced_record():
     # record as if the scan had found it must surface both as
     # counterexamples
     pg, sample = theta_sample()
-    record = band_removal(pg, sample, {0, 1})
+    record = band_removal(pg, sample, vertex_mask({0, 1}))
     assert not _obstructs(record)
     report = verify_three_components(pg, sample, record)
     assert report.counterexamples == ((0, 1), (1, 1))
@@ -224,10 +226,10 @@ def test_determination_no_obstructions():
 def test_determination_group_bound_with_synthetic_records():
     pg, sample = theta_sample()
     base = find_minimal_obstructions(pg, sample)[0]
-    pair = [base, replace(base, u_set=frozenset({0, 1}))]
+    pair = [base, replace(base, u_set=vertex_mask({0, 1}))]
     report = verify_determination(pg, sample, minimal=pair)
     assert report.max_group == 2 and not report.violating_groups
-    triple = pair + [replace(base, u_set=frozenset({1, 4}))]
+    triple = pair + [replace(base, u_set=vertex_mask({1, 4}))]
     report = verify_determination(pg, sample, minimal=triple)
     assert report.max_group == 3
     assert report.violating_groups == (base.wsb_key(),)
