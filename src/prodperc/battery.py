@@ -69,7 +69,7 @@ def _suite_oracle_equivalence(seed: int):
             host = build_product((BaseGraphSpec.complete(order),))
             hosts[order] = host
         p = 0.2 + 0.6 * gen.next_double()
-        mask = bernoulli_masks([gen], host.m, p)[0]
+        mask = bernoulli_masks(gen, host.m, p)[0]
         yield (f"random mask K{order} trial {i} seed {trial_seed}"
                if _certified(host, mask) is None else None)
     for j, name in enumerate(tiny_names(12)):
@@ -173,11 +173,18 @@ def _suite_coupling(seed: int, sigmas: float = 4.0):
     for start in range(0, rounds, GROUP_LANES):
         batch = range(start, min(start + GROUP_LANES, rounds))
         exposures = double_exposures(pg, p, [derive_trial_seed(seed, i) for i in batch])
-        for i, (first, second, union) in zip(batch, exposures):
-            if bytes(map(operator.or_, first.mask, second.mask)) != union.mask:
-                yield f"union mismatch at trial {i}"
-                return
-            counts = list(map(operator.add, counts, union.mask))
+        # every byte is 0 or 1: OR-ing the batch's joined masks as ints
+        # ORs each trial's bytes
+        firsts, seconds, unions = (b"".join(sample.mask for sample in samples)
+                                   for samples in zip(*exposures))
+        if (int.from_bytes(firsts, "little") | int.from_bytes(seconds, "little")
+                != int.from_bytes(unions, "little")):
+            yield next(f"union mismatch at trial {i}"
+                       for i, (first, second, union) in zip(batch, exposures)
+                       if bytes(map(operator.or_, first.mask, second.mask)) != union.mask)
+            return
+        # edge eid's byte of every trial is every m-th byte from byte eid
+        counts = [total + sum(unions[eid::pg.m]) for eid, total in enumerate(counts)]
     sigma = math.sqrt(p * (1 - p) / rounds)
     for eid, total in enumerate(counts):
         yield (f"edge {eid} freq {total / rounds:.5f}"

@@ -13,10 +13,10 @@ Two sampling modes share one generator stack (see rng):
   shuffle lazily for each seed (``rng.placements``) and stops it once
   the hitting times are fixed.  The seeds' words are drawn in lockstep
   (``rng.lockstep_words``) in blocks of ``_WORD_BLOCK`` steps, a block
-  only when a lane has read all its words, and stored at 8 bytes per
-  lane and step: about 1.1 MB for 10 lanes at Q12.  The lanes then run
-  one after another; ``hitting_times(pg, [seed])[0]`` is the one-seed
-  case.
+  only when a lane has read all its words and only for the lanes not
+  yet done, and stored at 8 bytes per lane and step: about 1.1 MB for
+  10 lanes at Q12.  The lanes then run one after another;
+  ``hitting_times(pg, [seed])[0]`` is the one-seed case.
 
 ``double_exposures`` splits G_p into two independent rounds for many
 seeds at once, one ``sample_percolations`` call per round.
@@ -65,8 +65,8 @@ from itertools import chain, compress, count
 from .catalog import TAU3_MODES
 from .graph_core import ProductGraph, _identity
 from .matching import _solve
-from .rng import (Xoshiro256StarStar, bernoulli_masks, lockstep_words, placements,
-                  split_seeds)
+from .rng import (Xoshiro256StarStar, bernoulli_masks, lane_values, lockstep_words,
+                  placements, split_lanes)
 
 # Steps a hitting-time group draws in lockstep whenever a lane runs out
 # of words: a Q12 trial reads 10k-14k words, and each block costs every
@@ -145,7 +145,7 @@ def sample_percolations(pg: ProductGraph, p: float, seeds) -> list[PercolationSa
     drawn in lockstep (``rng.bernoulli_masks``)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    masks = bernoulli_masks([Xoshiro256StarStar(seed) for seed in seeds], pg.m, p)
+    masks = bernoulli_masks(Xoshiro256StarStar.lanes(seeds), pg.m, p)
     samples = []
     for lane, seed in enumerate(seeds):
         mask, masks[lane] = masks[lane], None  # only this lane is held twice
@@ -160,9 +160,10 @@ def double_exposures(pg: ProductGraph, p: float, seeds
     The second round uses p2 = 1 / d**2 and the first solves
     (1 - p1)(1 - p2) = 1 - p, so the union of the rounds has the law of
     G_p.  Requires p >= p2.  A seed's two round seeds are the first two
-    outputs of the splitmix64 sequence started at it, so each round is
-    reproducible on its own.  Each round is drawn for all the seeds by
-    one ``sample_percolations`` call; the result holds one
+    outputs of the splitmix64 sequence started at it (``split_lanes``
+    gives them for all the seeds at once), so each round is reproducible
+    on its own.  Each round is drawn for all the seeds by one
+    ``sample_percolations`` call; the result holds one
     (first, second, union) triple per seed.
     """
     if pg.d is None:
@@ -171,9 +172,10 @@ def double_exposures(pg: ProductGraph, p: float, seeds
     if p < p2:
         raise ValueError(f"double exposure needs p >= 1/d^2 = {p2}, got {p}")
     p1 = 1.0 - (1.0 - p) / (1.0 - p2)
-    round_seeds = [split_seeds(seed, 2) for seed in seeds]
-    firsts = sample_percolations(pg, p1, [s1 for s1, _ in round_seeds])
-    seconds = sample_percolations(pg, p2, [s2 for _, s2 in round_seeds])
+    first_seeds, second_seeds = (lane_values(word, len(seeds))
+                                 for word in split_lanes(seeds, 2))
+    firsts = sample_percolations(pg, p1, first_seeds)
+    seconds = sample_percolations(pg, p2, second_seeds)
     out = []
     for seed, first, second in zip(seeds, firsts, seconds):
         # every byte is 0 or 1, so OR-ing the masks as integers ORs each byte
@@ -287,16 +289,16 @@ def hitting_times(pg: ProductGraph, seeds) -> list[HittingTimes]:
     each shuffle stopped once its hitting times are fixed.  The words
     are drawn in lockstep blocks as the lanes need them (see the module
     docstring)."""
-    gens = [Xoshiro256StarStar(seed) for seed in seeds]
-    stores = [[] for _ in gens]  # each lane's words, one array per block
+    gen = Xoshiro256StarStar.lanes(seeds)
+    stores = [[] for _ in seeds]  # each lane's words, one array per block
 
     def blocks(lane):
-        # lanes before ``lane`` are done; draw only for it and the rest
+        # lanes before ``lane`` are done and out of ``gen``: draw only
+        # for it and the rest
         store = stores[lane]
         for k in count():
             if k == len(store):
-                for later, words in zip(stores[lane:],
-                                        lockstep_words(gens[lane:], _WORD_BLOCK)):
+                for later, words in zip(stores[lane:], lockstep_words(gen, _WORD_BLOCK)):
                     later.append(words)
             yield store[k]
 
@@ -306,6 +308,7 @@ def hitting_times(pg: ProductGraph, seeds) -> list[HittingTimes]:
         words = chain.from_iterable(blocks(lane))
         out.append(_hitting_suffix(pg, items, placements(items, words)))
         store.clear()
+        gen.drop_first_lane()
     return out
 
 

@@ -17,23 +17,43 @@ implementation in any language can reproduce every experiment stream:
 * Shuffles are Fisher-Yates from the last index downwards, with
   ``j = next_below(i + 1)``.
 
-``next_u64``, ``next_double`` and ``next_below`` are the one-step
-reference.  ``lockstep(gens)`` is the one bulk stepper: an endless
-stream with one packed int per step, lane i's ``next_u64`` word in bits
-[72 i, 72 i + 64).  It packs the generators' states on its first step
-(lane i's four state words in the same bits of four packed ints), runs
-the reference update on all lanes at once, and writes every state back
-when the stream is closed, so each generator continues exactly as after
-the same number of ``next_u64`` calls; none may be stepped otherwise
-while the stream is open.  No bit crosses into another lane: each left
-shift is masked first (``(s1 & low47) << 17``, ``(s3 & low19) << 45``)
-and each right shift after (``s3 >> 19 & low45``; the top 7 bits of the
-rotated product come down by ``>> 64 & low7``), so every state word
-stays below 2**64; ``s1 * 5`` is below 2**67, the rotated word times 9
-below 2**68, and the largest intermediate, ``(s1 * 5 & lane) << 7``,
-below 2**71.  With one lane each packed int is the plain word.  A
-stream closed before its first step leaves every state as it was.  It
-feeds three loops:
+``splitmix64``, ``split_seeds``, ``next_u64``, ``next_double`` and
+``next_below`` are the one-step reference.  A lockstep group is one
+``Xoshiro256StarStar`` whose four state words are packed ints, lane i's
+word in bits [72 i, 72 i + 64); a generator built from one seed is the
+one-lane group, whose packed words are its plain words.
+``Xoshiro256StarStar.lanes(seeds)`` seeds a group in bulk:
+
+* ``split_lanes(seeds, count)`` is ``split_seeds`` for every seed at
+  once, with lane i in bits [128 i, 128 i + 64) of each of its
+  ``count`` packed outputs (seeds reduced mod 2**64 first, as
+  ``split_seeds`` reduces them).  splitmix64 is adds, xors, shifts and
+  multiplies by 64-bit constants, so it runs on all lanes at once and
+  no carry crosses a lane: every lane is masked to its low 64 bits
+  after each step, so a sum stays below 2**65 and a product below
+  2**128, and each right shift is masked too (``x >> 30 & lane``),
+  since it brings the next lane's low bits down into the top of this
+  one, where the product by the mixing constant would carry them into
+  the lane above.  ``double_exposures`` takes its round seeds from
+  ``count = 2`` (``lane_values`` reads them back as ints).
+* ``lanes`` takes ``count = 4``, the xoshiro256** state words, and
+  moves each word's 128-bit lanes into 72-bit ones with eight byte
+  column slice assignments; no per-lane int is made.
+
+``lockstep(gen)`` is the one bulk stepper: an endless stream with one
+packed int per step, lane i's ``next_u64`` word in bits [72 i,
+72 i + 64).  It runs the reference update on the packed state words and
+writes them back when the stream is closed, so each lane continues
+exactly as after the same number of ``next_u64`` calls; the group may
+not be stepped otherwise while the stream is open.  No bit crosses into
+another lane: each left shift is masked first (``(s1 & low47) << 17``,
+``(s3 & low19) << 45``) and each right shift after (``s3 >> 19 &
+low45``; the top 7 bits of the rotated product come down by ``>> 64 &
+low7``), so every state word stays below 2**64; ``s1 * 5`` is below
+2**67, the rotated word times 9 below 2**68, and the largest
+intermediate, ``(s1 * 5 & lane) << 7``, below 2**71.  A stream closed
+before its first step leaves the state as it was.  Only ``lockstep``
+steps a group of more than one lane.  The stream feeds three loops:
 
 * ``placements(items, words)`` is the one shuffle loop: a top-down
   Fisher-Yates over raw 64-bit words that yields each position as it
@@ -45,14 +65,16 @@ feeds three loops:
   ``2**64 - n`` at once and computes the exact threshold only for the
   rare word above it.  The loop reads no word past its last step.
   ``shuffle`` runs it on a one-lane stream to the end.
-* ``lockstep_words(gens, count)`` returns each generator's next
-  ``count`` words as an ``array('Q')``, 8 bytes per lane and step:
+* ``lockstep_words(gen, count)`` returns each lane's next ``count``
+  words as an ``array('Q')``, 8 bytes per lane and step:
   each step's packed int becomes 9 bytes per lane, and byte j of lane
   i's words is every ``9 * lanes``-th byte from byte 9 i + j.
-  ``process.hitting_times`` shuffles each trial of a group from them.
-* ``bernoulli_masks(gens, count, p)`` draws a Bernoulli mask for each
-  generator of a group: byte k of generator i's mask is 1 iff the k-th
-  of its next ``count`` ``next_double()`` values is below p.
+  ``process.hitting_times`` shuffles each trial of a group from them,
+  dropping each lane from the group (``drop_first_lane``) once its
+  trial is done.
+* ``bernoulli_masks(gen, count, p)`` draws a Bernoulli mask for each
+  lane of a group: byte k of lane i's mask is 1 iff the k-th of its
+  next ``count`` ``next_double()`` values is below p.
 
   - ``(x >> 11) * 2**-53 < p`` holds iff ``x < ceil(p * 2**53) << 11``:
     both products by powers of two are exact and ``x >> 11`` is an
@@ -110,13 +132,79 @@ def split_seeds(seed: int, count: int) -> list[int]:
     return [splitmix64((seed + k * _GOLDEN) & MASK64) for k in range(count)]
 
 
-class Xoshiro256StarStar:
-    """xoshiro256** with the reference update rule, seeded via splitmix64."""
+# a splitmix64 lane is a 64-bit word and room above it for its product
+# with a 64-bit mixing constant
+_SPLIT_LANE_BYTES = 16
 
-    __slots__ = ("s0", "s1", "s2", "s3")
+
+def split_lanes(seeds, count: int) -> list[int]:
+    """``split_seeds(seed, count)`` for every seed at once: packed int k
+    holds output k of ``seeds[i]`` in bits [128 i, 128 i + 64).  See the
+    module docstring for why no carry crosses a lane."""
+    lanes = len(seeds)
+    words = array("Q", bytes(_SPLIT_LANE_BYTES * lanes))
+    words[::2] = array("Q", [seed & MASK64 for seed in seeds])
+    if sys.byteorder == "big":
+        words.byteswap()
+    ones = int.from_bytes((1).to_bytes(_SPLIT_LANE_BYTES, "little") * lanes, "little")
+    lane = MASK64 * ones
+    golden = _GOLDEN * ones
+    x = int.from_bytes(words, "little")
+    out = []
+    for _ in range(count):
+        x = (x + golden) & lane
+        z = (x ^ (x >> 30 & lane)) * _MIX1 & lane
+        z = (z ^ (z >> 27 & lane)) * _MIX2 & lane
+        out.append(z ^ (z >> 31 & lane))
+    return out
+
+
+def lane_values(packed: int, lanes: int) -> list[int]:
+    """The ``lanes`` words of a ``split_lanes`` output, lane 0 first."""
+    words = array("Q", packed.to_bytes(_SPLIT_LANE_BYTES * lanes, "little"))[::2]
+    if sys.byteorder == "big":  # the bytes are little-endian
+        words.byteswap()
+    return words.tolist()
+
+
+class Xoshiro256StarStar:
+    """xoshiro256** with the reference update rule, seeded via splitmix64.
+
+    ``Xoshiro256StarStar(seed)`` is one generator; ``lanes(seeds)`` is a
+    lockstep group, stepped only by ``lockstep`` (see the module
+    docstring for the packed state)."""
+
+    __slots__ = ("s0", "s1", "s2", "s3", "lane_count")
 
     def __init__(self, seed: int):
         self.s0, self.s1, self.s2, self.s3 = split_seeds(seed, 4)
+        self.lane_count = 1
+
+    @classmethod
+    def lanes(cls, seeds) -> "Xoshiro256StarStar":
+        """One lockstep group with lane i seeded as
+        ``Xoshiro256StarStar(seeds[i])``."""
+        lanes = len(seeds)
+        state = []
+        for word in split_lanes(seeds, 4):
+            blob = word.to_bytes(_SPLIT_LANE_BYTES * lanes, "little")
+            packed = bytearray(_LANE_BYTES * lanes)
+            for j in range(8):
+                packed[j::_LANE_BYTES] = blob[j::_SPLIT_LANE_BYTES]
+            state.append(int.from_bytes(packed, "little"))
+        gen = cls.__new__(cls)
+        gen.s0, gen.s1, gen.s2, gen.s3 = state
+        gen.lane_count = lanes
+        return gen
+
+    def drop_first_lane(self) -> None:
+        """Leave lane 0 out of the group: lane i + 1 becomes lane i."""
+        width = 8 * _LANE_BYTES
+        self.s0 >>= width
+        self.s1 >>= width
+        self.s2 >>= width
+        self.s3 >>= width
+        self.lane_count -= 1
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
@@ -150,7 +238,7 @@ class Xoshiro256StarStar:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, last index downwards."""
-        words = lockstep([self])
+        words = lockstep(self)
         deque(placements(items, words), maxlen=0)
         words.close()
 
@@ -183,34 +271,18 @@ _LANE_BYTES = 9
 _ONE_PER_LANE = (1).to_bytes(_LANE_BYTES, "little")
 
 
-def _pack(words) -> int:
-    """One int holding ``words[i]`` in bits [72 i, 72 i + 64)."""
-    return int.from_bytes(b"".join(w.to_bytes(_LANE_BYTES, "little") for w in words),
-                          "little")
-
-
-def _unpack(packed: int, lanes: int) -> list[int]:
-    blob = packed.to_bytes(_LANE_BYTES * lanes, "little")
-    return [int.from_bytes(blob[_LANE_BYTES * i:_LANE_BYTES * i + 8], "little")
-            for i in range(lanes)]
-
-
-def lockstep(gens):
-    """Endless stream of one packed int per step of all ``gens``: lane
-    i's ``next_u64`` word sits in bits [72 i, 72 i + 64).  Every state
-    is written back when the stream is closed; see the module docstring
-    for the lane layout."""
-    lanes = len(gens)
-    ones = int.from_bytes(_ONE_PER_LANE * lanes, "little")
+def lockstep(gen):
+    """Endless stream of one packed int per step of the group ``gen``:
+    lane i's ``next_u64`` word sits in bits [72 i, 72 i + 64).  The
+    state is written back when the stream is closed; see the module
+    docstring for the lane layout."""
+    ones = int.from_bytes(_ONE_PER_LANE * gen.lane_count, "little")
     lane = MASK64 * ones
     low7 = ((1 << 7) - 1) * ones
     low19 = ((1 << 19) - 1) * ones
     low45 = ((1 << 45) - 1) * ones
     low47 = ((1 << 47) - 1) * ones
-    s0 = _pack([g.s0 for g in gens])
-    s1 = _pack([g.s1 for g in gens])
-    s2 = _pack([g.s2 for g in gens])
-    s3 = _pack([g.s3 for g in gens])
+    s0, s1, s2, s3 = gen.s0, gen.s1, gen.s2, gen.s3
     try:
         while True:
             y = ((s1 * 5) & lane) << 7
@@ -224,16 +296,15 @@ def lockstep(gens):
             s3 = (s3 & low19) << 45 | (s3 >> 19 & low45)
             yield x
     finally:
-        for g, *state in zip(gens, *(_unpack(s, lanes) for s in (s0, s1, s2, s3))):
-            g.s0, g.s1, g.s2, g.s3 = state
+        gen.s0, gen.s1, gen.s2, gen.s3 = s0, s1, s2, s3
 
 
-def lockstep_words(gens, count: int) -> list[array]:
-    """The next ``count`` ``next_u64`` outputs of each generator, one
-    ``array('Q')`` per generator; each generator ends ``count`` words
-    further on."""
-    lanes = len(gens)
-    stream = lockstep(gens)
+def lockstep_words(gen, count: int) -> list[array]:
+    """The next ``count`` ``next_u64`` outputs of each lane of ``gen``,
+    one ``array('Q')`` per lane; the group ends ``count`` words further
+    on."""
+    lanes = gen.lane_count
+    stream = lockstep(gen)
     steps = list(islice(stream, count))
     stream.close()
     width = _LANE_BYTES * lanes
@@ -259,15 +330,15 @@ GROUP_LANES = 32
 _MASK_BLOCK = 512
 
 
-def bernoulli_masks(gens, count: int, p: float) -> list[bytearray]:
+def bernoulli_masks(gen, count: int, p: float) -> list[bytearray]:
     """Byte k of mask i is 1 iff the k-th of the next ``count`` doubles
-    of ``gens[i]`` is < p; every generator ends ``count`` words further
+    of lane i of ``gen`` is < p; the group ends ``count`` words further
     on.  See the module docstring for the keep test."""
-    lanes = len(gens)
+    lanes = gen.lane_count
     masks = [bytearray(count) for _ in range(lanes)]
     threshold = math.ceil(p * 9007199254740992.0) << 11  # 2**53
     bias = ((1 << 64) + threshold - 1) * int.from_bytes(_ONE_PER_LANE * lanes, "little")
-    stream = lockstep(gens)
+    stream = lockstep(gen)
     width = _LANE_BYTES * lanes
     for start in range(0, count, _MASK_BLOCK):
         stop = min(start + _MASK_BLOCK, count)

@@ -491,8 +491,8 @@ def test_battery_catches_rotated_hitting_lanes(monkeypatch):
     # hitting suite must run the CLI's lockstep path to notice
     words = process.lockstep_words
 
-    def rotated(gens, count):
-        lanes = words(gens, count)
+    def rotated(gen, count):
+        lanes = words(gen, count)
         return lanes[1:] + lanes[:1]
 
     monkeypatch.setattr(process, "lockstep_words", rotated)

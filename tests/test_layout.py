@@ -121,6 +121,18 @@ def test_one_bulk_xoshiro_stepper():
     assert stepping == ["rng.py:lockstep", "rng.py:next_u64"]
 
 
+def test_one_packed_seeder():
+    """The splitmix64 mixing constant ``_MIX1`` is read in exactly two
+    functions in src/prodperc: the scalar reference ``splitmix64`` and
+    the packed seeder ``rng.split_lanes``."""
+    readers = sorted(f"{path.name}:{node.name}" for path in SRC.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and any(isinstance(sub, ast.Name) and sub.id == "_MIX1"
+                             and isinstance(sub.ctx, ast.Load) for sub in ast.walk(node)))
+    assert readers == ["rng.py:split_lanes", "rng.py:splitmix64"]
+
+
 def test_one_component_fill_over_shift_rows():
     """``ProductGraph.shift_plan`` is read by exactly one function in
     src/prodperc, the shared rows helper ``process._shift_rows``, and no

@@ -113,7 +113,7 @@ def test_oracle_equivalence_random_masks():
         order = 4 + gen.next_below(7)
         host = build_product((BaseGraphSpec.complete(order),))
         p = 0.2 + 0.6 * gen.next_double()
-        mask = bernoulli_masks([gen], host.m, p)[0]
+        mask = bernoulli_masks(gen, host.m, p)[0]
         assert certified(host, mask) == reference_deficiency(host, mask)
 
 
@@ -157,7 +157,7 @@ def test_deficiency_parity_and_range(seed):
 def test_adding_one_edge_grows_matching_by_at_most_one(seed):
     pg = build_catalog_product("Q3")
     gen = Xoshiro256StarStar(seed)
-    mask = bernoulli_masks([gen], pg.m, 0.4)[0]
+    mask = bernoulli_masks(gen, pg.m, 0.4)[0]
     absent = [e for e in range(pg.m) if not mask[e]]
     before = maximum_matching(pg, bytes(mask)).size
     if absent:

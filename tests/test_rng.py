@@ -4,14 +4,19 @@ import math
 from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import reference_mask, reference_shuffle
+from prodperc.catalog import build_catalog_product
+from prodperc.process import double_exposures, sample_percolation
 from prodperc.rng import (_LANE_BYTES, MASK64, Xoshiro256StarStar, bernoulli_masks,
-                          derive_trial_seed, lockstep, lockstep_words,
-                          placements, split_seeds, splitmix64)
+                          derive_trial_seed, lane_values, lockstep, lockstep_words,
+                          placements, split_lanes, split_seeds, splitmix64)
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+# seeds as callers may pass them: split_seeds reduces every int mod 2**64
+SEEDS = st.one_of(U64, st.sampled_from((0, 1, MASK64, 1 << 63, -1, -(1 << 63), 1 << 64)),
+                  st.integers(min_value=-(1 << 80), max_value=1 << 80))
 # raw state words: all-ones lanes side by side are where a missing mask
 # or a borrow leaks into the next lane
 STATE_WORDS = st.one_of(U64, st.sampled_from((0, 1, 1 << 63, MASK64)))
@@ -21,6 +26,17 @@ PROBABILITIES = st.one_of(st.sampled_from((0.0, 1.0, 1e-12, 1.0 - 1e-12)),
 
 def state(gen):
     return gen.s0, gen.s1, gen.s2, gen.s3
+
+
+LANE_BITS = 8 * _LANE_BYTES
+
+
+def group_of(gens) -> Xoshiro256StarStar:
+    """One lockstep group whose lane i is in the state of ``gens[i]``."""
+    group = Xoshiro256StarStar.lanes([0] * len(gens))
+    group.s0, group.s1, group.s2, group.s3 = (
+        sum(state(gen)[k] << LANE_BITS * i for i, gen in enumerate(gens)) for k in range(4))
+    return group
 
 
 def generator_in_state(words) -> Xoshiro256StarStar:
@@ -40,7 +56,7 @@ def generator_whose_next_word_is(word: int) -> Xoshiro256StarStar:
 def placements_to_the_end(gen, items):
     """Shuffle ``items`` by running ``placements`` on a one-lane
     ``lockstep`` stream to the end."""
-    words = lockstep([gen])
+    words = lockstep(gen)
     assert list(placements(items, words)) == list(range(len(items) - 1, -1, -1))
     words.close()
 
@@ -102,6 +118,36 @@ def test_zero_seed_state_not_all_zero():
     assert (gen.s0, gen.s1, gen.s2, gen.s3) != (0, 0, 0, 0)
 
 
+@given(st.sampled_from((0, 1, 40)).flatmap(
+    lambda lanes: st.lists(SEEDS, min_size=lanes, max_size=lanes)))
+def test_packed_seeding_matches_one_seed_at_a_time(seeds):
+    # a right shift left unmasked before a product carries one lane's
+    # bits into the next, so the packed ints must match exactly
+    reference = [Xoshiro256StarStar(seed) for seed in seeds]
+    group = Xoshiro256StarStar.lanes(seeds)
+    assert group.lane_count == len(seeds)
+    assert state(group) == state(group_of(reference))
+    rounds = [split_seeds(seed, 2) for seed in seeds]
+    assert split_lanes(seeds, 2) == [sum(words[k] << 128 * i for i, words in enumerate(rounds))
+                                     for k in range(2)]
+    assert [lane_values(word, len(seeds)) for word in split_lanes(seeds, 2)] == [
+        [words[k] for words in rounds] for k in range(2)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(SEEDS, min_size=40, max_size=40))
+def test_double_exposures_match_split_seed_rounds(seeds):
+    pg = build_catalog_product("Q4")
+    for seed, (first, second, union) in zip(seeds, double_exposures(pg, 0.4, seeds),
+                                            strict=True):
+        s1, s2 = split_seeds(seed, 2)
+        assert first == sample_percolation(pg, first.p, s1)
+        assert second == sample_percolation(pg, second.p, s2)
+        assert union.seed == seed
+    # a seed is read mod 2**64
+    assert sample_percolation(pg, 0.4, -1).mask == sample_percolation(pg, 0.4, MASK64).mask
+
+
 @given(U64)
 def test_double_in_unit_interval(seed):
     gen = Xoshiro256StarStar(seed)
@@ -129,12 +175,12 @@ def test_shuffle_is_permutation(seed, size):
        st.integers(min_value=0, max_value=300), PROBABILITIES)
 def test_bernoulli_masks_match_one_generator_at_a_time(seeds, count, p):
     # small seeds repeat often: equal lanes must stay equal
-    lockstep = [Xoshiro256StarStar(seed) for seed in seeds]
+    group = Xoshiro256StarStar.lanes(seeds)
     reference = [Xoshiro256StarStar(seed) for seed in seeds]
-    assert bernoulli_masks(lockstep, count, p) == [
+    assert bernoulli_masks(group, count, p) == [
         reference_mask(gen, count, p) for gen in reference]
     # one word per byte: each stream continues as after count next_u64 calls
-    assert [state(gen) for gen in lockstep] == [state(gen) for gen in reference]
+    assert state(group) == state(group_of(reference))
 
 
 @given(st.lists(st.one_of(U64, st.integers(min_value=0, max_value=3)),
@@ -142,13 +188,17 @@ def test_bernoulli_masks_match_one_generator_at_a_time(seeds, count, p):
        st.integers(min_value=0, max_value=300))
 def test_lockstep_words_match_one_generator_at_a_time(seeds, count):
     # small seeds repeat often: equal lanes must stay equal
-    lockstep = [Xoshiro256StarStar(seed) for seed in seeds]
+    group = Xoshiro256StarStar.lanes(seeds)
     reference = [Xoshiro256StarStar(seed) for seed in seeds]
-    words = lockstep_words(lockstep, count)
+    words = lockstep_words(group, count)
     assert [list(lane) for lane in words] == [
         [gen.next_u64() for _ in range(count)] for gen in reference]
     assert all(lane.itemsize == 8 for lane in words)
-    assert [state(gen) for gen in lockstep] == [state(gen) for gen in reference]
+    assert state(group) == state(group_of(reference))
+    # a group without its first lane continues with the others
+    group.drop_first_lane()
+    assert group.lane_count == len(seeds) - 1
+    assert state(group) == state(group_of(reference[1:]))
 
 
 @given(st.lists(st.one_of(U64.map(lambda seed: state(Xoshiro256StarStar(seed))),
@@ -157,16 +207,15 @@ def test_lockstep_words_match_one_generator_at_a_time(seeds, count):
        st.integers(min_value=0, max_value=130))
 def test_closed_lockstep_stream_leaves_the_words_drawn(states, k):
     # k = 0 closes a stream that never started
-    gens = [generator_in_state(words) for words in states]
+    group = group_of([generator_in_state(words) for words in states])
     reference = [generator_in_state(words) for words in states]
-    stream = lockstep(gens)
+    stream = lockstep(group)
     packed = [next(stream) for _ in range(k)]
     stream.close()
-    # lane i's word in bits [w i, w i + 64), every other bit clear
-    width = 8 * _LANE_BYTES
-    assert packed == [sum(gen.next_u64() << width * i for i, gen in enumerate(reference))
+    # lane i's word in bits [72 i, 72 i + 64), every other bit clear
+    assert packed == [sum(gen.next_u64() << LANE_BITS * i for i, gen in enumerate(reference))
                       for _ in range(k)]
-    assert [state(gen) for gen in gens] == [state(gen) for gen in reference]
+    assert state(group) == state(group_of(reference))
 
 
 def check_threshold_word(p, offset, others, at):
@@ -181,7 +230,7 @@ def check_threshold_word(p, offset, others, at):
         gens.insert(at, generator_whose_next_word_is(word))
         return gens
 
-    masks = bernoulli_masks(lanes(), 3, p)
+    masks = bernoulli_masks(group_of(lanes()), 3, p)
     assert masks[at][0] == (offset < 0)
     assert masks == [reference_mask(gen, 3, p) for gen in lanes()]
 
@@ -221,7 +270,7 @@ def test_stopped_placements_leave_the_words_drawn(seed, size, k):
     k %= size
     gen = Xoshiro256StarStar(seed)
     items = list(range(size))
-    source = lockstep([gen])
+    source = lockstep(gen)
     stream = placements(items, source)
     assert [next(stream) for _ in range(k)] == list(range(size - 1, size - 1 - k, -1))
     source.close()
@@ -265,7 +314,7 @@ def test_shuffle_near_the_rejection_threshold(size, word):
     # the crafted word in the middle lane of a lockstep group
     gens = [Xoshiro256StarStar(seed) for seed in (1, 2, 3, 4)]
     gens.insert(2, generator_whose_next_word_is(word))
-    lane = iter(lockstep_words(gens, 16)[2])
+    lane = iter(lockstep_words(group_of(gens), 16)[2])
     items = list("abcdefg"[:size])
     deque(placements(items, lane), maxlen=0)
     assert items == expected
