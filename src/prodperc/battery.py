@@ -18,7 +18,6 @@ row each; only the ``verify_all`` kind imports this module.
 
 import functools
 import math
-import operator
 
 from .catalog import build_catalog_product, tiny_names
 from .graph_core import (BaseGraphSpec, ProductGraph, bipartition_signature,
@@ -172,16 +171,16 @@ def _suite_coupling(seed: int, sigmas: float = 4.0):
     counts = [0] * pg.m
     for start in range(0, rounds, GROUP_LANES):
         batch = range(start, min(start + GROUP_LANES, rounds))
-        exposures = double_exposures(pg, p, [derive_trial_seed(seed, i) for i in batch])
+        firsts, seconds, unions = double_exposures(
+            pg, p, [derive_trial_seed(seed, i) for i in batch])
         # every byte is 0 or 1: OR-ing the batch's joined masks as ints
-        # ORs each trial's bytes
-        firsts, seconds, unions = (b"".join(sample.mask for sample in samples)
-                                   for samples in zip(*exposures))
-        if (int.from_bytes(firsts, "little") | int.from_bytes(seconds, "little")
-                != int.from_bytes(unions, "little")):
-            yield next(f"union mismatch at trial {i}"
-                       for i, (first, second, union) in zip(batch, exposures)
-                       if bytes(map(operator.or_, first.mask, second.mask)) != union.mask)
+        # ORs each trial's bytes, and the lowest differing bit lies in
+        # the bytes of the first trial whose union is wrong
+        diff = ((int.from_bytes(firsts, "little") | int.from_bytes(seconds, "little"))
+                ^ int.from_bytes(unions, "little"))
+        if diff:
+            byte = ((diff & -diff).bit_length() - 1) // 8
+            yield f"union mismatch at trial {batch[byte // pg.m]}"
             return
         # edge eid's byte of every trial is every m-th byte from byte eid
         counts = [total + sum(unions[eid::pg.m]) for eid, total in enumerate(counts)]

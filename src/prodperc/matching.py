@@ -1,8 +1,14 @@
 """Maximum matching on product graphs and restricted edge views.
 
-The solver is an augmenting-path search with blossom contraction over a
-(graph, edge mask) view, warm-started by a greedy maximal matching.  A
-view never copies adjacency: ``mask`` is a bytes-like array indexed by
+The solver grows a matching from the empty one in Edmonds phases over a
+(graph, edge mask) view.  A phase roots an alternating tree at every
+exposed vertex, grows all the trees in one breadth-first order,
+contracts blossoms within a tree, and augments along vertex-disjoint
+paths between trees; solving stops at the first phase that augments
+nothing.  There is no separate warm start: on the empty matching every
+vertex is a root, and the first phase matches each vertex to its first
+unmatched neighbour.
+A view never copies adjacency: ``mask`` is a bytes-like array indexed by
 canonical edge id, and every entry point takes one (``full_mask(pg)``
 views the whole graph).
 
@@ -13,14 +19,15 @@ Tutte-Berge formula
 
 with its Gallai-Edmonds barrier.  For every vertex set A,
 odd(G - A) - |A| <= deficiency <= n - 2|M|, so equality at one A is a
-proof.  Let D be the vertices that the failed searches from the exposed
-vertices mark outer; when M is maximum, A = N(D) - D attains the
-equality (Lovasz-Plummer, *Matching Theory*, ch. 3).
+proof.  Let D be the vertices that a phase which augments nothing marks
+outer; when M is maximum, A = N(D) - D attains the equality
+(Lovasz-Plummer, *Matching Theory*, ch. 3).
 ``certified_deficiency`` checks it with one component count.
 """
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, compress
 from operator import or_
 
 from .graph_core import ProductGraph, _identity, components_from_bitmasks, neighbor_bitmasks
@@ -37,51 +44,46 @@ class MatchingState:
     size: int
 
 
-def _greedy_extend(pg: ProductGraph, mask, mate: list[int]) -> int:
-    """Greedily match exposed vertices along present edges; returns gain."""
-    off, flat, eids = pg.adj_off, pg.adj_flat, pg.adj_eid
-    gained = 0
-    for u in range(pg.n):
-        if mate[u] >= 0:
-            continue
-        for k in range(off[u], off[u + 1]):
-            if not mask[eids[k]]:
-                continue
-            v = flat[k]
-            if mate[v] < 0:
-                mate[u] = v
-                mate[v] = u
-                gained += 1
-                break
-    return gained
+def _phase(pg: ProductGraph, mask, mate: list[int]) -> tuple[int, bytearray]:
+    """One Edmonds phase: augment ``mate`` in place along vertex-disjoint
+    paths, and return how many it augmented with the outer marks.
 
-
-def _augment_once(pg: ProductGraph, mask, mate: list[int], root: int) -> bytearray | None:
-    """Search for an augmenting path from ``root``; apply it if found.
-
-    Breadth-first alternating search; odd cycles are contracted by
-    rerooting the ``base`` array at the cycle's lowest common ancestor.
-    Returns None after augmenting, else the outer marks of the failed
-    search: byte v is 1 iff v is reached by an even alternating path.
+    Every exposed vertex roots a tree, and all the trees grow in one
+    breadth-first order: the roots by label, then the vertices made
+    outer as they are reached.  Odd cycles within a tree are contracted
+    by rerooting the ``base`` array at the cycle's lowest common
+    ancestor.  An edge between outer vertices of two trees augments both
+    stems; those trees are then dead (their roots matched) for the rest
+    of the phase.  Byte v of the marks is 1 iff v is reached by an even
+    alternating path.
     """
     n = pg.n
     off, flat, eids = pg.adj_off, pg.adj_flat, pg.adj_eid
-    used = bytearray(n)
+    ids = _identity(n)  # cached: its copies share its ints
+    roots = bytes(w < 0 for w in mate)
+    used = bytearray(roots)  # outer marks
     parent = [-1] * n
-    base = _identity(n).copy()  # a copy: blossom contraction writes to it
-    used[root] = 1
-    queue = [root]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
+    tree = ids.copy()  # tree[v] is the root of v's tree, read once v is outer
+    base = ids.copy()  # blossom contraction writes to it
+    queue = []  # vertices made outer, in order; the loop below sees its appends
+    gained = 0
+    for v in chain(compress(ids, roots), queue):
+        root = tree[v]
+        if mate[root] >= 0:  # the tree has augmented
+            continue
         for k in range(off[v], off[v + 1]):
             if not mask[eids[k]]:
                 continue
             to = flat[k]
-            if base[v] == base[to] or mate[v] == to:
+            if not used[to]:
+                if parent[to] < 0:  # matched and in no tree: grow by to and its mate
+                    parent[to] = v
+                    tree[to] = tree[mate[to]] = root
+                    used[mate[to]] = 1
+                    queue.append(mate[to])
+            elif base[v] == base[to]:
                 continue
-            if to == root or (mate[to] >= 0 and parent[mate[to]] >= 0):
+            elif tree[to] == root:
                 # blossom: find the lowest common ancestor of v and to
                 seen = bytearray(n)
                 a = base[v]
@@ -110,34 +112,32 @@ def _augment_once(pg: ProductGraph, mask, mate: list[int], root: int) -> bytearr
                         if not used[i]:
                             used[i] = 1
                             queue.append(i)
-            elif parent[to] < 0:
-                parent[to] = v
-                if mate[to] < 0:
-                    # augment along the alternating path back to the root
-                    u2 = to
+            elif mate[tree[to]] < 0:
+                # augment: rematch each stem x -> mate[x] -> parent[mate[x]]
+                # -> ... to its root, then match v with to
+                for x in (v, to):
+                    u2 = mate[x]
                     while u2 >= 0:
                         pv = parent[u2]
                         nxt = mate[pv]
                         mate[u2] = pv
                         mate[pv] = u2
                         u2 = nxt
-                    return None
-                used[mate[to]] = 1
-                queue.append(mate[to])
-    return used
+                mate[v], mate[to] = to, v
+                gained += 1
+                break
+    return gained, used
 
 
 def _solve(pg: ProductGraph, mask, stop_at: int | None = None) -> tuple[list[int], int]:
-    """Grow a maximum matching, optionally stopping at a target size."""
-    mate = [-1] * pg.n
-    size = _greedy_extend(pg, mask, mate)
-    for root in range(pg.n):
-        if stop_at is not None and size >= stop_at:
+    """Grow a maximum matching by phases from the empty one, until a
+    phase gains nothing or the size reaches ``stop_at``."""
+    mate, size = [-1] * pg.n, 0
+    while stop_at is None or size < stop_at:
+        gained, _ = _phase(pg, mask, mate)
+        if not gained:
             break
-        if mate[root] >= 0:
-            continue
-        if _augment_once(pg, mask, mate, root) is None:
-            size += 1
+        size += gained
     return mate, size
 
 
@@ -151,23 +151,20 @@ def certified_deficiency(pg: ProductGraph, mask, mate) -> int | None:
     """n - 2|M| when ``mate`` is a matching M of present edges that its
     barrier proves maximum, else None.
 
-    The barrier is A = N(D) - D, with D the union of the outer marks of
-    a search from each exposed vertex on a copy of ``mate``; a search
-    that augments disproves M at once.  M is proved when
-    odd(G - A) - |A| = n - 2|M|.
+    The barrier is A = N(D) - D, with D the outer marks of one phase on
+    a copy of ``mate``; a phase that augments disproves M at once, and
+    one that does not has searched from every exposed vertex.  M is
+    proved when odd(G - A) - |A| = n - 2|M|.
     """
     n = pg.n
     nbr = neighbor_bitmasks(pg, mask)
     if len(mate) != n or any(w >= 0 and (w >= n or mate[w] != v or not nbr[v] >> w & 1)
                              for v, w in enumerate(mate)):
         return None
-    work, outer = list(mate), set()
-    for root in range(n):
-        if mate[root] < 0:
-            marks = _augment_once(pg, mask, work, root)
-            if marks is None:
-                return None
-            outer.update(v for v, mark in enumerate(marks) if mark)
+    gained, marks = _phase(pg, mask, list(mate))
+    if gained:
+        return None
+    outer = [v for v, mark in enumerate(marks) if mark]
     barrier = reduce(or_, (nbr[v] for v in outer), 0) & ~sum(1 << v for v in outer)
     odd = sum(comp.bit_count() & 1
               for comp in components_from_bitmasks(nbr, ((1 << n) - 1) & ~barrier))

@@ -19,7 +19,8 @@ Two sampling modes share one generator stack (see rng):
   ``hitting_times(pg, [seed])[0]`` is the one-seed case.
 
 ``double_exposures`` splits G_p into two independent rounds for many
-seeds at once, one ``sample_percolations`` call per round.
+seeds at once, one ``bernoulli_masks`` call per round, and returns the
+joined masks rather than samples.
 
 Hitting times are indexed from 1: tau = i means the property first holds
 after the i-th edge is added.  tau1 is minimum degree one, tau2 is
@@ -153,36 +154,33 @@ def sample_percolations(pg: ProductGraph, p: float, seeds) -> list[PercolationSa
     return samples
 
 
-def double_exposures(pg: ProductGraph, p: float, seeds
-                     ) -> list[tuple[PercolationSample, PercolationSample, PercolationSample]]:
+def double_exposures(pg: ProductGraph, p: float, seeds) -> tuple[bytes, bytes, bytes]:
     """Split G_p into two independent rounds G_p1 and G_p2 for each seed.
 
     The second round uses p2 = 1 / d**2 and the first solves
     (1 - p1)(1 - p2) = 1 - p, so the union of the rounds has the law of
-    G_p.  Requires p >= p2.  A seed's two round seeds are the first two
-    outputs of the splitmix64 sequence started at it (``split_lanes``
-    gives them for all the seeds at once), so each round is reproducible
-    on its own.  Each round is drawn for all the seeds by one
-    ``sample_percolations`` call; the result holds one
-    (first, second, union) triple per seed.
+    G_p.  Requires 1 / d**2 <= p <= 1.  A seed's two round seeds are the
+    first two outputs of the splitmix64 sequence started at it
+    (``split_lanes`` gives them for all the seeds at once), so each
+    round is reproducible on its own: seed i's first round is
+    ``sample_percolation(pg, p1, s1).mask``.  Each round is drawn for
+    all the seeds by one ``bernoulli_masks`` call.  The result is the
+    batch's (first, second, union) masks, each joined as bytes with seed
+    i's mask at ``[i * m, (i + 1) * m)``.
     """
     if pg.d is None:
         raise ValueError("double exposure needs a regular product")
     p2 = 1.0 / (pg.d * pg.d)
-    if p < p2:
-        raise ValueError(f"double exposure needs p >= 1/d^2 = {p2}, got {p}")
+    if not p2 <= p <= 1.0:
+        raise ValueError(f"double exposure needs 1/d^2 = {p2} <= p <= 1, got {p}")
     p1 = 1.0 - (1.0 - p) / (1.0 - p2)
     first_seeds, second_seeds = (lane_values(word, len(seeds))
                                  for word in split_lanes(seeds, 2))
-    firsts = sample_percolations(pg, p1, first_seeds)
-    seconds = sample_percolations(pg, p2, second_seeds)
-    out = []
-    for seed, first, second in zip(seeds, firsts, seconds):
-        # every byte is 0 or 1, so OR-ing the masks as integers ORs each byte
-        union = int.from_bytes(first.mask, "little") | int.from_bytes(second.mask, "little")
-        union_mask = union.to_bytes(pg.m, "little")
-        out.append((first, second, PercolationSample(mask=union_mask, p=p, seed=seed)))
-    return out
+    firsts = b"".join(bernoulli_masks(Xoshiro256StarStar.lanes(first_seeds), pg.m, p1))
+    seconds = b"".join(bernoulli_masks(Xoshiro256StarStar.lanes(second_seeds), pg.m, p2))
+    # every byte is 0 or 1, so OR-ing the masks as integers ORs each byte
+    union = int.from_bytes(firsts, "little") | int.from_bytes(seconds, "little")
+    return firsts, seconds, union.to_bytes(len(firsts), "little")
 
 
 def critical_p(pg: ProductGraph, omega: float = 1.0) -> float:

@@ -157,10 +157,12 @@ def blossom_edges(gen) -> set[tuple[int, int]]:
     The joining edge leaves each cycle at a neighbour of its base, so
     an augmenting path between the two ends must pass each cycle
     against its matched pairs: the solver finds it only by contracting
-    a blossom.  The labels steer its greedy warm start to match the
-    path and cycle pairs and leave both ends exposed: the pairs take
-    consecutive labels, the ends the top two, and each joining vertex
-    takes the lower label of its pair, so its base scans it first.
+    a blossom.  The labels steer its first phase, which on the empty
+    matching pairs each vertex with its first unmatched neighbour, to
+    match the path and cycle pairs and leave both ends exposed: the
+    pairs take consecutive labels, the ends the top two, and each
+    joining vertex takes the lower label of its pair, so its base scans
+    it first.
     """
     grow = gen.next_below(5)  # the path or cycle given two more vertices, if any
     edges, pairs, ends, joins = [], [], [], []

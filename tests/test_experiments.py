@@ -467,18 +467,18 @@ def test_battery_catches_injected_fault(broken_matching):
 
 
 def test_battery_catches_a_search_that_skips_blossoms(monkeypatch):
-    # _augment_once recompiled with `continue` at the top of its blossom
-    # branch: the solver and the certificate's searches both run it
-    source = inspect.getsource(matching._augment_once)
+    # _phase recompiled with `continue` at the top of its blossom
+    # branch: the solver and the certificate's phase both run it
+    source = inspect.getsource(matching._phase)
     anchor = next((line for line in source.splitlines(keepends=True)
                    if line.strip() == "# blossom: find the lowest common ancestor of v and to"),
                   None)
-    assert anchor is not None, "the blossom branch of _augment_once lost its anchor line"
+    assert anchor is not None, "the blossom branch of _phase lost its anchor line"
     indent = anchor[:len(anchor) - len(anchor.lstrip())]
     namespace = dict(vars(matching))
     exec(compile(source.replace(anchor, indent + "continue\n" + anchor), matching.__file__,
                  "exec"), namespace)
-    monkeypatch.setattr(matching, "_augment_once", namespace["_augment_once"])
+    monkeypatch.setattr(matching, "_phase", namespace["_phase"])
     monkeypatch.setattr(battery, "_suite_coupling", lambda seed: (1, 0, ""))
     rows, aggregates = battery.run_battery(0)
     failing = {row[0] for row in rows if row[2] > 0}
@@ -507,14 +507,13 @@ def test_coupling_suite_reports_union_mismatch(monkeypatch):
     batches = []
 
     def tampered(pg, p, seeds):
-        out = exposures(pg, p, seeds)
+        firsts, seconds, unions = exposures(pg, p, seeds)
         if not batches:
-            first, second, union = out[3]
-            mask = bytearray(union.mask)
-            mask[0] ^= 1
-            out[3] = (first, second, replace(union, mask=bytes(mask)))
+            unions = bytearray(unions)
+            unions[3 * pg.m] ^= 1  # byte 0 of trial 3's union
+            unions = bytes(unions)
         batches.append(seeds)
-        return out
+        return firsts, seconds, unions
 
     monkeypatch.setattr(battery, "double_exposures", tampered)
     assert battery._suite_coupling(5) == (1, 1, "union mismatch at trial 3")

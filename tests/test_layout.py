@@ -162,16 +162,33 @@ def test_one_component_fill_over_shift_rows():
 
 def test_augmenting_search_stays_in_matching():
     """No module in src/prodperc, scripts/ or perfbench/ but matching.py
-    names ``_augment_once``: tau3 reaches the solver through ``_solve``
+    names ``_phase``: tau3 reaches the search through ``_solve``
     alone."""
     namers = []
     for path in [*SRC.glob("*.py"), *(path for folder in CALLERS for path in folder.glob("*.py"))]:
         if path == SRC / "matching.py":
             continue
         for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if "_augment_once" in {getattr(sub, field, None) for field in ("id", "attr", "name")}:
+            if "_phase" in {getattr(sub, field, None) for field in ("id", "attr", "name")}:
                 namers.append(f"{path.name}:{sub.lineno}")
     assert namers == []
+
+
+def test_one_alternating_search():
+    """In matching.py only ``_phase`` reads ``adj_flat`` or ``adj_eid``,
+    and both ``_solve`` and ``certified_deficiency`` call it: the solver
+    and the certificate share one search."""
+    readers, callers = [], []
+    for node in ast.parse((SRC / "matching.py").read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr in {"adj_flat", "adj_eid"}:
+                readers.append(node.name)
+            if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_phase":
+                callers.append(node.name)
+    assert sorted(set(readers)) == ["_phase"]
+    assert sorted(set(callers)) == ["_solve", "certified_deficiency"]
 
 
 def test_obstructions_hold_vertex_masks_only():

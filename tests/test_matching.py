@@ -10,7 +10,7 @@ from prodperc.catalog import build_catalog_product, tiny_names
 from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product,
                                  components_from_bitmasks, full_mask,
                                  neighbor_bitmasks, star)
-from prodperc.matching import certified_deficiency, maximum_matching, _augment_once
+from prodperc.matching import certified_deficiency, maximum_matching, _phase
 from prodperc.process import sample_percolation
 from prodperc.rng import Xoshiro256StarStar, bernoulli_masks, derive_trial_seed
 
@@ -69,26 +69,31 @@ def test_blossom_contraction_path():
 
 
 def test_augment_contracts_blossom():
-    # from root 6 the search runs 6-3, 3=0, then meets the odd cycle
-    # 0-1=2-0; only by contracting it can the path leave through 1-4
+    # the phase grows 6-3, 3=0 and 8-7, 7=4, then meets the odd cycle
+    # 0-1=2-0 from 0; only by contracting it can 4 reach the path
+    # through 1
     pg = build_catalog_product("K3xK3")
-    mask = mask_from_edges(pg, [(6, 3), (3, 0), (0, 1), (0, 2), (1, 2), (1, 4)])
+    mask = mask_from_edges(pg, [(6, 3), (3, 0), (0, 1), (0, 2), (1, 2), (1, 4), (4, 7), (7, 8)])
     mate = [-1] * pg.n
-    for u, v in ((3, 0), (1, 2)):
+    for u, v in ((3, 0), (1, 2), (4, 7)):
         mate[u], mate[v] = v, u
-    assert _augment_once(pg, mask, mate, root=6) is None
+    assert _phase(pg, mask, mate)[0] == 1
     size = sum(1 for v, w in enumerate(mate) if w > v)
-    assert size == (pg.n - reference_deficiency(pg, mask)) // 2 == 3
+    assert size == (pg.n - reference_deficiency(pg, mask)) // 2 == 4
 
 
 def test_solver_matches_brute_on_blossom_forcing_masks():
-    # the greedy warm start leaves both path ends exposed, and every
-    # augmenting path between them needs a contracted blossom
+    # the first phase leaves both path ends, labels n - 2 and n - 1,
+    # exposed, and every augmenting path between them needs a
+    # contracted blossom
     hosts = {n: build_product((BaseGraphSpec.complete(n),)) for n in (10, 12)}
     for i in range(40):
         edges = blossom_edges(Xoshiro256StarStar(derive_trial_seed(2026, i)))
         pg = hosts[1 + max(v for _, v in edges)]
         mask = mask_from_edges(pg, edges)
+        first = [-1] * pg.n
+        assert _phase(pg, mask, first)[0] == pg.n // 2 - 1
+        assert [v for v, w in enumerate(first) if w < 0] == [pg.n - 2, pg.n - 1]
         assert certified(pg, mask) == reference_deficiency(pg, mask) == 0
 
 
@@ -131,8 +136,7 @@ def test_oracle_equivalence_catalog(name):
 
 def test_no_augmenting_path_at_maximum():
     def augments(mate):
-        return any(mate[root] < 0 and _augment_once(pg, mask, list(mate), root) is None
-                   for root in range(pg.n))
+        return _phase(pg, mask, list(mate))[0] > 0
 
     pg = build_catalog_product("K3xK3")
     mask = random_mask(pg, 3)
@@ -140,6 +144,24 @@ def test_no_augmenting_path_at_maximum():
     assert not augments(state.mate)
     if state.size > 0:
         assert augments([-1] * pg.n)
+
+
+@pytest.mark.parametrize("name", tiny_names(10))
+def test_phase_without_gain_marks_the_gallai_edmonds_set(name):
+    # D is the set of vertices that some maximum matching leaves
+    # exposed: exactly those whose isolation keeps the deficiency
+    pg = build_catalog_product(name)
+    masks = [full_mask(pg), bytes(pg.m)] + [
+        random_mask(pg, derive_trial_seed(13, k), p=0.4) for k in range(4)]
+    for mask in masks:
+        mate = list(maximum_matching(pg, mask).mate)
+        gained, marks = _phase(pg, mask, mate)
+        assert gained == 0
+        deficiency = reference_deficiency(pg, mask)
+        d = [v for v in range(pg.n)
+             if reference_deficiency(pg, bytes(mask[e] and v not in pg.edges[e]
+                                               for e in range(pg.m))) == deficiency]
+        assert [v for v, mark in enumerate(marks) if mark] == d
 
 
 @settings(deadline=None, max_examples=60)
@@ -181,8 +203,8 @@ def test_barrier_proves_the_reference_deficiency(name):
 
 
 def test_barrier_rejects_bad_mates():
-    # on a blossom-forcing mask the greedy warm start is maximal but two
-    # short of a perfect matching.  The other two mates cover every
+    # on a blossom-forcing mask the first phase leaves a maximal
+    # matching two short of a perfect one.  The other two mates cover every
     # vertex along present edges but one, or one-sidedly, so only the
     # matching check can reject them: with no vertex exposed the barrier
     # is empty and G has no odd component.
@@ -192,9 +214,9 @@ def test_barrier_rejects_bad_mates():
         if max(v for _, v in edges) == 9:
             break
     mask = mask_from_edges(pg, edges)
-    greedy = [-1] * pg.n
-    assert matching._greedy_extend(pg, mask, greedy) == 4
-    assert certified_deficiency(pg, mask, greedy) is None
+    first = [-1] * pg.n
+    assert _phase(pg, mask, first)[0] == 4
+    assert certified_deficiency(pg, mask, first) is None
     mate = list(maximum_matching(pg, mask).mate)
     assert certified_deficiency(pg, mask, mate) == 0
     pairs = [(v, w) for v, w in enumerate(mate) if v < w]

@@ -202,26 +202,33 @@ def test_percolation_reproducible():
 def test_double_exposure_probability_split():
     pg = build_catalog_product("petersen")  # d = 3
     p = 0.5
-    first, second, union = double_exposures(pg, p, [77])[0]
-    assert second.p == 1.0 / 9.0
-    assert abs((1.0 - first.p) * (1.0 - second.p) - (1.0 - p)) <= 1e-12
-    assert union.p == p
-    assert union.mask == bytes(a | b for a, b in zip(first.mask, second.mask))
+    first, second, union = double_exposures(pg, p, [77])
+    p2 = 1.0 / 9.0
+    p1 = 1.0 - (1.0 - p) / (1.0 - p2)
+    assert abs((1.0 - p1) * (1.0 - p2) - (1.0 - p)) <= 1e-12
+    s1, s2 = split_seeds(77, 2)
+    assert first == sample_percolation(pg, p1, s1).mask
+    assert second == sample_percolation(pg, p2, s2).mask
+    assert union == bytes(a | b for a, b in zip(first, second))
 
 
 def test_double_exposure_round_seeds_are_replayable():
     pg = build_catalog_product("Q4")
-    first, second, _ = double_exposures(pg, 0.4, [123])[0]
+    p2 = 1.0 / (pg.d * pg.d)
+    p1 = 1.0 - (1.0 - 0.4) / (1.0 - p2)
+    first, second, _ = double_exposures(pg, 0.4, [123])
     s1, s2 = split_seeds(123, 2)
-    assert first == sample_percolation(pg, first.p, s1)
-    assert second == sample_percolation(pg, second.p, s2)
+    assert first == sample_percolation(pg, p1, s1).mask
+    assert second == sample_percolation(pg, p2, s2).mask
     # a batch draws in lockstep and gives every seed its own rounds
     seeds = [123, 5, 123, (1 << 64) - 1]
-    for seed, (first, second, _) in zip(seeds, double_exposures(pg, 0.4, seeds),
-                                        strict=True):
+    firsts, seconds, unions = double_exposures(pg, 0.4, seeds)
+    assert len(firsts) == len(seconds) == len(unions) == len(seeds) * pg.m
+    for i, seed in enumerate(seeds):
         s1, s2 = split_seeds(seed, 2)
-        assert first == sample_percolation(pg, first.p, s1)
-        assert second == sample_percolation(pg, second.p, s2)
+        trial = slice(i * pg.m, (i + 1) * pg.m)
+        assert firsts[trial] == sample_percolation(pg, p1, s1).mask
+        assert seconds[trial] == sample_percolation(pg, p2, s2).mask
     with pytest.raises(ValueError):
         double_exposures(pg, 1.0 / (pg.d * pg.d) - 1e-6, [1])
 

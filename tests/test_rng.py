@@ -138,12 +138,16 @@ def test_packed_seeding_matches_one_seed_at_a_time(seeds):
 @given(st.lists(SEEDS, min_size=40, max_size=40))
 def test_double_exposures_match_split_seed_rounds(seeds):
     pg = build_catalog_product("Q4")
-    for seed, (first, second, union) in zip(seeds, double_exposures(pg, 0.4, seeds),
-                                            strict=True):
+    p2 = 1.0 / (pg.d * pg.d)
+    p1 = 1.0 - (1.0 - 0.4) / (1.0 - p2)
+    firsts, seconds, unions = double_exposures(pg, 0.4, seeds)
+    assert len(firsts) == len(seconds) == len(unions) == len(seeds) * pg.m
+    for i, seed in enumerate(seeds):
         s1, s2 = split_seeds(seed, 2)
-        assert first == sample_percolation(pg, first.p, s1)
-        assert second == sample_percolation(pg, second.p, s2)
-        assert union.seed == seed
+        trial = slice(i * pg.m, (i + 1) * pg.m)
+        assert firsts[trial] == sample_percolation(pg, p1, s1).mask
+        assert seconds[trial] == sample_percolation(pg, p2, s2).mask
+        assert unions[trial] == bytes(a | b for a, b in zip(firsts[trial], seconds[trial]))
     # a seed is read mod 2**64
     assert sample_percolation(pg, 0.4, -1).mask == sample_percolation(pg, 0.4, MASK64).mask
 
