@@ -5,8 +5,9 @@ Two sampling modes share one generator stack (see rng):
 * ``sample_percolations`` keeps each edge independently: for each seed,
   edge k is present iff the k-th uniform double of its stream is below
   p, in canonical edge-id order.  All the seeds' masks are drawn in
-  lockstep (``rng.bernoulli_masks``); ``sample_percolation`` is the
-  one-seed case.
+  lockstep (``rng.bernoulli_masks``), each split into jump-ahead chunk
+  lanes once it is long enough, so even one seed draws in a wide group;
+  ``sample_percolation`` is the one-seed case.
 * ``sample_ordering`` draws a uniform permutation of the edge ids by
   Fisher-Yates shuffle; the process at time i consists of the first i
   edges of the permutation.  ``hitting_times(pg, seeds)`` runs the same

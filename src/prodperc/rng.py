@@ -86,13 +86,37 @@ steps a group of more than one lane.  The stream feeds three loops:
     ``word < T``, else 0.  A block of steps is turned into bytes at
     once, and each lane's byte 8 of every step is slice-assigned into
     its mask.
+  - The cost per lane and step falls as the group widens, so each
+    lane's draws are split into chunk lanes.  The xoshiro256 state step
+    A is linear over F2 (only the ``**`` scrambler is not), so the
+    state k steps on is p(A) s with p = x**k mod P, P the step's
+    characteristic polynomial, of degree 256 (``_CHAR_POLY``;
+    Haramoto, Matsumoto, Nishimura, Panneton and L'Ecuyer, "Efficient
+    jump ahead for F2-linear random number generators", INFORMS J.
+    Computing 2008; Blackman and Vigna, "Scrambled linear pseudorandom
+    number generators", ACM TOMS 2021).  ``_jump`` applies p to every
+    lane of a packed group at once by Horner's rule over its 256
+    coefficients: one ``lockstep`` run per coefficient 1, each closed
+    before the starting state is xored in.
+  - A draw uses J = max(1, min(80 // lanes, count // 2048)) chunks of
+    L = count // J steps per lane.  Chunk c of lane i is lane
+    c * lanes + i of one wider group, started c * L words on.
+    ``_widen`` makes the starts by doubling: it jumps the chunks made so
+    far by their total length, then squares the polynomial, so J chunks
+    take log2 J jumps.  Chunk c writes bytes [c L, (c + 1) L) of its
+    mask in place.  The last chunk's lanes, then J L words on, draw the
+    count - J L remaining words alone, so every mask is byte for byte
+    the unchunked one and the group ends exactly ``count`` words on.
+    A block of steps holds 512 // J steps, the bytes of 512 unchunked
+    ones.  Masks of at most 4095 draws are never chunked.
   - The trial runner and the coupling suite cap a group at
-    ``GROUP_LANES = 32`` lanes.  On a 2-vCPU x86 VM (Python 3.11, 4096
-    draws per lane, best of 7), one lane costs about 0.7 us per draw,
-    20 lanes about 62 ns per lane and draw, 32 lanes about 50 ns and
-    256 still about 40 ns.  Wider groups gain little, while every
-    lane's mask is held until its trial is computed and fewer, larger
-    groups balance worse over pool workers.
+    ``GROUP_LANES = 32`` lanes, since every lane's mask is held until
+    its trial is computed and fewer, larger groups balance worse over
+    pool workers.  On a 2-vCPU x86 VM (Python 3.11, one pinned CPU,
+    Q14's 114 688 draws per lane, best of 3), a draw costs about 136 ns
+    per lane and step at 1 lane, 75 at 4, 56 at 10, 50 at 20, 54 at 32,
+    49 at 40 and 47 at 80; unchunked it was 771, 217, 105, 71, 69, 52
+    and 47.
 """
 
 import math
@@ -321,31 +345,121 @@ def lockstep_words(gen, count: int) -> list[array]:
     return words
 
 
-# Most trials one group draws in lockstep: more lanes barely lower the
-# cost per draw, and every lane holds its whole mask until its row.
+# Most trials one group draws in lockstep: every lane holds its whole
+# mask until its row, and fewer, larger groups balance worse over pool
+# workers.  ``bernoulli_masks`` widens a draw with chunk lanes, so the
+# cap bounds the masks held, not the cost per draw.
 GROUP_LANES = 32
 
-# Steps ``bernoulli_masks`` turns into bytes at once: a block holds
-# 9 bytes per lane and step.
+# ``bernoulli_masks`` draws in chunk lanes: about this many lanes in all,
+# none shorter than ``_MIN_CHUNK`` steps.
+_MASK_WIDTH = 80
+_MIN_CHUNK = 2048
+
+# Steps ``bernoulli_masks`` turns into bytes at once, for a group of
+# unsplit lanes: a block holds 9 bytes per lane and step, and a group of
+# J chunks per lane draws 1 / J as many steps per block.
 _MASK_BLOCK = 512
+
+# The characteristic polynomial P of the xoshiro256 state step, bit k
+# the coefficient of x**k (Berlekamp-Massey on one state bit gives it).
+_CHAR_POLY = 0x10003c03c3f3ecb1904b4edcf26259f850280002bcefd1a5e9d116f2bb0f0f001
+
+
+def _mod_p(poly: int) -> int:
+    while poly.bit_length() > 256:
+        poly ^= _CHAR_POLY << poly.bit_length() - 257
+    return poly
+
+
+def _squared(poly: int) -> int:
+    """``poly**2 mod P``: over F2 a square spreads the bits apart."""
+    return _mod_p(int("0".join(bin(poly)[2:]), 2))
+
+
+def _x_power(k: int) -> int:
+    """``x**k mod P``, the polynomial of a jump by k steps."""
+    poly = 1
+    for bit in bin(k)[2:]:
+        poly = _squared(poly) << int(bit)
+    return _mod_p(poly)
+
+
+def _advance(gen, steps: int) -> None:
+    stream = lockstep(gen)
+    deque(islice(stream, steps), maxlen=0)
+    stream.close()
+
+
+def _jump(gen, poly: int) -> None:
+    """Move each lane of ``gen`` from state s to poly(A) s, A the state
+    step: with ``poly = _x_power(k)`` that is k words on.  Horner's rule,
+    one run of steps per coefficient 1 below the leading one."""
+    start = gen.s0, gen.s1, gen.s2, gen.s3
+    *runs, tail = bin(poly)[3:].split("1")
+    for zeros in runs:
+        _advance(gen, len(zeros) + 1)
+        gen.s0, gen.s1, gen.s2, gen.s3 = (
+            word ^ s for word, s in zip((gen.s0, gen.s1, gen.s2, gen.s3), start))
+    _advance(gen, len(tail))
+
+
+def _widen(gen, chunks: int, length: int) -> None:
+    """Give ``gen`` ``chunks`` lanes per lane: lane c * lanes + i starts
+    c * length words after lane i.  Each round jumps the chunks made so
+    far by their total length, then squares the jump polynomial."""
+    lanes = gen.lane_count
+    bits = 8 * _LANE_BYTES * lanes
+    poly = _x_power(length)
+    made = 1
+    while made < chunks:
+        todo = min(made, chunks - made)
+        low = (1 << bits * todo) - 1
+        part = Xoshiro256StarStar.__new__(Xoshiro256StarStar)
+        part.s0, part.s1, part.s2, part.s3 = (
+            word & low for word in (gen.s0, gen.s1, gen.s2, gen.s3))
+        part.lane_count = todo * lanes
+        _jump(part, poly)
+        gen.s0, gen.s1, gen.s2, gen.s3 = (
+            word | moved << bits * made for word, moved in
+            zip((gen.s0, gen.s1, gen.s2, gen.s3), (part.s0, part.s1, part.s2, part.s3)))
+        gen.lane_count += part.lane_count
+        made += todo
+        poly = _squared(poly)
 
 
 def bernoulli_masks(gen, count: int, p: float) -> list[bytearray]:
     """Byte k of mask i is 1 iff the k-th of the next ``count`` doubles
     of lane i of ``gen`` is < p; the group ends ``count`` words further
-    on.  See the module docstring for the keep test."""
+    on.  See the module docstring for the keep test and the chunk
+    lanes."""
     lanes = gen.lane_count
     masks = [bytearray(count) for _ in range(lanes)]
+    chunks = max(1, min(_MASK_WIDTH // max(lanes, 1), count // _MIN_CHUNK))
+    length = count // chunks
+    block = _MASK_BLOCK // chunks
     threshold = math.ceil(p * 9007199254740992.0) << 11  # 2**53
-    bias = ((1 << 64) + threshold - 1) * int.from_bytes(_ONE_PER_LANE * lanes, "little")
-    stream = lockstep(gen)
-    width = _LANE_BYTES * lanes
-    for start in range(0, count, _MASK_BLOCK):
-        stop = min(start + _MASK_BLOCK, count)
-        # byte 8 of each lane of bias - word is its keep bit
-        blob = b"".join([(bias - word).to_bytes(width, "little")
-                         for word in islice(stream, stop - start)])
-        for i, mask in enumerate(masks):
-            mask[start:stop] = blob[_LANE_BYTES * i + 8::width]
-    stream.close()
+    if chunks > 1:
+        _widen(gen, chunks, length)
+    # the chunk lanes, then the last chunk's lanes alone for the remainder
+    offsets = [c * length for c in range(chunks)]
+    for chunk_starts, steps in ((offsets, length), ([chunks * length], count - chunks * length)):
+        if not steps:
+            continue
+        width = _LANE_BYTES * gen.lane_count
+        bias = ((1 << 64) + threshold - 1) * int.from_bytes(_ONE_PER_LANE * gen.lane_count,
+                                                             "little")
+        stream = lockstep(gen)
+        for start in range(0, steps, block):
+            stop = min(start + block, steps)
+            blob = b"".join([(bias - word).to_bytes(width, "little")
+                             for word in islice(stream, stop - start)])
+            keep = 8  # byte 8 of each lane of bias - word is its keep bit
+            for offset in chunk_starts:
+                for mask in masks:
+                    mask[offset + start:offset + stop] = blob[keep::width]
+                    keep += _LANE_BYTES
+        stream.close()
+        while gen.lane_count > lanes:  # keep the last chunk's lanes
+            gen.drop_first_lane()
     return masks

@@ -182,6 +182,9 @@ PINNED_DIGESTS = {
     "percolation_profile": {
         "csv": "58ea1dc284b3efaa87b7f3d35ce6513af404f77fae96f55e9fd8527fa3e677f1",
         "json": "323a8a91c35c6b22871fad61b77d49af39bf0cb29d0047e1056ffa540a388d3e"},
+    "percolation_chunks": {
+        "csv": "dc5e0798c1bed0eb429132471002640f89efc80f446c8014d1c5d2a0335bede4",
+        "json": "8acdd00f7fb402187d6f6a950c6ad81b82cfd71ea20eeee45752c9c07bd55c58"},
     "obstructions": {
         "csv": "20ec525d95581e309a607c4880edc82412e8275e9f7c843fb22bee3ecb681bed",
         "json": "e0e27b28a0eac6b47f595cc93d2655640dccb31968eaf371ac0c1009572e45d1"},
@@ -192,20 +195,24 @@ PINNED_DIGESTS = {
 
 
 def test_criterion_13_reports_are_byte_reproducible():
-    configs = (
-        {"kind": "hitting_times", "product": "Q5", "trials": 20},
-        {"kind": "percolation_profile", "product": "Q4", "trials": 20, "p": 0.4},
-        {"kind": "obstructions", "product": "Q3", "trials": 20, "p": 0.35},
-        {"kind": "isoperimetry", "product": "Q4", "p": 0.5},
-    )
+    configs = {
+        "hitting_times": {"kind": "hitting_times", "product": "Q5", "trials": 20},
+        "percolation_profile": {"kind": "percolation_profile", "product": "Q4",
+                                "trials": 20, "p": 0.4},
+        # m = 11264 draws each mask in 5 chunk lanes and a remainder
+        "percolation_chunks": {"kind": "percolation_profile",
+                               "product": [{"kind": "complete", "m": 2}] * 11,
+                               "trials": 3, "omega": 1.0, "workers": 1},
+        "obstructions": {"kind": "obstructions", "product": "Q3", "trials": 20, "p": 0.35},
+        "isoperimetry": {"kind": "isoperimetry", "product": "Q4", "p": 0.5},
+    }
     mismatches = []
-    for data in configs:
+    for name, data in configs.items():
         summary = run_trials(ExperimentConfig.from_dict(dict(data, seed=BASE_SEED)))
         for fmt in ("csv", "json"):
-            if report_digest(render_report(summary, fmt)) != \
-                    PINNED_DIGESTS[data["kind"]][fmt]:
-                mismatches.append(f"{data['kind']} {fmt}")
+            if report_digest(render_report(summary, fmt)) != PINNED_DIGESTS[name][fmt]:
+                mismatches.append(f"{name} {fmt}")
     _report(13, not mismatches,
-            "process, percolate, obstruct and iso reports match their pinned "
-            f"digests (timestamp excluded) in csv and json: "
-            f"{'all 8' if not mismatches else mismatches}")
+            "process, percolate (Q4 and chunked Q11), obstruct and iso reports "
+            "match their pinned digests (timestamp excluded) in csv and json: "
+            f"{'all 10' if not mismatches else mismatches}")

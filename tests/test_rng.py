@@ -1,17 +1,20 @@
 """Generator stack: fixed vectors, ranges, and derivation rules."""
 
+import inspect
 import math
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import reference_mask, reference_shuffle
+from prodperc import rng
 from prodperc.catalog import build_catalog_product
 from prodperc.process import double_exposures, sample_percolation
-from prodperc.rng import (_LANE_BYTES, MASK64, Xoshiro256StarStar, bernoulli_masks,
-                          derive_trial_seed, lane_values, lockstep, lockstep_words,
-                          placements, split_lanes, split_seeds, splitmix64)
+from prodperc.rng import (_CHAR_POLY, _LANE_BYTES, _MASK_WIDTH, MASK64, Xoshiro256StarStar,
+                          _jump, _x_power, bernoulli_masks, derive_trial_seed, lane_values,
+                          lockstep, lockstep_words, placements, split_lanes, split_seeds,
+                          splitmix64)
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 # seeds as callers may pass them: split_seeds reduces every int mod 2**64
@@ -185,6 +188,107 @@ def test_bernoulli_masks_match_one_generator_at_a_time(seeds, count, p):
         reference_mask(gen, count, p) for gen in reference]
     # one word per byte: each stream continues as after count next_u64 calls
     assert state(group) == state(group_of(reference))
+
+
+def berlekamp_massey(bits) -> int:
+    """Shortest linear recurrence over F2 that generates ``bits``, as its
+    characteristic polynomial (bit k the coefficient of x**k)."""
+    connection, previous, length, gap = 1, 1, 0, 1
+    for n, bit in enumerate(bits):
+        for i in range(1, length + 1):
+            bit ^= connection >> i & bits[n - i]
+        if not bit:
+            gap += 1
+            continue
+        updated = connection ^ previous << gap
+        if 2 * length <= n:
+            previous, length, gap = connection, n + 1 - length, 1
+        else:
+            gap += 1
+        connection = updated
+    # the connection polynomial 1 + c1 x + ... + cL x**L, reversed
+    return int(format(connection, f"0{length + 1}b")[::-1], 2)
+
+
+def test_characteristic_polynomial_is_the_generators():
+    gen = Xoshiro256StarStar(1)
+    bits = []
+    for _ in range(600):
+        bits.append(gen.s0 & 1)
+        gen.next_u64()
+    poly = berlekamp_massey(bits)
+    assert poly.bit_length() == 257  # degree 256
+    assert poly == _CHAR_POLY
+
+
+ALL_ONES = (MASK64,) * 4
+
+
+@pytest.mark.parametrize("k", [0, 1, 255, 256, 257, 4097])
+@settings(deadline=None, max_examples=5)
+@given(st.sampled_from((1, 5)).flatmap(lambda lanes: st.lists(
+    st.one_of(U64.map(lambda seed: state(Xoshiro256StarStar(seed))),
+              st.tuples(*[STATE_WORDS] * 4)), min_size=lanes, max_size=lanes)))
+@example([ALL_ONES])
+@example([ALL_ONES, state(Xoshiro256StarStar(1)), ALL_ONES, (0, MASK64, 0, MASK64), ALL_ONES])
+def test_jump_equals_stepping(k, states):
+    # all-ones lanes side by side show a step or an xor leaking across lanes
+    group = group_of([generator_in_state(words) for words in states])
+    _jump(group, _x_power(k))
+    reference = [generator_in_state(words) for words in states]
+    for gen in reference:
+        for _ in range(k):
+            gen.next_u64()
+    assert group.lane_count == len(states)
+    assert state(group) == state(group_of(reference))
+
+
+def check_chunked_masks(kernel, seeds, count, p):
+    group = Xoshiro256StarStar.lanes(seeds)
+    reference = [Xoshiro256StarStar(seed) for seed in seeds]
+    assert kernel(group, count, p) == [reference_mask(gen, count, p) for gen in reference]
+    # the last chunk's lanes drew the remainder: count words on
+    assert group.lane_count == len(seeds)
+    assert state(group) == state(group_of(reference))
+
+
+@st.composite
+def chunked_draws(draw):
+    """(seeds, count, chunk minimum) with count // minimum chunks per lane,
+    count not divisible by the chunks."""
+    lanes = draw(st.integers(min_value=0, max_value=40))
+    chunks = draw(st.sampled_from([j for j in (1, 2, 3, 7) if j <= _MASK_WIDTH // max(lanes, 1)]))
+    length = draw(st.integers(min_value=chunks, max_value=60))
+    count = chunks * length + (draw(st.integers(min_value=1, max_value=chunks - 1))
+                               if chunks > 1 else 0)
+    seeds = draw(st.lists(st.one_of(U64, st.integers(min_value=0, max_value=3)),
+                          min_size=lanes, max_size=lanes))
+    assert max(1, min(_MASK_WIDTH // max(lanes, 1), count // length)) == chunks
+    assert chunks == 1 or count % chunks
+    return seeds, count, length
+
+
+@given(chunked_draws(), PROBABILITIES)
+def test_chunked_bernoulli_masks_match_one_generator_at_a_time(case, p):
+    seeds, count, minimum = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "_MIN_CHUNK", minimum)
+        check_chunked_masks(bernoulli_masks, seeds, count, p)
+
+
+def test_chunk_test_catches_a_chunk_one_byte_off():
+    # bernoulli_masks recompiled to write chunk 1 of every lane one byte
+    # past its offset; 3 lanes of 7000 draws make 3 chunks
+    source = inspect.getsource(rng.bernoulli_masks)
+    offsets = "offsets = [c * length for c in range(chunks)]"
+    assert source.count(offsets) == 1, "bernoulli_masks lost its chunk offsets"
+    namespace = dict(vars(rng))
+    exec(compile(source.replace(offsets, offsets.replace("c * length", "c * length + (c == 1)")),
+                 rng.__file__, "exec"), namespace)
+    assert max(1, min(_MASK_WIDTH // 3, 7000 // rng._MIN_CHUNK)) == 3
+    check_chunked_masks(bernoulli_masks, [1, 2, 3], 7000, 0.5)
+    with pytest.raises(AssertionError):
+        check_chunked_masks(namespace["bernoulli_masks"], [1, 2, 3], 7000, 0.5)
 
 
 @given(st.lists(st.one_of(U64, st.integers(min_value=0, max_value=3)),
