@@ -428,7 +428,8 @@ def _aggregate_obstructions(rows) -> dict:
 
 
 def _run_isoperimetry(pg: ProductGraph, p: float | None, params):
-    from .isoperimetry import EXHAUSTIVE_MAX_VERTICES, edge_connectivity, exhaustive_profile, f_star
+    from .isoperimetry import (EXHAUSTIVE_MAX_VERTICES, MIN_CUT_MAX_VERTICES, edge_connectivity,
+                               exhaustive_profile, f_star)
     exact: tuple[int, ...] | None = None
     symmetry_ok = 1
     if pg.n <= EXHAUSTIVE_MAX_VERTICES:
@@ -453,7 +454,7 @@ def _run_isoperimetry(pg: ProductGraph, p: float | None, params):
         "bound_violations": violations if exact is not None else -1,
         "symmetry_ok": symmetry_ok,
     }
-    if pg.n <= 256:
+    if pg.n <= MIN_CUT_MAX_VERTICES:
         cut = edge_connectivity(pg)
         aggregates["min_cut"] = cut
         aggregates["min_cut_equals_d"] = int(cut == pg.d)

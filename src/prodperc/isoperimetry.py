@@ -19,12 +19,17 @@ counterpart is
 with e Euler's constant and C the largest base-graph order; f* extends
 to k > n/2 by the symmetry f(k) = f(n - k) and accepts real arguments
 because the component-counting bounds evaluate it at real split points.
-The module also provides the exact global minimum cut (maximum adjacency
-orderings) and exact counts of rooted subtrees, grown from the root one
-frontier edge at a time, against the (e*d)**(k-1) bound.
+The module also provides the exact global minimum cut, by unit-capacity
+flows between the vertices of a dominating set, and exact counts of
+rooted subtrees, grown from the root one frontier edge at a time, against
+the (e*d)**(k-1) bound.  The flows suffice by Matula's lemma (D. W.
+Matula, "Determining edge connectivity in O(nm)", FOCS 1987): in a simple
+graph whose minimum cut is below the minimum degree, each side of a
+minimum cut has more vertices than that degree, so holds a vertex whose
+whole neighbourhood lies on its side, and so a vertex of every
+dominating set.
 """
 
-import heapq
 import math
 import sys
 from array import array
@@ -35,6 +40,8 @@ from .graph_core import ProductGraph, TooLargeError, components_from_bitmasks, n
 
 # Largest order ``exhaustive_profile`` accepts: 2^23 subsets at 24 vertices.
 EXHAUSTIVE_MAX_VERTICES = 24
+# Largest order whose minimum cut the ``iso`` report includes.
+MIN_CUT_MAX_VERTICES = 256
 # Vertices in the profile walk's low block: one packed lane per low subset.
 _LOW_BLOCK = 10
 
@@ -207,54 +214,69 @@ def f_star(params: BoundParams, k: float) -> float:
 
 
 def edge_connectivity(pg: ProductGraph) -> int:
-    """Exact global minimum edge cut via maximum adjacency orderings."""
+    """Exact global minimum edge cut by dominating-set flows.
+
+    With v1..vk a dominating set, each step taking the vertex whose closed
+    neighbourhood covers the most undominated ones (lowest label on ties),
+    the cut is the least of the minimum degree and, for i >= 2, the
+    maximum flow from {v1..v(i-1)} to vi.  Each flow pushes unit paths on
+    n-bit residual masks until none is left or it reaches the least cut
+    so far: bit w of res[u] means arc u -> w has capacity left, so an
+    edge's two bits tell its net flow -1, 0 or 1 apart.
+    """
     n = pg.n
     if n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
+    nbr = neighbor_bitmasks(pg)
     # check connectivity first: a disconnected input is a caller error
-    if len(components_from_bitmasks(neighbor_bitmasks(pg), (1 << n) - 1)) != 1:
+    if len(components_from_bitmasks(nbr, (1 << n) - 1)) != 1:
         raise ValueError("edge connectivity is undefined here: graph is disconnected")
 
-    weights: dict[int, dict[int, int]] = {v: {} for v in range(n)}
-    for u, v in pg.edges:
-        weights[u][v] = weights[u].get(v, 0) + 1
-        weights[v][u] = weights[v].get(u, 0) + 1
-    active = set(range(n))
-    best = math.inf
-    while len(active) > 1:
-        start = next(iter(active))
-        in_order = {start}
-        attach = {v: w for v, w in weights[start].items()}
-        heap = [(-w, v) for v, w in attach.items()]
-        heapq.heapify(heap)
-        order = [start]
-        last_weight = 0
-        while len(in_order) < len(active):
-            while True:
-                negw, v = heapq.heappop(heap)
-                if v not in in_order and attach.get(v, 0) == -negw:
-                    break
-            in_order.add(v)
-            order.append(v)
-            last_weight = -negw
-            for u, w in weights[v].items():
-                if u not in in_order:
-                    attach[u] = attach.get(u, 0) + w
-                    heapq.heappush(heap, (-attach[u], u))
-        t = order[-1]
-        s = order[-2]
-        best = min(best, last_weight)
-        # merge t into s
-        for u, w in weights[t].items():
-            if u == s:
-                continue
-            weights[s][u] = weights[s].get(u, 0) + w
-            weights[u][s] = weights[u].get(s, 0) + w
-        for u in weights[t]:
-            del weights[u][t]
-        del weights[t]
-        active.remove(t)
-    return int(best)
+    best = min(map(int.bit_count, nbr))
+    closed = [nbr[v] | 1 << v for v in range(n)]
+    undominated = (1 << n) - 1
+    dominating = []
+    while undominated:
+        v = max(range(n), key=lambda u: (closed[u] & undominated).bit_count())
+        dominating.append(v)
+        undominated &= ~closed[v]
+    source = 1 << dominating[0]
+    for t in dominating[1:]:
+        res = nbr.copy()
+        flow = 0
+        while flow < best:
+            # BFS layers of the residual graph from the source set
+            layers = [source]
+            seen = frontier = source
+            while frontier and not frontier >> t & 1:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= res[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & ~seen
+                seen |= frontier
+                layers.append(frontier)
+            if not frontier:
+                break
+            # walk back from t: w's predecessor is a vertex of the layer
+            # before it with capacity left on its arc to w
+            w = t
+            for layer in reversed(layers[:-1]):
+                cand = layer & nbr[w]
+                u = (cand & -cand).bit_length() - 1
+                while not res[u] >> w & 1:
+                    cand &= cand - 1
+                    u = (cand & -cand).bit_length() - 1
+                if res[w] >> u & 1:
+                    res[u] ^= 1 << w  # net flow 0 -> 1
+                else:
+                    res[w] |= 1 << u  # cancels flow w -> u
+                w = u
+            flow += 1
+        best = flow
+        source |= 1 << t
+    return best
 
 
 def count_rooted_trees(pg: ProductGraph, root: int, k: int) -> int:

@@ -78,6 +78,25 @@ def reference_profile(pg: ProductGraph) -> tuple[int, ...]:
                  for k in range(1, pg.n))
 
 
+def reference_min_cut(pg: ProductGraph) -> int:
+    """Least edge boundary over the proper vertex subsets holding vertex
+    0, walked in Gray-code order over vertices 1..n-1 (reference for
+    ``isoperimetry.edge_connectivity``)."""
+    nbr = neighbor_bitmasks(pg)
+    full = (1 << pg.n) - 1
+    subset, boundary = 1, nbr[0].bit_count()
+    best = boundary
+    for i in range(1, 1 << (pg.n - 1)):
+        v = (i & -i).bit_length()
+        inside = (nbr[v] & subset).bit_count()
+        step = nbr[v].bit_count() - 2 * inside
+        boundary += -step if subset >> v & 1 else step
+        subset ^= 1 << v
+        if subset != full:
+            best = min(best, boundary)
+    return best
+
+
 def reference_deficiency(pg: ProductGraph, mask) -> int:
     """The Tutte-Berge maximum of odd(G - U) - |U| over every vertex
     set U, none skipped (reference for ``matching.certified_deficiency``)."""

@@ -1,15 +1,20 @@
 """Boundary profiles, analytic lower bounds, cuts, and tree counts."""
 
+import inspect
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import edge_boundary, reference_profile, reference_rooted_trees
-from prodperc.catalog import build_catalog_product
-from prodperc.graph_core import (BaseGraph, BaseGraphSpec, TooLargeError,
-                                 build_base, build_product, cartesian_product)
-from prodperc.isoperimetry import (EXHAUSTIVE_MAX_VERTICES, BoundParams,
+from helpers import edge_boundary, reference_min_cut, reference_profile, reference_rooted_trees
+from prodperc import isoperimetry
+from prodperc.catalog import build_catalog_product, tiny_names
+from prodperc.cli import main
+from prodperc.graph_core import (BaseGraph, BaseGraphSpec, TooLargeError, base_from_edges,
+                                 build_base, build_product, cartesian_product,
+                                 neighbor_bitmasks, star)
+from prodperc.isoperimetry import (EXHAUSTIVE_MAX_VERTICES, MIN_CUT_MAX_VERTICES, BoundParams,
                                    count_rooted_trees, edge_connectivity,
                                    exhaustive_profile, f_star, rooted_tree_bound)
 
@@ -153,10 +158,112 @@ def test_component_size_thresholds():
 
 # --- cuts ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["K3xK3", "Q4", "C5xC5", "K4xK3"])
+@pytest.mark.parametrize("name", tiny_names(MIN_CUT_MAX_VERTICES))
 def test_edge_connectivity_meets_degree(name):
     pg = build_catalog_product(name)
     assert edge_connectivity(pg) == pg.d
+
+
+# a cubic graph on 10 vertices: two copies of a 5-vertex graph whose
+# vertex 0 has degree 2, joined by the bridge 0-5
+_HALF = ((0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+BRIDGED_CUBIC_EDGES = _HALF + tuple((u + 5, v + 5) for u, v in _HALF) + ((0, 5),)
+
+
+def irregular(n: int, edges) -> BaseGraph:
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return BaseGraph(order=n, degree=None, adjacency=tuple(map(tuple, adjacency)), label="G")
+
+
+def min_degree(pg) -> int:
+    return min(map(int.bit_count, neighbor_bitmasks(pg)))
+
+
+def clique(vertices) -> list[tuple[int, int]]:
+    return [(u, v) for u in vertices for v in vertices if u < v]
+
+
+def cut_cases():
+    """(label, product, minimum cut, minimum degree), the cut from the
+    subset oracle; in the first four the cut is below the degree."""
+    bridged = base_from_edges(10, BRIDGED_CUBIC_EDGES, "bridged")
+    two_k5 = irregular(10, clique(range(5)) + clique(range(5, 10)) + [(0, 5), (1, 6)])
+    # K6xK2 on 0..11 and K4 on 12..15: the greedy dominating set takes
+    # 0, then 6 on the same side, so the first flow alone finds no cut
+    k6k2_k4 = irregular(16, clique(range(6)) + clique(range(6, 12)) + clique(range(12, 16))
+                        + [(v, v + 6) for v in range(6)] + [(0, 12), (1, 13)])
+    # one flow on this graph pushes a path back along an edge that
+    # carries flow, which no other case here does
+    cancelling = irregular(9, [(0, 3), (0, 4), (1, 2), (1, 8), (2, 6), (2, 8), (3, 5), (3, 6),
+                               (4, 5), (4, 7), (6, 7), (7, 8)])
+    return [("bridged", cartesian_product([bridged]), 1, 3),
+            ("bridgedxK2", cartesian_product([bridged, build_base(BaseGraphSpec.complete(2))]), 2, 4),
+            ("two K5 joined by two edges", cartesian_product([two_k5]), 2, 4),
+            ("K6xK2 and K4 joined by two edges", cartesian_product([k6k2_k4]), 2, 3),
+            ("a flow that cancels flow", cartesian_product([cancelling]), 2, 2),
+            ("star", cartesian_product([star(4)]), 1, 1)]
+
+
+def check_cuts_against_oracle(connectivity):
+    for label, pg, cut, degree in cut_cases():
+        assert (reference_min_cut(pg), min_degree(pg)) == (cut, degree), label
+        assert connectivity(pg) == cut, label
+
+
+def test_edge_connectivity_matches_oracle_cases():
+    check_cuts_against_oracle(edge_connectivity)
+
+
+def test_cut_oracle_catches_a_flow_to_the_first_sink_only():
+    # edge_connectivity recompiled to run the flow to the second vertex
+    # of the dominating set only
+    source = inspect.getsource(isoperimetry.edge_connectivity)
+    sinks = "for t in dominating[1:]:"
+    assert source.count(sinks) == 1, "edge_connectivity lost its sink loop"
+    namespace = dict(vars(isoperimetry))
+    exec(compile(source.replace(sinks, "for t in dominating[1:2]:"),
+                 isoperimetry.__file__, "exec"), namespace)
+    with pytest.raises(AssertionError, match="K6xK2 and K4"):
+        check_cuts_against_oracle(namespace["edge_connectivity"])
+
+
+@st.composite
+def two_clusters(draw):
+    """Two dense clusters of 3 to 7 vertices, each keeping a spanning path,
+    joined by one to three crossing edges, with labels shuffled; in more
+    than half the draws the minimum cut is below the least degree."""
+    sizes = [draw(st.integers(3, 7)), draw(st.integers(3, 7))]
+    edges = set()
+    for low, size in zip((0, sizes[0]), sizes):
+        pairs = [(low + i, low + j) for i in range(size) for j in range(i + 2, size)]
+        dropped = draw(st.sets(st.sampled_from(pairs), max_size=2)) if pairs else set()
+        edges |= {(low + i, low + i + 1) for i in range(size - 1)} | (set(pairs) - dropped)
+    crossing = st.tuples(st.integers(0, sizes[0] - 1), st.integers(sizes[0], sum(sizes) - 1))
+    edges |= draw(st.sets(crossing, min_size=1, max_size=3))
+    label = draw(st.permutations(range(sum(sizes))))
+    return irregular(sum(sizes), [(label[u], label[v]) for u, v in edges])
+
+
+@settings(deadline=None)
+@given(two_clusters())
+def test_edge_connectivity_matches_subset_oracle(base):
+    pg = cartesian_product([base])
+    assert edge_connectivity(pg) == reference_min_cut(pg)
+
+
+def test_cli_reports_a_cut_below_the_degree(tmp_path, capsys):
+    graph = tmp_path / "bridged.txt"
+    graph.write_text(f"10 {len(BRIDGED_CUBIC_EDGES)}\n"
+                     + "".join(f"{u} {v}\n" for u, v in BRIDGED_CUBIC_EDGES))
+    config = tmp_path / "iso.json"
+    config.write_text(json.dumps({"product": [{"kind": "edge_list", "path": str(graph)},
+                                              {"kind": "complete", "m": 2}]}))
+    assert main(["iso", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "# agg:min_cut=2\n" in out and "# agg:min_cut_equals_d=0\n" in out
 
 
 def test_edge_connectivity_edge_cases():
