@@ -24,9 +24,22 @@ accompany the enumeration:
 * determination: grouping minimal obstructions by their W + S + B
   vertex set, no group may contain more than two obstructions (again
   for u >= 2).
+
+The three-component property follows from minimality alone, and the
+scan leans on it.  Write not_two(H) for the number of components of H
+whose size is not two.  Let U be a minimal obstruction with u >= 2, so
+no set of size u - 1 obstructs, and let w in U meet j components of
+size other than two.  Putting w back merges w and every component it meets
+into one, so G - (U - w) keeps at least not_two(G - U) - j of them,
+plus the merged one when its size is not two.  If j <= 1 that is at
+least u; if j = 2 the merged component holds w and two others, so has
+at least three vertices, and the count is again at least u.  Either
+way U - w would obstruct at size u - 1.  So j >= 3, and in particular
+w has at least three sampled neighbours outside U.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -123,34 +136,45 @@ def find_minimal_obstructions(pg: ProductGraph, sample: PercolationSample,
     component C, into at most deg(w) pieces in G - P.  So U cannot
     obstruct unless the components of G - P other than C that are not
     of size two, plus deg(w), reach u + 1; only then is C - w split.
-    Enumeration needs n <= 16 or u_max <= 3 (``check_enumeration_limit``).
+
+    A size u >= 2 is reached only when no set of size u - 1 obstructs,
+    so by the three-component property (module docstring) every vertex
+    of an obstruction U has at least three sampled neighbours outside
+    U.  Above size 1 the scan therefore tries only vertices of degree
+    three or more, skips a prefix P holding a vertex with fewer than
+    three neighbours outside P, and skips w with fewer than three
+    outside P + {w}; the records and their order stay those of the full
+    lexicographic scan.  Enumeration needs n <= 16 or u_max <= 3
+    (``check_enumeration_limit``).
     """
-    n = pg.n
-    check_enumeration_limit(n, u_max)
+    check_enumeration_limit(pg.n, u_max)
     if threshold is None:
         threshold = default_threshold(pg, sample.p)
     nbr = neighbor_bitmasks(pg, sample.mask)
-    all_mask = (1 << n) - 1
-    effective_max = min(u_max, (n - 1) // 2)
-    for u in range(1, effective_max + 1):
+    all_mask = (1 << pg.n) - 1
+    for u in range(1, min(u_max, (pg.n - 1) // 2) + 1):
         found = []
-        for prefix in combinations(range(n), u - 1):
-            avail = all_mask & ~sum(1 << v for v in prefix)
-            comp_of = [0] * n
-            not_two = 0
-            for comp in components_from_bitmasks(nbr, avail):
-                not_two += comp.bit_count() != 2
-                rem = comp
-                while rem:
-                    low = rem & -rem
-                    rem ^= low
-                    comp_of[low.bit_length() - 1] = comp
-            for w in range(prefix[-1] + 1 if prefix else 0, n):
-                comp = comp_of[w]
-                rest = not_two - (comp.bit_count() != 2)
-                if rest + (nbr[w] & avail).bit_count() < u + 1:
+        floor = 3 if u > 1 else 0
+        cand = [v for v, mask in enumerate(nbr) if mask.bit_count() >= floor]
+        for prefix in combinations(cand, u - 1):
+            avail = all_mask
+            for a in prefix:
+                avail ^= 1 << a
+            if any((nbr[a] & avail).bit_count() < floor for a in prefix):
+                continue
+            comps = components_from_bitmasks(nbr, avail)
+            not_two = sum(comp.bit_count() != 2 for comp in comps)
+            for w in cand[cand.index(prefix[-1]) + 1:] if prefix else cand:
+                outside = (nbr[w] & avail).bit_count()
+                if outside < floor:
                     continue
                 w_bit = 1 << w
+                for comp in comps:
+                    if comp & w_bit:
+                        break
+                rest = not_two - (comp.bit_count() != 2)
+                if rest + outside < u + 1:
+                    continue
                 pieces = components_from_bitmasks(nbr, comp & ~w_bit)
                 if rest + sum(c.bit_count() != 2 for c in pieces) >= u + 1:
                     comp_masks = components_from_bitmasks(nbr, avail & ~w_bit)
@@ -168,6 +192,11 @@ def verify_three_components(pg: ProductGraph, sample: PercolationSample,
     A vertex's sampled neighbours are its ``neighbor_bitmasks`` entry,
     so a call costs O(m), as the scan's component walk for each record
     it finds does.
+
+    For records of ``find_minimal_obstructions`` the property is a
+    theorem (module docstring), and the scan prunes by it; a
+    counterexample therefore means a record was built wrong, not that
+    the property failed.
 
     Minimal obstructions of size 1 are outside the property's scope and
     are reported as skipped, not as failures.
@@ -202,10 +231,7 @@ def verify_determination(pg: ProductGraph, sample: PercolationSample,
         minimal = find_minimal_obstructions(pg, sample, u_max=u_max, threshold=threshold)
     if not minimal:
         return DeterminationReport(group_count=0, max_group=0, violating_groups=())
-    groups: dict[int, int] = {}
-    for record in minimal:
-        key = record.wsb_key()
-        groups[key] = groups.get(key, 0) + 1
+    groups = Counter(record.wsb_key() for record in minimal)
     violating = () if minimal[0].u < 2 else tuple(
         key for key, count in groups.items() if count > 2)
     return DeterminationReport(group_count=len(groups), max_group=max(groups.values()),

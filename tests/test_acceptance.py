@@ -216,3 +216,21 @@ def test_criterion_13_reports_are_byte_reproducible():
             "process, percolate (Q4 and chunked Q11), obstruct and iso reports "
             "match their pinned digests (timestamp excluded) in csv and json: "
             f"{'all 10' if not mismatches else mismatches}")
+
+
+# Digests of an obstruct report whose samples reach the scan's levels
+# above size one (minimal size 2 in six trials, no obstruction up to
+# u = 4 in 34), pinned before those levels were pruned by degree.
+PRUNED_SCAN_DIGESTS = {
+    "csv": "c1b5b59e20ebce42643156ed59a65e566e8b6468552f1dfc2b07a55ef01f4956",
+    "json": "39ffaec55fca3151f1cc89063621689262e1056aced04a7f000bf8040abae140"}
+
+
+def test_obstruct_report_past_size_one_is_byte_reproducible():
+    summary = run_trials(ExperimentConfig.from_dict(
+        {"kind": "obstructions", "product": "Q4", "trials": 150, "p": 0.7,
+         "workers": 1, "seed": BASE_SEED}))
+    minimal_sizes = {row[3] for row in summary.rows}
+    assert -1 in minimal_sizes and max(minimal_sizes) >= 2
+    for fmt in ("csv", "json"):
+        assert report_digest(render_report(summary, fmt)) == PRUNED_SCAN_DIGESTS[fmt], fmt

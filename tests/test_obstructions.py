@@ -1,19 +1,23 @@
 """Obstruction banding, minimal enumeration, and the structural checks."""
 
+import inspect
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (band_removal, deficiency_consistency, mask_from_edges,
                      reference_obstructions, vertex_mask)
+from prodperc import obstructions
 from prodperc.catalog import build_catalog_product, tiny_names
 from prodperc.graph_core import (BaseGraphSpec, build_product,
-                                 cartesian_product, star)
+                                 cartesian_product, neighbor_bitmasks, star)
 from prodperc.obstructions import (default_threshold, find_minimal_obstructions,
                                    verify_determination,
                                    verify_three_components)
-from prodperc.process import PercolationSample, sample_percolation
+from prodperc.process import (PercolationSample, sample_percolation,
+                              sample_percolations)
+from prodperc.rng import derive_trial_seed
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -197,6 +201,33 @@ def test_three_components_flags_forced_record():
     assert report.counterexamples == ((0, 1), (1, 1))
 
 
+# the tiny products whose samples at p in [0.6, 0.8] reach a minimal
+# obstruction of size two or more in one to seven draws of a hundred
+# (Petersen samples, in about one of a thousand)
+LEVEL_TWO_NAMES = [name for name in tiny_names(16) if name not in ("Q2", "petersen")]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(LEVEL_TWO_NAMES), st.floats(min_value=0.6, max_value=0.8), U64)
+def test_scan_records_above_size_one_meet_three_components(name, p, seed):
+    # the first of 64 samples drawn from the seed whose minimal
+    # obstructions have u >= 2: every vertex of U must have three
+    # sampled neighbours off U, and the record must pass the check
+    pg = build_catalog_product(name)
+    samples = sample_percolations(pg, p, [derive_trial_seed(seed, i) for i in range(64)])
+    for sample in samples:
+        minimal = find_minimal_obstructions(pg, sample)
+        if minimal and minimal[0].u >= 2:
+            break
+    assume(minimal and minimal[0].u >= 2)
+    nbr = neighbor_bitmasks(pg, sample.mask)
+    for record in minimal:
+        for v in range(pg.n):
+            if record.u_set >> v & 1:
+                assert (nbr[v] & ~record.u_set).bit_count() >= 3
+        assert verify_three_components(pg, sample, record).counterexamples == ()
+
+
 # --- determination ---------------------------------------------------------------
 
 def test_determination_on_theta_fixture():
@@ -294,3 +325,40 @@ def test_scan_matches_full_combinations(name, p):
         sample = sample_percolation(pg, p, seed)
         assert find_minimal_obstructions(pg, sample, u_max=u_max) == \
             reference_obstructions(pg, sample, u_max)
+
+
+@pytest.fixture(scope="module")
+def q4_workload():
+    """The samples of the benchmark's obstruct command (Q4 at p = 0.7,
+    trial seeds ``derive_trial_seed(0, i)`` for i < 150), each with its
+    oracle records up to u = 4."""
+    pg = build_catalog_product("Q4")
+    samples = sample_percolations(pg, 0.7, [derive_trial_seed(0, i) for i in range(150)])
+    return pg, [(sample, reference_obstructions(pg, sample, 4)) for sample in samples]
+
+
+def check_scan_against_oracle(scan, pg, cases):
+    for i, (sample, expected) in enumerate(cases):
+        assert scan(pg, sample, u_max=4) == expected, f"Q4 sample {i}"
+
+
+def test_pruned_scan_matches_oracle_on_workload_samples(q4_workload):
+    pg, cases = q4_workload
+    sizes = [expected[0].u if expected else 0 for _, expected in cases]
+    # the samples must keep reaching the levels the degree floor prunes:
+    # one with no obstruction up to u = 4 walks them all
+    assert 0 in sizes and max(sizes) >= 2
+    check_scan_against_oracle(find_minimal_obstructions, pg, cases)
+
+
+@pytest.mark.parametrize("mutant", ["floor = 4 if u > 1 else 0", "floor = 3"],
+                         ids=["floor_raised_to_4", "floor_at_size_1"])
+def test_scan_oracle_catches_a_wrong_degree_floor(q4_workload, mutant):
+    # find_minimal_obstructions recompiled with its degree floor changed
+    source = inspect.getsource(obstructions.find_minimal_obstructions)
+    floor = "floor = 3 if u > 1 else 0"
+    assert source.count(floor) == 1, "find_minimal_obstructions lost its degree floor"
+    namespace = dict(vars(obstructions))
+    exec(compile(source.replace(floor, mutant), obstructions.__file__, "exec"), namespace)
+    with pytest.raises(AssertionError, match="Q4 sample"):
+        check_scan_against_oracle(namespace["find_minimal_obstructions"], *q4_workload)
