@@ -29,7 +29,14 @@ from .obstructions import (find_minimal_obstructions, verify_determination,
                            verify_three_components)
 from .process import (EdgeOrdering, double_exposures, hitting_times,
                       sample_ordering, sample_percolation, sample_percolations)
-from .rng import GROUP_LANES, Xoshiro256StarStar, bernoulli_masks, derive_trial_seed
+from .rng import Xoshiro256StarStar, bernoulli_masks, derive_trial_seed
+
+# Rounds the coupling suite draws in one lockstep group.  Its 32-byte Q4
+# masks last one batch, so the trial runner's GROUP_LANES cap does not
+# apply.  On one pinned CPU of a 2-vCPU x86 VM the suite's 10 000 rounds
+# took 125-140 ms in batches of 32 and 78-83 ms in batches of 500, with
+# the same peak RSS (medians of 10 runs; 250: 84-88 ms, 1000: 63-85).
+_COUPLING_BATCH = 500
 
 
 def _suite(outcomes):
@@ -169,8 +176,8 @@ def _suite_coupling(seed: int, sigmas: float = 4.0):
     p = 0.5
     rounds = 10_000
     counts = [0] * pg.m
-    for start in range(0, rounds, GROUP_LANES):
-        batch = range(start, min(start + GROUP_LANES, rounds))
+    for start in range(0, rounds, _COUPLING_BATCH):
+        batch = range(start, min(start + _COUPLING_BATCH, rounds))
         firsts, seconds, unions = double_exposures(
             pg, p, [derive_trial_seed(seed, i) for i in batch])
         # every byte is 0 or 1: OR-ing the batch's joined masks as ints

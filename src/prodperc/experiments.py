@@ -26,10 +26,11 @@ Kinds:
 * ``verify_all``: the cross-module invariant battery of
   ``prodperc.battery``; rows are suites.
 
-A kind imports the modules it runs when it runs: ``isoperimetry`` for
-its kind, ``obstructions`` for obstruction rows, ``battery`` for
-``verify_all``, and the process pool only when trials run on more than
-one worker.
+A kind imports the modules it runs when it runs: ``process`` and
+``rng`` where trial rows are computed (``process`` also when ``omega``
+sets p), ``isoperimetry`` for its kind, ``obstructions`` for obstruction
+rows, ``battery`` for ``verify_all``, and the process pool only when
+trials run on more than one worker.
 
 Reports are CSV (provenance as ``# key=value`` comments, one header
 row, aggregates as trailing ``# agg:key=value`` comments) or JSON with
@@ -44,14 +45,14 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, fields
-from datetime import datetime, timezone
+import time
+from typing import TYPE_CHECKING, NamedTuple
 
 from .catalog import TAU3_MODES, ConfigError, resolve_product
 from .graph_core import BaseGraphSpec, ProductGraph, build_product, is_integer
-from .process import (ComponentProfile, HittingTimes, PercolationSample,
-                      component_profiles, critical_p, hitting_times, sample_percolations)
-from .rng import GROUP_LANES, derive_trial_seed
+
+if TYPE_CHECKING:
+    from .process import ComponentProfile, HittingTimes, PercolationSample
 
 KINDS = ("hitting_times", "percolation_profile", "isoperimetry",
          "obstructions", "verify_all")
@@ -85,18 +86,7 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment definition; validated on construction.
-
-    ``p`` and ``omega`` are mutually exclusive; percolation kinds need
-    exactly one (``omega`` sets p = critical_p(pg, omega)), the
-    isoperimetry kind accepts one optionally for threshold
-    annotations, and the remaining kinds accept neither.  ``product``
-    may be empty only for ``verify_all``, which runs on a built-in
-    corpus.
-    """
-
+class _ConfigFields(NamedTuple):
     kind: str
     specs: tuple[BaseGraphSpec, ...]
     seed: int
@@ -111,7 +101,22 @@ class ExperimentConfig:
     fmt: str = "csv"
     workers: int | None = None
 
-    def __post_init__(self):
+
+class ExperimentConfig(_ConfigFields):
+    """One experiment definition; validated on construction.
+
+    ``p`` and ``omega`` are mutually exclusive; percolation kinds need
+    exactly one (``omega`` sets p = critical_p(pg, omega)), the
+    isoperimetry kind accepts one optionally for threshold
+    annotations, and the remaining kinds accept neither.  ``product``
+    may be empty only for ``verify_all``, which runs on a built-in
+    corpus.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; known: {', '.join(KINDS)}")
         if not self.specs and self.kind != "verify_all":
@@ -154,6 +159,12 @@ class ExperimentConfig:
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        return self
+
+    @classmethod
+    def _make(cls, values) -> "ExperimentConfig":
+        # ``_replace`` builds through ``_make``: check its values too
+        return cls(*values)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -220,6 +231,7 @@ class ExperimentConfig:
         if self.p is not None:
             return self.p
         if self.omega is not None:
+            from .process import critical_p
             return critical_p(pg, self.omega)
         raise ConfigError("neither p nor omega configured")
 
@@ -227,13 +239,12 @@ class ExperimentConfig:
 # Config key -> ExperimentConfig field for every field a config sets
 # directly; "kind" and "product" (which resolves to specs and
 # catalog_name) are read separately.
-CONFIG_KEYS = {("format" if f.name == "fmt" else f.name): f.name
-               for f in fields(ExperimentConfig)
-               if f.name not in ("kind", "specs", "catalog_name")}
+CONFIG_KEYS = {("format" if name == "fmt" else name): name
+               for name in ExperimentConfig._fields
+               if name not in ("kind", "specs", "catalog_name")}
 
 
-@dataclass(frozen=True)
-class TrialSummary:
+class TrialSummary(NamedTuple):
     """Rows plus aggregates for one experiment run."""
 
     kind: str
@@ -251,14 +262,14 @@ def _percentile(values, q: float):
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
-def _hitting_row(index: int, trial_seed: int, times: HittingTimes) -> tuple:
+def _hitting_row(index: int, trial_seed: int, times: "HittingTimes") -> tuple:
     tau3 = -1 if times.tau3 is None else times.tau3
     coincident = int(times.tau3 is not None
                      and times.tau1 == times.tau2 == times.tau3)
     return (index, trial_seed, times.tau1, times.tau2, tau3, coincident)
 
 
-def _percolation_row(index: int, sample: PercolationSample, prof: ComponentProfile) -> tuple:
+def _percolation_row(index: int, sample: "PercolationSample", prof: "ComponentProfile") -> tuple:
     non_singletons = sum(1 for size in prof.sizes if size >= 2)
     non_giant_isolated = int(non_singletons <= 1)
     dist = prof.min_isolated_distance
@@ -270,7 +281,7 @@ def _percolation_row(index: int, sample: PercolationSample, prof: ComponentProfi
 
 
 def _obstruction_row(config: ExperimentConfig, pg: ProductGraph, index: int,
-                     sample: PercolationSample) -> tuple:
+                     sample: "PercolationSample") -> tuple:
     from .obstructions import (find_minimal_obstructions, verify_determination,
                                verify_three_components)
     minimal = find_minimal_obstructions(pg, sample, u_max=config.u_max,
@@ -299,6 +310,8 @@ def _compute_rows(config: ExperimentConfig, pg: ProductGraph, indices) -> list[t
     profiles are computed in one ``component_profiles`` call; each row
     still depends only on the config and its own index.
     """
+    from .process import component_profiles, hitting_times, sample_percolations
+    from .rng import derive_trial_seed
     seeds = [derive_trial_seed(config.seed, index) for index in indices]
     if config.kind == "hitting_times":
         return list(map(_hitting_row, indices, seeds, hitting_times(pg, seeds)))
@@ -314,6 +327,7 @@ def _compute_rows(config: ExperimentConfig, pg: ProductGraph, indices) -> list[t
 def _trial_groups(trials: int, workers: int) -> list[range]:
     """Consecutive index ranges of near-equal size, at most GROUP_LANES
     long, as many as a multiple of ``workers`` allows."""
+    from .rng import GROUP_LANES
     count = -(-trials // GROUP_LANES)
     count = min(trials, -(-count // workers) * workers)
     size, extra = divmod(trials, count)
@@ -512,7 +526,7 @@ def render_report(summary: TrialSummary, fmt: str = "csv",
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     if generated_at is None:
-        generated_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        generated_at = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     if fmt == "json":
         doc = {
             "config_hash": summary.config_hash,

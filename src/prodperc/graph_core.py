@@ -20,10 +20,10 @@ by the parity checks, and the neighbour bitmasks the exact oracles use.
 
 import math
 import os
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
 from operator import add, itemgetter
+from typing import NamedTuple
 
 DEFAULT_MAX_VERTICES = 1 << 26
 MAX_VERTICES_ENV = "PPL_MAX_VERTICES"
@@ -72,8 +72,7 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class BaseGraphSpec:
+class BaseGraphSpec(NamedTuple):
     """Declarative description of one base graph.
 
     Kinds: complete(m), cycle(m), complete_bipartite_balanced(r),
@@ -169,8 +168,7 @@ class BaseGraphSpec:
         return f"EdgeList({self.path})"
 
 
-@dataclass(frozen=True)
-class BaseGraph:
+class BaseGraph(NamedTuple):
     """Validated base graph: connected, order above 1, usually regular.
 
     ``degree`` is the common degree, or None for the deliberately
@@ -341,8 +339,16 @@ def _identity(n: int) -> list[int]:
     return list(range(n))
 
 
-@dataclass(frozen=True)
-class ProductGraph:
+class _ProductFields(NamedTuple):
+    bases: tuple[BaseGraph, ...]
+    n: int
+    d: int | None
+    C: int
+    strides: tuple[int, ...]
+    m: int
+
+
+class ProductGraph(_ProductFields):
     """Cartesian product of base graphs.
 
     The fields hold only what the bases give: ``m`` is the sum over
@@ -358,20 +364,17 @@ class ProductGraph:
     positions in ``adj_eid``.  With u rising, each forward slot (v > u)
     of row u takes the next id, which also fills the next free slot of
     row v.  Instances are immutable apart from these fields built on
-    first read, and safe to share across worker processes.
+    first read, which go straight into the instance dict: no attribute
+    can be assigned.  They are safe to share across worker processes.
     """
-
-    bases: tuple[BaseGraph, ...]
-    n: int
-    d: int | None
-    C: int
-    strides: tuple[int, ...]
-    m: int
 
     adj_off = _Csr()
     adj_flat = _Csr()
     adj_eid = _Csr()
     edges = _Csr()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ProductGraph is immutable: cannot set {name!r}")
 
     def neighbors(self, v: int) -> list[int]:
         return self.adj_flat[self.adj_off[v]:self.adj_off[v + 1]]

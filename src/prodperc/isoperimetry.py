@@ -33,8 +33,8 @@ dominating set.
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .graph_core import ProductGraph, TooLargeError, components_from_bitmasks, neighbor_bitmasks
 
@@ -46,9 +46,16 @@ MIN_CUT_MAX_VERTICES = 256
 _LOW_BLOCK = 10
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Constants feeding the analytic bounds for one (graph, p) pair.
+class _BoundFields(NamedTuple):
+    n: int
+    d: int
+    C: int
+    p: float
+
+
+class BoundParams(_BoundFields):
+    """Constants feeding the analytic bounds for one (graph, p) pair;
+    validated on construction.
 
     ``s_threshold`` and ``b_threshold`` are the component-size split
     points n / d**(C**3 / p) and n / d**(C**5 / p), evaluated literally
@@ -56,20 +63,23 @@ class BoundParams:
     module clamps its working threshold separately).
     """
 
-    n: int
-    d: int
-    C: int
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.d < 1:
-            raise ValueError(f"d must be at least 1, got {self.d}")
-        if self.C < 2:
-            raise ValueError(f"C must be at least 2, got {self.C}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie in (0, 1), got {self.p}")
+    def __new__(cls, n: int, d: int, C: int, p: float):
+        if n < 2:
+            raise ValueError(f"n must be at least 2, got {n}")
+        if d < 1:
+            raise ValueError(f"d must be at least 1, got {d}")
+        if C < 2:
+            raise ValueError(f"C must be at least 2, got {C}")
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"p must lie in (0, 1), got {p}")
+        return super().__new__(cls, n, d, C, p)
+
+    @classmethod
+    def _make(cls, values) -> "BoundParams":
+        # ``_replace`` builds through ``_make``: check its values too
+        return cls(*values)
 
     @classmethod
     def from_product(cls, pg: ProductGraph, p: float) -> "BoundParams":
@@ -91,8 +101,7 @@ class BoundParams:
         return self._threshold(5)
 
 
-@dataclass(frozen=True)
-class IsoperimetricProfile:
+class IsoperimetricProfile(NamedTuple):
     """Exact f(k) for k in [1, n-1]; witnesses are minimising sets."""
 
     n: int

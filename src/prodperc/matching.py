@@ -25,16 +25,15 @@ outer; when M is maximum, A = N(D) - D attains the equality
 ``certified_deficiency`` checks it with one component count.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress
 from operator import or_
+from typing import NamedTuple
 
 from .graph_core import ProductGraph, _identity, components_from_bitmasks, neighbor_bitmasks
 
 
-@dataclass(frozen=True)
-class MatchingState:
+class MatchingState(NamedTuple):
     """Result of a matching computation on a graph view.
 
     ``mate[v]`` is the partner of v, or -1 when v is exposed.

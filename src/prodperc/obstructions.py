@@ -40,15 +40,14 @@ w has at least three sampled neighbours outside U.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph_core import ProductGraph, components_from_bitmasks, neighbor_bitmasks
 from .process import PercolationSample
 
 
-@dataclass(frozen=True)
-class ObstructionRecord:
+class ObstructionRecord(NamedTuple):
     """One minimal obstruction U of a sample, with the components of the
     sample less U banded by size.  Every field is an n-bit vertex mask
     (``components`` a tuple of them, in the scan's order)."""
@@ -68,8 +67,7 @@ class ObstructionRecord:
         return self.w_set | self.s_set | self.b_set
 
 
-@dataclass(frozen=True)
-class ThreeComponentReport:
+class ThreeComponentReport(NamedTuple):
     """Outcome of the three-component check on one record."""
 
     checked_vertices: int
@@ -77,8 +75,7 @@ class ThreeComponentReport:
     counterexamples: tuple[tuple[int, int], ...]  # (vertex, components seen)
 
 
-@dataclass(frozen=True)
-class DeterminationReport:
+class DeterminationReport(NamedTuple):
     """W+S+B group sizes over the minimal obstructions of one sample."""
 
     group_count: int

@@ -61,8 +61,8 @@ degrees) and the matching solve walks them.
 """
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain, compress, count
+from typing import NamedTuple
 
 from .catalog import TAU3_MODES
 from .graph_core import ProductGraph, _identity
@@ -84,15 +84,13 @@ _LANE_DIGITS = [bytes(b"01"[b >> j & 1] for b in range(256)) for j in range(8)]
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
-class EdgeOrdering:
+class EdgeOrdering(NamedTuple):
     """Uniform random permutation of the edge ids of one product graph."""
 
     permutation: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PercolationSample:
+class PercolationSample(NamedTuple):
     """Independent bond percolation outcome; mask is indexed by edge id."""
 
     mask: bytes
@@ -100,8 +98,7 @@ class PercolationSample:
     seed: int
 
 
-@dataclass(frozen=True)
-class HittingTimes:
+class HittingTimes(NamedTuple):
     """1-indexed hitting times; tau3 is None when the full graph has no
     matching of the target size."""
 
@@ -110,8 +107,7 @@ class HittingTimes:
     tau3: int | None
 
 
-@dataclass(frozen=True)
-class ComponentProfile:
+class ComponentProfile(NamedTuple):
     """Component structure of one percolation sample.
 
     ``min_isolated_distance`` is the minimum pairwise distance between

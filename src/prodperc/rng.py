@@ -109,10 +109,11 @@ steps a group of more than one lane.  The stream feeds three loops:
     the unchunked one and the group ends exactly ``count`` words on.
     A block of steps holds 512 // J steps, the bytes of 512 unchunked
     ones.  Masks of at most 4095 draws are never chunked.
-  - The trial runner and the coupling suite cap a group at
-    ``GROUP_LANES = 32`` lanes, since every lane's mask is held until
-    its trial is computed and fewer, larger groups balance worse over
-    pool workers.  On a 2-vCPU x86 VM (Python 3.11, one pinned CPU,
+  - The trial runner caps a group at ``GROUP_LANES = 32`` lanes,
+    since every lane's mask is held until its trial is computed and
+    fewer, larger groups balance worse over pool workers.  The
+    coupling suite, whose 32-byte Q4 masks last one batch, draws 500
+    rounds a group.  On a 2-vCPU x86 VM (Python 3.11, one pinned CPU,
     Q14's 114 688 draws per lane, best of 3), a draw costs about 136 ns
     per lane and step at 1 lane, 75 at 4, 56 at 10, 50 at 20, 54 at 32,
     49 at 40 and 47 at 80; unchunked it was 771, 217, 105, 71, 69, 52

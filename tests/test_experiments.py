@@ -3,7 +3,8 @@
 import concurrent.futures
 import inspect
 import json
-from dataclasses import replace
+import re
+from datetime import datetime, timezone
 
 import pytest
 
@@ -65,6 +66,24 @@ def hitting(product="Q2", **kwargs):
 def test_rejected_configs(data):
     with pytest.raises(ConfigError):
         make(**data)
+
+
+def test_direct_construction_validates():
+    # the config is a NamedTuple whose subclass checks on construction,
+    # so a config built without from_dict is checked as well
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="nope", specs=(), seed=0)
+    with pytest.raises(ConfigError):
+        hitting()._replace(trials=0)
+
+
+def test_records_are_immutable():
+    pg = hitting("Q3").build()
+    times = run_process(pg, sample_ordering(pg, 1))
+    for record, field in ((hitting(), "seed"), (times, "tau1"), (pg, "n"),
+                          (pg.bases[0], "order"), (pg, "shift_plan")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
 
 
 def test_accepted_minimal_configs():
@@ -417,6 +436,17 @@ def test_emit_report_writes_file(tmp_path):
     assert text.endswith("\n")
 
 
+def test_generated_at_is_utc_to_the_second():
+    summary = run_trials(hitting("Q2"))
+    csv_stamp = next(line.split("=", 1)[1] for line in render_report(summary).splitlines()
+                     if line.startswith("# generated_at="))
+    json_stamp = json.loads(render_report(summary, "json"))["generated_at"]
+    for stamp in (csv_stamp, json_stamp):
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+        age = datetime.now(timezone.utc) - datetime.fromisoformat(stamp)
+        assert 0 <= age.total_seconds() < 60
+
+
 def test_render_report_rejects_unknown_format():
     with pytest.raises(ConfigError):
         render_report(run_trials(hitting("Q2")), "xml")
@@ -436,7 +466,7 @@ def broken_matching(monkeypatch):
 
     def self_paired(pg, mask):
         state = solver(pg, mask)
-        return replace(state, mate=(0, *state.mate[1:]))
+        return state._replace(mate=(0, *state.mate[1:]))
 
     monkeypatch.setattr(battery, "maximum_matching", self_paired)
     monkeypatch.setattr(battery, "_suite_coupling", lambda seed: (1, 0, ""))

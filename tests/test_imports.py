@@ -34,14 +34,16 @@ def test_exports_are_the_defining_modules_objects():
 
 
 # Each run is a list of CLI argv lists run in one fresh interpreter; the
-# script prints the package modules loaded afterwards, and the pool's.
+# script prints the package modules loaded afterwards, the pool's, and
+# those of the stdlib modules a call should not pay to import.
 _LOADED = """
 import json, sys
 from prodperc.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("prodperc")
-                        or name == "concurrent.futures.process")))
+                        or name in ("concurrent.futures.process", "dataclasses",
+                                    "inspect", "datetime"))))
 """
 
 
@@ -62,10 +64,25 @@ def test_product_loads_only_catalog_and_graph_core():
       ["process", "--product", "Q4", "--trials", "2", "--workers", "1"]],
      {"concurrent.futures.process", "prodperc.isoperimetry",
       "prodperc.obstructions", "prodperc.battery"}),
-    ([["iso", "--product", "Q3"]], {"prodperc.obstructions", "prodperc.battery"}),
+    ([["iso", "--product", "Q3"]], {"prodperc.obstructions", "prodperc.battery",
+                                    "prodperc.process", "prodperc.rng",
+                                    "prodperc.matching"}),
 ], ids=["product+process", "iso"])
 def test_subcommands_skip_modules_they_do_not_run(runs, absent):
     assert _loaded_after(*runs) & absent == set()
+
+
+def test_no_subcommand_loads_dataclasses_inspect_or_datetime():
+    # records are NamedTuples and the report stamp comes from time, so a
+    # call never compiles dataclasses and the inspect machinery under it
+    loaded = _loaded_after(
+        ["product", "--product", "Q4"],
+        ["process", "--product", "Q4", "--trials", "2", "--workers", "1"],
+        ["percolate", "--product", "Q4", "--trials", "2", "--p", "0.5", "--workers", "1"],
+        ["iso", "--product", "Q3"],
+        ["obstruct", "--product", "Q4", "--trials", "2", "--p", "0.7", "--workers", "1"],
+        ["verify", "--seed", "0"])
+    assert loaded & {"dataclasses", "inspect", "datetime"} == set()
 
 
 def test_tau3_mode_choices_survive(capsys):
@@ -80,7 +97,7 @@ def test_tau3_mode_choices_survive(capsys):
 
 
 def test_battery_does_not_load_experiments():
-    # the suites share GROUP_LANES with the trial runner through rng
+    # the suites size their own batches and read nothing of the trial runner's
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, prodperc.battery; "

@@ -1,7 +1,6 @@
 """Obstruction banding, minimal enumeration, and the structural checks."""
 
 import inspect
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -257,10 +256,10 @@ def test_determination_no_obstructions():
 def test_determination_group_bound_with_synthetic_records():
     pg, sample = theta_sample()
     base = find_minimal_obstructions(pg, sample)[0]
-    pair = [base, replace(base, u_set=vertex_mask({0, 1}))]
+    pair = [base, base._replace(u_set=vertex_mask({0, 1}))]
     report = verify_determination(pg, sample, minimal=pair)
     assert report.max_group == 2 and not report.violating_groups
-    triple = pair + [replace(base, u_set=vertex_mask({1, 4}))]
+    triple = pair + [base._replace(u_set=vertex_mask({1, 4}))]
     report = verify_determination(pg, sample, minimal=triple)
     assert report.max_group == 3
     assert report.violating_groups == (base.wsb_key(),)
