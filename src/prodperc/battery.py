@@ -7,6 +7,9 @@ against the analytic bound, minimum cuts, rooted-tree counts, the
 star-power bipartition identity, obstruction structure, two-round
 coupling frequencies, and hitting-time order with tau3 certified by a
 matching of floor(n/2) edges at tau3 and a barrier one edge earlier.
+The star powers are 2-coloured over their ``host_rows``, so the
+identity also checks those rows, which percolation's isolated-vertex
+spacing reads, on irregular factors.
 
 A suite is a generator that yields one outcome per instance it checks:
 None when the check holds, else a detail naming the counterexample.

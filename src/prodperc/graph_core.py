@@ -14,14 +14,17 @@ per-shift rows of ``host_rows`` come from the digits (see ProductGraph),
 so a run that reads only those never builds the arrays.
 
 The module also hosts the edge-list file parser, the size cap that
-protects against accidentally huge products, a bipartiteness probe used
-by the parity checks, and the neighbour bitmasks the exact oracles use.
+protects against accidentally huge products, the one breadth-first
+layer step over shift rows (``layers``, which ``process._fill`` grows
+components by and ``bipartition_signature`` 2-colours the product
+with), and the neighbour bitmasks the exact oracles use.
 """
 
 import math
 import os
+from collections.abc import Iterator
 from functools import cache, cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, itemgetter
 from typing import NamedTuple
 
@@ -308,8 +311,10 @@ def star(leaves: int) -> BaseGraph:
     """Star with a centre (vertex 0) and ``leaves`` leaves.
 
     Stars are not regular: ``build_base`` never makes one, so
-    ``build_product`` never sees one.  They exist for the bipartite
-    balance identity checks, which pass them to ``cartesian_product``.
+    ``build_product`` never sees one.  They exist for the star-power
+    identity check, which passes them to ``cartesian_product`` and
+    2-colours the product over its ``host_rows``; those rows read only
+    the adjacency of the factors, so an irregular one is no exception.
     """
     if leaves < 1:
         raise TooSmallError("star needs at least one leaf")
@@ -378,9 +383,6 @@ class ProductGraph(_ProductFields):
 
     def neighbors(self, v: int) -> list[int]:
         return self.adj_flat[self.adj_off[v]:self.adj_off[v + 1]]
-
-    def degree_of(self, v: int) -> int:
-        return self.adj_off[v + 1] - self.adj_off[v]
 
     def label(self) -> str:
         return "x".join(b.label or "?" for b in self.bases)
@@ -525,6 +527,23 @@ def _forward_gaps(base: BaseGraph) -> list[tuple[int, list[tuple[int, int]]]]:
     return sorted(by_gap.items())
 
 
+def layers(rows, layer: int, rest: int) -> Iterator[int]:
+    """The breadth-first layers from ``layer`` over the shift rows
+    ``(s, E_s)``, ``layer`` first: bit u of E_s is set iff (u, u + s) is
+    an edge, as in ``host_rows``.  Each later layer is taken from
+    ``rest``, which must not hold ``layer``: it is the OR of
+    ``((F & E_s) << s) | ((F >> s) & E_s)`` over the rows, F the layer
+    before, less the vertices already reached.  The layers stop when
+    one is empty."""
+    while layer:
+        yield layer
+        grown = 0
+        for shift, bits in rows:
+            grown |= ((layer & bits) << shift) | ((layer >> shift) & bits)
+        layer = grown & rest
+        rest ^= layer
+
+
 def cartesian_product(bases) -> ProductGraph:
     """Assemble the Cartesian product of validated base graphs; ``d`` is
     None when a base is irregular.  Only the bases are read: the
@@ -574,24 +593,24 @@ def build_product(specs) -> ProductGraph:
 def bipartition_signature(pg: ProductGraph) -> tuple[int, int] | None:
     """(|O|, |E|) when the product is bipartite, else None.
 
-    O is the side of vertex 0.  One search from vertex 0 reaches every
-    vertex, since a product of connected bases is connected.
+    O is the side of vertex 0: the union of the even layers from vertex
+    0 over ``pg.host_rows`` (``layers``), and E the rest.  The layers
+    reach every vertex, since a product of connected bases is
+    connected.  The product is bipartite iff no edge (u, u + s) has both
+    ends in O or both in E, that is iff no row H_s meets ``O & O >> s``
+    or ``E & E >> s``.  Only the rows are read: the adjacency arrays
+    are not built.
     """
-    color = [-1] * pg.n
-    color[0] = 0
-    counts = [1, 0]
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        cu = color[u]
-        for w in pg.neighbors(u):
-            if color[w] == -1:
-                color[w] = 1 - cu
-                counts[1 - cu] += 1
-                queue.append(w)
-            elif color[w] == cu:
-                return None
-    return counts[0], counts[1]
+    rows = pg.host_rows
+    full = (1 << pg.n) - 1
+    side = 0
+    for layer in islice(layers(rows, 1, full ^ 1), 0, None, 2):
+        side |= layer
+    other = full ^ side
+    if any(bits & (side & side >> s | other & other >> s) for s, bits in rows):
+        return None
+    size = side.bit_count()
+    return size, pg.n - size
 
 
 def neighbor_bitmasks(pg: ProductGraph, mask=None) -> list[int]:

@@ -148,7 +148,7 @@ def exhaustive_profile(pg: ProductGraph, keep_witnesses: bool | None = None) -> 
     if keep_witnesses is None:
         keep_witnesses = n <= 16
     nbr = neighbor_bitmasks(pg)
-    deg = [pg.degree_of(v) for v in range(n)]
+    deg = [mask.bit_count() for mask in nbr]
     b = min(n - 1, _LOW_BLOCK)
     lows = sorted(range(1 << b), key=int.bit_count)
     low_boundary = [0] * (1 << b)

@@ -48,10 +48,13 @@ Both tau2 and ``component_profiles`` read edge masks as one n-bit int
 per edge shift of the product (``_shift_rows``, by way of
 ``ProductGraph.shift_plan``, built once per product on first use) and
 grow components by shifting and masking those ints (``_fill``); neither
-reads an edge list for it.  ``_shift_rows`` gathers a list of masks
-eight to a byte plane, mask j of a block in bit j, so a trial group's
-profiles pay one gather per eight masks; tau2 passes its one mask, and
-``component_profile`` is the one-sample case of ``component_profiles``.
+reads an edge list for it.  ``_fill`` takes its breadth-first layers
+from ``graph_core.layers``, the one layer step over shift rows, which
+``bipartition_signature`` also runs over the host graph's rows.
+``_shift_rows`` gathers a list of masks eight to a byte plane, mask j
+of a block in bit j, so a trial group's profiles pay one gather per
+eight masks; tau2 passes its one mask, and ``component_profile`` is the
+one-sample case of ``component_profiles``.
 The profiles take the spacing of the isolated vertices from the host
 graph's shift rows (``ProductGraph.host_rows``, built once per product
 from the bases), so they read ``pg.m``, the plan, those rows and
@@ -65,7 +68,7 @@ from itertools import chain, compress, count
 from typing import NamedTuple
 
 from .catalog import TAU3_MODES
-from .graph_core import ProductGraph, _identity
+from .graph_core import ProductGraph, _identity, layers
 from .matching import _solve
 from .rng import (Xoshiro256StarStar, bernoulli_masks, lane_values, lockstep_words,
                   placements, split_lanes)
@@ -365,16 +368,10 @@ def _shift_rows(pg: ProductGraph, masks) -> Iterator[list[tuple[int, int]]]:
 
 def _fill(rows, layer: int, rest: int) -> int:
     """``rest`` less every vertex reachable from ``layer`` over the shift
-    rows ``(s, E_s)``; ``rest`` must not hold ``layer``.  The fill runs
-    one breadth-first layer F at a time: the next layer is the OR of
-    ``((F & E_s) << s) | ((F >> s) & E_s)`` over the rows, less the
-    vertices already reached."""
-    while layer:
-        grown = 0
-        for shift, bits in rows:
-            grown |= ((layer & bits) << shift) | ((layer >> shift) & bits)
-        layer = grown & rest
-        rest ^= layer
+    rows ``(s, E_s)``; ``rest`` must not hold ``layer``.  The fill takes
+    one breadth-first layer at a time from ``graph_core.layers``."""
+    for grown in layers(rows, layer, rest):
+        rest ^= grown & rest
     return rest
 
 

@@ -39,6 +39,28 @@ def coordinates(pg: ProductGraph, v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def reference_bipartition(pg: ProductGraph) -> tuple[int, int] | None:
+    """(|O|, |E|) when the product is bipartite, else None, by a
+    per-vertex colour search from vertex 0 over ``pg.neighbors``: the
+    oracle for ``graph_core.bipartition_signature``.  O is the side of
+    vertex 0; the product must be connected."""
+    color = [-1] * pg.n
+    color[0] = 0
+    counts = [1, 0]
+    queue = [0]
+    while queue:
+        u = queue.pop()
+        cu = color[u]
+        for w in pg.neighbors(u):
+            if color[w] == -1:
+                color[w] = 1 - cu
+                counts[1 - cu] += 1
+                queue.append(w)
+            elif color[w] == cu:
+                return None
+    return counts[0], counts[1]
+
+
 def vertex_mask(vertices) -> int:
     """A vertex set as an n-bit int, bit v standing for vertex v."""
     return sum(1 << v for v in set(vertices))

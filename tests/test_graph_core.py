@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import coordinates, mask_from_edges
+from helpers import coordinates, mask_from_edges, reference_bipartition
+from prodperc.catalog import build_catalog_product, tiny_names
 from prodperc.graph_core import (BaseGraphSpec, DisconnectedError,
                                  GraphBuildError, MalformedEdgeListError,
                                  NonRegularError, TooLargeError, TooSmallError,
@@ -179,7 +180,7 @@ def test_vertex_cap(monkeypatch):
 
 def test_degree_sum_equals_twice_edges():
     pg = product_of(BaseGraphSpec.cycle(5), BaseGraphSpec.complete(3))
-    assert sum(pg.degree_of(v) for v in range(pg.n)) == 2 * pg.m
+    assert sum(len(pg.neighbors(v)) for v in range(pg.n)) == 2 * pg.m
 
 
 # --- bipartition ---------------------------------------------------------
@@ -195,6 +196,21 @@ def test_bipartition_signature_cases():
     assert bipartition_signature(c5) is None
     s4 = cartesian_product([star(4)])
     assert bipartition_signature(s4) == (1, 4)
+    for name in tiny_names(200):
+        pg = build_catalog_product(name)
+        assert bipartition_signature(pg) == reference_bipartition(pg), name
+    for s in (2, 3, 4):
+        for t in range(1, 6):
+            pg = cartesian_product([star(s)] * t)
+            assert bipartition_signature(pg) == reference_bipartition(pg), (s, t)
+    for name in ("C5xK2", "K3xK3xK2", "C5xK2xK3", "petersenxK2"):
+        assert bipartition_signature(build_catalog_product(name)) is None, name
+
+
+def test_bipartition_reads_no_adjacency_arrays():
+    pg = cartesian_product([star(3)] * 4)
+    assert bipartition_signature(pg) == (136, 120)
+    assert "adj_off" not in vars(pg)
 
 
 # --- edge list files -----------------------------------------------------
@@ -254,7 +270,7 @@ def test_product_structural_invariants(specs):
     assert pg.n == expected_n
     assert pg.d == sum(b.degree for b in pg.bases)
     assert pg.C == max(base_orders)
-    assert 2 * pg.m == sum(pg.degree_of(v) for v in range(pg.n))
+    assert 2 * pg.m == sum(len(pg.neighbors(v)) for v in range(pg.n))
     assert all(a < b for a, b in zip(pg.edges, pg.edges[1:]))
     # every slot's edge id, in both endpoint rows, names its endpoints
     for v in range(pg.n):

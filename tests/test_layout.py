@@ -160,6 +160,51 @@ def test_one_component_fill_over_shift_rows():
     assert one_profile_calls == ["component_profiles"]
 
 
+def _layer_step_halves(node) -> tuple[set, set]:
+    """The ``(F & E) << s`` and ``(F >> s) & E`` halves of a layer step
+    under ``node``, each as (the operands F and E, s), unparsed."""
+    up, down = set(), set()
+    for sub in ast.walk(node):
+        if not isinstance(sub, ast.BinOp):
+            continue
+        if isinstance(sub.op, ast.LShift) and isinstance(sub.left, ast.BinOp) \
+                and isinstance(sub.left.op, ast.BitAnd):
+            up.add((frozenset(map(ast.unparse, (sub.left.left, sub.left.right))),
+                    ast.unparse(sub.right)))
+        elif isinstance(sub.op, ast.BitAnd):
+            for shifted, other in ((sub.left, sub.right), (sub.right, sub.left)):
+                if isinstance(shifted, ast.BinOp) and isinstance(shifted.op, ast.RShift):
+                    down.add((frozenset(map(ast.unparse, (shifted.left, other))),
+                              ast.unparse(shifted.right)))
+    return up, down
+
+
+def test_one_shift_row_layer_step():
+    """The layer step over shift rows, ``((F & E_s) << s) | ((F >> s) &
+    E_s)``, is written in exactly one function in src/prodperc,
+    ``graph_core.layers``, and both ``process._fill`` (tau2 and the
+    component profiles) and ``graph_core.bipartition_signature`` call
+    it.  A function holds the step when it has both halves with the
+    same operands and shift.  ``process._min_isolated_distance`` is
+    exempt: it has both halves for the isolated set, but keeps them
+    apart as two neighbour sets per row, to find a vertex with two
+    isolated neighbours; it grows no layer."""
+    steppers, callers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            site = f"{path.name}:{node.name}"
+            up, down = _layer_step_halves(node)
+            if up & down and site != "process.py:_min_isolated_distance":
+                steppers.append(site)
+            if any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "layers"
+                   for sub in ast.walk(node)):
+                callers.append(site)
+    assert steppers == ["graph_core.py:layers"]
+    assert callers == ["graph_core.py:bipartition_signature", "process.py:_fill"]
+
+
 def test_augmenting_search_stays_in_matching():
     """No module in src/prodperc, scripts/ or perfbench/ but matching.py
     names ``_phase``: tau3 reaches the search through ``_solve``
