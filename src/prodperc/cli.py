@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
                         help="report format (default csv)")
         sp.add_argument("--workers", type=int,
-                        help="worker processes (default and cap os.cpu_count()); "
+                        help="forked worker processes (default and cap: the CPUs "
+                             "this process may run on); "
                              "trials run in groups of at most 32 consecutive indices, "
                              "and neither the worker count nor the grouping changes a row")
 

@@ -29,8 +29,12 @@ Kinds:
 A kind imports the modules it runs when it runs: ``process`` and
 ``rng`` where trial rows are computed (``process`` also when ``omega``
 sets p), ``isoperimetry`` for its kind, ``obstructions`` for obstruction
-rows, ``battery`` for ``verify_all``, and the process pool only when
-trials run on more than one worker.
+rows, ``battery`` for ``verify_all``, and ``pickle`` only when trials
+run on more than one worker.  Such a run forks one child per worker
+(``os.fork``, never more than the trial groups or the CPUs the process
+may run on); each child computes its share of the groups on the
+product it inherited and sends its rows back pickled down a pipe.
+Where ``os.fork`` is missing, the groups run in-process.
 
 Reports are CSV (provenance as ``# key=value`` comments, one header
 row, aggregates as trailing ``# agg:key=value`` comments) or JSON with
@@ -340,43 +344,86 @@ def _trial_groups(trials: int, workers: int) -> list[range]:
     return groups
 
 
-_WORKER: tuple[ExperimentConfig, ProductGraph] | None = None
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _init_worker(config: ExperimentConfig) -> None:
-    """Pool initializer.  A forked worker inherits the parent's product
-    through ``_WORKER``; under spawn or forkserver it builds its own."""
-    global _WORKER
-    if _WORKER is None:
-        _WORKER = (config, config.build())
+def _forked_rows(config: ExperimentConfig, pg: ProductGraph, groups: list[range],
+                 workers: int) -> list[tuple]:
+    """Rows of ``groups`` from ``workers`` forked children; the parent
+    computes none.
 
-
-def _worker_rows(indices: range) -> list[tuple]:
-    config, pg = _WORKER
-    return _compute_rows(config, pg, indices)
+    Child w computes ``groups[w::workers]`` on the product it inherited,
+    writes ``(True, rows per group)`` or ``(False, exception)`` pickled
+    down its pipe, and leaves by ``os._exit``, so it never runs the
+    parent's code past the fork.  The parent reads the pipes in order,
+    reaps every child, and re-raises the first child's exception; a
+    child that ends without writing its result raises RuntimeError.
+    The caller must hold no other thread: a forked child gets only the
+    thread that forked it.
+    """
+    import pickle
+    children = []  # (pid, read end of its pipe)
+    statuses = []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        result = (True, [_compute_rows(config, pg, group)
+                                         for group in groups[w::workers]])
+                    except Exception as exc:
+                        result = (False, exc)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        payloads = [pipe.read() for _, pipe in children]
+    finally:
+        # on a failure the unread children see a closed pipe and exit
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    rows_by_group = [None] * len(groups)
+    for w, ((pid, _), status, payload) in enumerate(zip(children, statuses, payloads)):
+        if status:
+            raise RuntimeError(f"trial worker {w} (pid {pid}) ended with status "
+                               f"{os.waitstatus_to_exitcode(status)} before sending its rows")
+        done, value = pickle.loads(payload)
+        if not done:
+            raise value
+        rows_by_group[w::workers] = value
+    return [row for rows in rows_by_group for row in rows]
 
 
 def _trial_rows(config: ExperimentConfig, pg: ProductGraph) -> list[tuple]:
-    global _WORKER
     # more processes than CPUs only shrink the lockstep groups
-    cpus = os.cpu_count() or 1
+    cpus = _usable_cpus()
     workers = min(config.workers or cpus, cpus)
     groups = _trial_groups(config.trials, workers)
-    if workers > 1 and config.trials > 1:
+    # no more workers than groups: a child without a group only costs its fork
+    workers = min(workers, len(groups))
+    if workers > 1:
         if config.kind != "percolation_profile":
             pg.edges  # builds the adjacency arrays once, for the forked workers to share
-        _WORKER = (config, pg)
-        try:
-            # Only pooled runs load the pool.  No more workers than
-            # groups: a forked pool starts every worker at its first
-            # task, busy or not.
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=min(workers, len(groups)),
-                                     initializer=_init_worker,
-                                     initargs=(config,)) as pool:
-                return [row for rows in pool.map(_worker_rows, groups) for row in rows]
-        finally:
-            _WORKER = None
+        return _forked_rows(config, pg, groups, workers)
     return [row for group in groups for row in _compute_rows(config, pg, group)]
 
 

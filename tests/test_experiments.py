@@ -1,9 +1,10 @@
 """Experiment configs, trial runners, reports, and the CLI."""
 
-import concurrent.futures
 import inspect
 import json
+import os
 import re
+import signal
 from datetime import datetime, timezone
 
 import pytest
@@ -218,9 +219,9 @@ def test_trial_groups_do_not_change_rows(kwargs, row_function, trial_of, monkeyp
         sample_percolation(pg, p, derive_trial_seed(31, i)).mask for i in range(70)]
 
 
-def test_pool_workers_reuse_the_parent_product(monkeypatch):
-    # a worker that builds again raises in its initializer and breaks the
-    # pool; spawn and forkserver workers start unpatched and build their own
+def test_pool_workers_reuse_the_parent_product(monkeypatch, forks):
+    # a worker that builds again raises, and the parent re-raises it
+    set_cpus(monkeypatch, 2)
     kwargs = dict(kind="percolation_profile", product="Q4", seed=9, trials=8,
                   omega=1.0)
     config = make(workers=2, **kwargs)
@@ -232,7 +233,8 @@ def test_pool_workers_reuse_the_parent_product(monkeypatch):
 
     monkeypatch.setattr(ExperimentConfig, "build", build_again)
     assert experiments._trial_rows(config, pg) == serial
-    assert experiments._WORKER is None
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 CSR_FIELDS = {"adj_off", "adj_flat", "adj_eid", "edges"}
@@ -267,72 +269,173 @@ def test_cli_product_leaves_the_adjacency_arrays_unbuilt(monkeypatch, capsys):
     ("obstructions", {"p": 0.35}, True),
     ("percolation_profile", {"omega": 1.0}, False),
 ], ids=["hitting", "obstructions", "percolation"])
-def test_pool_starts_with_the_arrays_its_workers_read(monkeypatch, pools, kind, extra,
-                                                      arrays):
-    # forked workers share what the parent built before the pool starts;
+def test_pool_starts_with_the_arrays_its_workers_read(monkeypatch, kind, extra, arrays):
+    # forked workers share what the parent built before the first fork;
     # arrays a worker builds itself cost every worker the build
-    built = []
-    init = experiments._init_worker
-
-    def recording(config):
-        built.append(CSR_FIELDS <= set(vars(experiments._WORKER[1])))
-        init(config)
-
-    monkeypatch.setattr(experiments, "_init_worker", recording)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     config = make(kind=kind, product="Q3", seed=2, trials=8, workers=2, **extra)
-    experiments._trial_rows(config, config.build())
-    assert built == [arrays]
+    pg = config.build()
+    built = []
+    fork = experiments.os.fork
+
+    def recording():
+        built.append(CSR_FIELDS <= set(vars(pg)))
+        return fork()
+
+    monkeypatch.setattr(experiments.os, "fork", recording)
+    experiments._trial_rows(config, pg)
+    assert built == [arrays, arrays]
+
+
+def set_cpus(monkeypatch, count):
+    """Lets this process run on ``count`` CPUs, as the trial runner sees it."""
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: count)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Swaps ProcessPoolExecutor for an in-process fake that starts no
-    process; returns the (max_workers, task groups) of each pool."""
-    started = []
+def forks(monkeypatch):
+    """Forks trial workers as usual; returns one entry per fork, the
+    trial groups of the run that forked it."""
+    made = []
+    forked = []
+    groups, fork = experiments._trial_groups, experiments.os.fork
 
-    class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
-            self.groups = []
-            started.append((max_workers, self.groups))
-            initializer(*initargs)
+    def recording_groups(trials, workers):
+        made.append(groups(trials, workers))
+        return made[-1]
 
-        def __enter__(self):
-            return self
+    def recording_fork():
+        forked.append(made[-1])
+        return fork()
 
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, groups):
-            self.groups.extend(groups)
-            return map(fn, self.groups)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    return started
+    monkeypatch.setattr(experiments, "_trial_groups", recording_groups)
+    monkeypatch.setattr(experiments.os, "fork", recording_fork)
+    return forked
 
 
-def test_pool_never_exceeds_the_trial_groups(monkeypatch, pools):
-    # a forked pool starts every worker at its first task, so 64 workers
-    # for 3 one-trial groups would fork 61 that never get one
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Fails a test whose call forks a trial worker; the runner may use
+    two CPUs, so a check that came too late would fork."""
+    def fail():
+        pytest.fail("a trial worker was forked before the config was checked")
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(experiments.os, "fork", fail)
+
+
+def test_pool_never_exceeds_the_trial_groups(monkeypatch, forks):
+    # every forked worker costs its fork, so 64 workers for 3 one-trial
+    # groups would fork 61 that never get one
+    set_cpus(monkeypatch, 64)
     kwargs = dict(kind="hitting_times", product="Q4", seed=5, trials=3)
     rows = run_trials(make(workers=64, **kwargs)).rows
-    assert [max_workers for max_workers, _ in pools] == [3]
+    assert len(forks) == 3
     assert rows == run_trials(make(workers=1, **kwargs)).rows
+    assert len(forks) == 3  # the serial run forks nothing
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [None, 2, 64])
-def test_pool_never_exceeds_the_cpu_count(monkeypatch, pools, workers):
+def test_pool_never_exceeds_the_cpu_count(monkeypatch, forks, workers):
     # 64 workers on 2 CPUs would split 100 trials into 64 groups of one
     # or two, each drawing masks one or two lanes wide
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     kwargs = dict(kind="percolation_profile", product="Q4", seed=5, trials=100,
                   omega=1.0)
     rows = run_trials(make(workers=workers, **kwargs)).rows
-    [(max_workers, groups)] = pools
-    assert max_workers == 2
-    assert groups == [range(0, 25), range(25, 50), range(50, 75), range(75, 100)]
+    assert len(forks) == 2
+    assert forks[0] == [range(0, 25), range(25, 50), range(50, 75), range(75, 100)]
     assert rows == run_trials(make(workers=1, **kwargs)).rows
+    assert len(forks) == 2  # the serial run forks nothing
+    assert_no_child_left()
+
+
+def test_pool_never_exceeds_the_cpus_this_process_may_use(monkeypatch, forks):
+    # one CPU allowed of 64 present runs in-process, as on 1 CPU
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+    kwargs = dict(kind="hitting_times", product="Q4", seed=5, trials=8)
+    rows = run_trials(make(workers=2, **kwargs)).rows
+    assert forks == []
+    # without affinity the CPU count caps the workers
+    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    assert run_trials(make(workers=64, **kwargs)).rows == rows
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_groups_run_serially_without_fork(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    kwargs = dict(kind="percolation_profile", product="Q4", seed=6, trials=40, omega=1.0)
+    rows = run_trials(make(workers=2, **kwargs)).rows
+    monkeypatch.delattr(experiments.os, "fork")
+    assert run_trials(make(workers=2, **kwargs)).rows == rows
+
+
+def fail_at_trial(monkeypatch, index, fail):
+    """Makes the group holding trial ``index`` call ``fail()`` in place of
+    computing its rows; forked workers inherit the patch."""
+    compute = experiments._compute_rows
+
+    def failing(config, pg, indices):
+        if index in indices:
+            fail()
+        return compute(config, pg, indices)
+
+    monkeypatch.setattr(experiments, "_compute_rows", failing)
+
+
+def test_forked_worker_exception_reaches_the_parent(monkeypatch, forks):
+    set_cpus(monkeypatch, 2)
+
+    def fail():
+        raise ValueError("no rows for trial 5")
+
+    fail_at_trial(monkeypatch, 5, fail)
+    config = make(kind="hitting_times", product="Q4", seed=5, trials=8, workers=2)
+    with pytest.raises(ValueError, match=r"^no rows for trial 5$"):
+        run_trials(config)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_forked_worker_assertion_exits_1_without_a_report(monkeypatch, forks, tmp_path,
+                                                          capsys):
+    set_cpus(monkeypatch, 2)
+
+    def fail():
+        raise AssertionError("tau1 > tau2 at trial 5")
+
+    fail_at_trial(monkeypatch, 5, fail)
+    out = tmp_path / "report.csv"
+    assert main(["process", "--product", "Q4", "--trials", "8", "--workers", "2",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "assertion failure: tau1 > tau2 at trial 5\n"
+    assert not out.exists()
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_forked_worker_killed_without_rows_raises(monkeypatch, forks):
+    # the parent must not hang on the dead worker's pipe or return the
+    # other worker's rows
+    set_cpus(monkeypatch, 2)
+    fail_at_trial(monkeypatch, 5, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    config = make(kind="percolation_profile", product="Q4", seed=5, trials=8, omega=1.0,
+                  workers=2)
+    with pytest.raises(RuntimeError, match=rf"trial worker 1 .* status -{signal.SIGKILL}"):
+        run_trials(config)
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 def test_percolation_profile_run():
@@ -634,11 +737,7 @@ def test_cli_missing_config_file(capsys):
     ("process", {"product": [{"kind": "circulant", "m": 0, "offsets": [1]}]}),
 ])
 def test_cli_rejects_unreadable_or_mistyped_config(command, config, tmp_path,
-                                                  monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        pytest.fail("a worker pool started before the config was checked")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+                                                  no_fork, capsys):
     path = tmp_path / "exp.json"
     if config is None:
         path = tmp_path
@@ -652,11 +751,7 @@ def test_cli_rejects_unreadable_or_mistyped_config(command, config, tmp_path,
 
 
 @pytest.mark.parametrize("edge_list", ["directory", "not utf-8", "missing", "name too long"])
-def test_cli_rejects_unreadable_edge_list(edge_list, tmp_path, monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        pytest.fail("a worker pool started before the edge list was checked")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+def test_cli_rejects_unreadable_edge_list(edge_list, tmp_path, no_fork, capsys):
     path = tmp_path / "graph.txt"
     if edge_list == "directory":
         path.mkdir()
@@ -684,11 +779,7 @@ def test_cli_bad_probability(capsys):
     ["obstruct", "--product", "Q4", "--omega", "16", "--trials", "2", "--workers", "1"],
     ["obstruct", "--product", "Q4", "--omega", "16", "--trials", "2", "--workers", "2"],
 ])
-def test_cli_rejects_out_of_domain_probability(argv, monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        pytest.fail("a worker pool started before the config was checked")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+def test_cli_rejects_out_of_domain_probability(argv, no_fork, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -700,12 +791,8 @@ def test_cli_rejects_out_of_domain_probability(argv, monkeypatch, capsys):
     ("--p", ["obstruct", "--product", "Q3"]),
     ("--omega", ["percolate", "--product", "Q4"]),
 ], ids=["component_threshold", "p", "omega"])
-def test_cli_rejects_non_finite_reals(flag, argv, value, monkeypatch, capsys):
+def test_cli_rejects_non_finite_reals(flag, argv, value, no_fork, capsys):
     # a NaN would reach the config hash and a JSON report strict parsers reject
-    def no_pool(*args, **kwargs):
-        pytest.fail("a worker pool started before the config was checked")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(argv + [f"{flag}={value}", "--trials", "2", "--workers", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

@@ -11,6 +11,7 @@ import pytest
 
 import prodperc
 from prodperc.cli import main
+from prodperc.experiments import _usable_cpus
 
 SRC = Path(prodperc.__file__).resolve().parent.parent
 
@@ -34,16 +35,16 @@ def test_exports_are_the_defining_modules_objects():
 
 
 # Each run is a list of CLI argv lists run in one fresh interpreter; the
-# script prints the package modules loaded afterwards, the pool's, and
-# those of the stdlib modules a call should not pay to import.
+# script prints the package modules loaded afterwards, and those of the
+# stdlib modules a call should not pay to import.
 _LOADED = """
 import json, sys
 from prodperc.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("prodperc")
-                        or name in ("concurrent.futures.process", "dataclasses",
-                                    "inspect", "datetime"))))
+                        or name in ("concurrent.futures.process", "multiprocessing",
+                                    "pickle", "dataclasses", "inspect", "datetime"))))
 """
 
 
@@ -70,6 +71,17 @@ def test_product_loads_only_catalog_and_graph_core():
 ], ids=["product+process", "iso"])
 def test_subcommands_skip_modules_they_do_not_run(runs, absent):
     assert _loaded_after(*runs) & absent == set()
+
+
+def test_trial_workers_load_no_executor():
+    # forked workers inherit the product and send pickled rows down a pipe
+    argv = ["percolate", "--product", "Q4", "--omega", "1", "--trials", "4", "--workers"]
+    pooled = _loaded_after(argv + ["2"])
+    assert pooled & {"concurrent.futures.process", "multiprocessing"} == set()
+    if _usable_cpus() > 1:
+        assert "pickle" in pooled  # the workers did fork
+    serial = _loaded_after(argv + ["1"])
+    assert "pickle" not in serial
 
 
 def test_no_subcommand_loads_dataclasses_inspect_or_datetime():
