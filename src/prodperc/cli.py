@@ -109,10 +109,9 @@ def _cmd_product(args) -> int:
         raise ConfigError("product subcommand needs --product or a config with one")
     specs, catalog_name = resolve_product(product)
     pg = build_product(specs)
-    label = catalog_name or pg.label()
-    print(f"label={label}")
+    print(f"label={catalog_name or 'x'.join(spec.label() for spec in specs)}")
     print(f"n={pg.n}")
-    print(f"d={pg.d if pg.d is not None else 'irregular'}")
+    print(f"d={pg.d}")
     print(f"C={pg.C}")
     print(f"m={pg.m}")
     return 0

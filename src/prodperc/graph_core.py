@@ -11,7 +11,9 @@ is built from its bases alone, m included.  Its adjacency arrays are
 filled in one walk over the sorted rows with u rising on their first
 read, while the per-shift edge layout of ``shift_plan`` and the
 per-shift rows of ``host_rows`` come from the digits (see ProductGraph),
-so a run that reads only those never builds the arrays.
+so a run that reads only those never builds the arrays.  ``shift_rows``
+reads edge masks through the plan, so the plan's format is known here
+alone.
 
 The module also hosts the edge-list file parser, the size cap that
 protects against accidentally huge products, the one breadth-first
@@ -111,7 +113,7 @@ class BaseGraphSpec(NamedTuple):
 
     @classmethod
     def circulant(cls, m: int, offsets) -> "BaseGraphSpec":
-        return cls(kind="circulant", m=m, offsets=tuple(sorted(offsets)))
+        return cls(kind="circulant", m=m, offsets=tuple(offsets))
 
     @classmethod
     def edge_list(cls, path: str) -> "BaseGraphSpec":
@@ -181,7 +183,6 @@ class BaseGraph(NamedTuple):
     order: int
     degree: int | None
     adjacency: tuple[tuple[int, ...], ...]
-    label: str = ""
 
 
 def base_from_edges(order: int, edges, label: str = "") -> BaseGraph:
@@ -210,7 +211,7 @@ def base_from_edges(order: int, edges, label: str = "") -> BaseGraph:
         reached = comps[0].bit_count()
         raise DisconnectedError(f"{label}: disconnected ({reached} of {order} vertices reachable)")
     return BaseGraph(order=order, degree=degrees.pop(),
-                     adjacency=tuple(tuple(sorted(s)) for s in nbrs), label=label)
+                     adjacency=tuple(tuple(sorted(s)) for s in nbrs))
 
 
 def read_edge_list(path: str) -> tuple[int, list[tuple[int, int]]]:
@@ -319,7 +320,7 @@ def star(leaves: int) -> BaseGraph:
     if leaves < 1:
         raise TooSmallError("star needs at least one leaf")
     adjacency = (tuple(range(1, leaves + 1)),) + ((0,),) * leaves
-    return BaseGraph(leaves + 1, None, adjacency, f"Star{leaves}")
+    return BaseGraph(leaves + 1, None, adjacency)
 
 
 class _Csr:
@@ -384,9 +385,6 @@ class ProductGraph(_ProductFields):
     def neighbors(self, v: int) -> list[int]:
         return self.adj_flat[self.adj_off[v]:self.adj_off[v + 1]]
 
-    def label(self) -> str:
-        return "x".join(b.label or "?" for b in self.bases)
-
     def _build_csr(self) -> dict:
         """The four adjacency fields by name, for ``_Csr``."""
         n = self.n
@@ -421,13 +419,14 @@ class ProductGraph(_ProductFields):
 
     @cached_property
     def shift_plan(self) -> tuple[itemgetter, tuple[tuple[int, tuple], ...]]:
-        """Where ``process._shift_rows`` puts each edge-mask byte.
+        """Where ``shift_rows`` puts each edge-mask byte.
 
-        ``_shift_rows`` is the one reader: ``component_profiles`` and the
-        tau2 fill of the hitting-time trials read their masks through it.
-        It gathers masks eight to a byte plane (mask j in bit j), so the
-        plan runs once per eight masks; the bytes it moves are planes,
-        not single masks.
+        ``shift_rows``, below, is the one reader:
+        ``process.component_profiles`` and the tau2 fill of the
+        hitting-time trials read their masks through it.  It gathers
+        masks eight to a byte plane (mask j in bit j), so the plan runs
+        once per eight masks; the bytes it moves are planes, not single
+        masks.
 
         Returns ``(gather, groups)``.  ``gather(mask)`` picks the mask
         bytes grouped by edge shift s = v - u, u rising within a group.
@@ -500,10 +499,10 @@ class ProductGraph(_ProductFields):
     def host_rows(self) -> tuple[tuple[int, int], ...]:
         """The product's own edges as ``(s, H_s)`` in ``shift_plan``
         order: bit u of H_s is set iff (u, u + s) is an edge, as
-        ``process._shift_rows`` gives for the all-ones mask.  H_s repeats
-        one period of factor i every stride_i * order_i bits, and that
-        period holds a block of stride_i ones at a * stride_i for each of
-        the shift's a, so each row is two int products, with no gather.
+        ``shift_rows`` gives for the all-ones mask.  H_s repeats one
+        period of factor i every stride_i * order_i bits, and that period
+        holds a block of stride_i ones at a * stride_i for each of the
+        shift's a, so each row is two int products, with no gather.
         Built on first use."""
         n = self.n
         rows = []
@@ -514,6 +513,55 @@ class ProductGraph(_ProductFields):
                 pattern = sum(1 << a * stride for a, _ in pairs) * ((1 << stride) - 1)
                 rows.append((gap * stride, pattern * tops))
         return tuple(rows)
+
+
+# shift_rows packs eight masks to a byte plane: lane j's mask bytes (0
+# or 1) to 0 or bit j, and plane bytes to lane j's binary digits for
+# int(..., 2).  Bit j of the bytes 0..255 runs in blocks of 2**j zeros
+# and 2**j ones, so each digit table is one repeat, cheap at import for
+# the commands that never read a mask.
+_LANE_BITS = [bytes.maketrans(b"\x00\x01", bytes((0, 1 << j))) for j in range(8)]
+_LANE_DIGITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
+
+
+def shift_rows(pg: ProductGraph, masks) -> Iterator[list[tuple[int, int]]]:
+    """The edges of each 0/1 edge mask in ``masks`` as one n-bit int per
+    edge shift of the product: yields, mask by mask, the list of
+    ``(s, E_s)`` in ``pg.shift_plan`` order.
+
+    Every product edge is (u, u + s) for a shift s = (b - a) * stride_i
+    of a base edge a < b of factor i, and bit u of E_s is set iff edge
+    (u, u + s) is in the mask.  Base edges of one factor with the same
+    b - a share E_s, as their u are disjoint.  ``pg.shift_plan`` says
+    where each mask byte goes; it is built on the first call for a
+    product and reused after, and this is its one reader.
+
+    The masks go through the plan eight at a time.  Mask j of a block
+    becomes bit j of one byte plane, which is gathered once and moved
+    into an n-byte row per shift once; lane j's E_s is then read from
+    bit j of that row.  A block's rows are made when the caller reaches
+    it, not for every mask up front.
+    """
+    gather, groups = pg.shift_plan
+    n, m = pg.n, pg.m
+    for first in range(0, len(masks), 8):
+        block = masks[first:first + 8]
+        plane = block[0]  # its 0/1 bytes already are bit 0
+        if len(block) > 1:
+            bits = int.from_bytes(plane, "little")
+            for mask, lane_bit in zip(block[1:], _LANE_BITS[1:]):
+                bits |= int.from_bytes(mask.translate(lane_bit), "little")
+            plane = bits.to_bytes(m, "little")
+        picked = bytes(gather(plane))
+        lanes = [[] for _ in block]
+        for shift, moves in groups:
+            row = bytearray(n)
+            for dst, src in moves:
+                row[dst] = picked[src]
+            row.reverse()  # int(..., 2) reads the most significant bit first
+            for rows, digits in zip(lanes, _LANE_DIGITS):
+                rows.append((shift, int(row.translate(digits), 2)))
+        yield from lanes
 
 
 def _forward_gaps(base: BaseGraph) -> list[tuple[int, list[tuple[int, int]]]]:

@@ -5,9 +5,11 @@ The solver grows a matching from the empty one in Edmonds phases over a
 exposed vertex, grows all the trees in one breadth-first order,
 contracts blossoms within a tree, and augments along vertex-disjoint
 paths between trees; solving stops at the first phase that augments
-nothing.  There is no separate warm start: on the empty matching every
-vertex is a root, and the first phase matches each vertex to its first
-unmatched neighbour.
+nothing, or once the size reaches ``stop_at``.  ``maximum_matching`` is
+the one solve: the battery and the oracles call it without ``stop_at``,
+and tau3 with its target.  There is no separate warm start: on the
+empty matching every vertex is a root, and the first phase matches each
+vertex to its first unmatched neighbour.
 A view never copies adjacency: ``mask`` is a bytes-like array indexed by
 canonical edge id, and every entry point takes one (``full_mask(pg)``
 views the whole graph).
@@ -128,21 +130,18 @@ def _phase(pg: ProductGraph, mask, mate: list[int]) -> tuple[int, bytearray]:
     return gained, used
 
 
-def _solve(pg: ProductGraph, mask, stop_at: int | None = None) -> tuple[list[int], int]:
-    """Grow a maximum matching by phases from the empty one, until a
-    phase gains nothing or the size reaches ``stop_at``."""
+def maximum_matching(pg: ProductGraph, mask, stop_at: int | None = None) -> MatchingState:
+    """Maximum cardinality matching of the view, grown by phases from the
+    empty one until a phase gains nothing.  With ``stop_at`` the growth
+    also stops once the size reaches it: tau3 passes its target
+    floor(n / 2), which no matching exceeds, and so skips the last
+    phase, which would find nothing."""
     mate, size = [-1] * pg.n, 0
     while stop_at is None or size < stop_at:
         gained, _ = _phase(pg, mask, mate)
         if not gained:
             break
         size += gained
-    return mate, size
-
-
-def maximum_matching(pg: ProductGraph, mask) -> MatchingState:
-    """Maximum cardinality matching of the view."""
-    mate, size = _solve(pg, mask)
     return MatchingState(mate=tuple(mate), size=size)
 
 

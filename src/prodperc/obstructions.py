@@ -133,6 +133,9 @@ def find_minimal_obstructions(pg: ProductGraph, sample: PercolationSample,
     component C, into at most deg(w) pieces in G - P.  So U cannot
     obstruct unless the components of G - P other than C that are not
     of size two, plus deg(w), reach u + 1; only then is C - w split.
+    G - U is never walked whole: its components are those of G - P
+    other than C and the pieces of C - w, listed by lowest vertex as a
+    walk would list them.
 
     A size u >= 2 is reached only when no set of size u - 1 obstructs,
     so by the three-component property (module docstring) every vertex
@@ -174,7 +177,8 @@ def find_minimal_obstructions(pg: ProductGraph, sample: PercolationSample,
                     continue
                 pieces = components_from_bitmasks(nbr, comp & ~w_bit)
                 if rest + sum(c.bit_count() != 2 for c in pieces) >= u + 1:
-                    comp_masks = components_from_bitmasks(nbr, avail & ~w_bit)
+                    comp_masks = sorted([c for c in comps if c != comp] + pieces,
+                                        key=lambda c: c & -c)
                     found.append(_record_from_components(
                         all_mask ^ avail | w_bit, comp_masks, threshold))
         if found:
@@ -187,8 +191,7 @@ def verify_three_components(pg: ProductGraph, sample: PercolationSample,
     """Check that every vertex of a minimal obstruction has sampled
     edges into three components of the subgraph induced on V1 + S + B.
     A vertex's sampled neighbours are its ``neighbor_bitmasks`` entry,
-    so a call costs O(m), as the scan's component walk for each record
-    it finds does.
+    so a call costs O(m), the cost of building those masks.
 
     For records of ``find_minimal_obstructions`` the property is a
     theorem (module docstring), and the scan prunes by it; a

@@ -21,7 +21,8 @@ Two sampling modes share one generator stack (see rng):
 
 ``double_exposures`` splits G_p into two independent rounds for many
 seeds at once, one ``bernoulli_masks`` call per round, and returns the
-joined masks rather than samples.
+two rounds' joined masks rather than samples; a caller that wants G_p
+ORs them.
 
 Hitting times are indexed from 1: tau = i means the property first holds
 after the i-th edge is added.  tau1 is minimum degree one, tau2 is
@@ -40,20 +41,21 @@ then solves on it.  On n >= 2 vertices a connected graph has no
 isolated vertex, so tau2 >= tau1: a shift-row fill from vertex 0 over
 the first tau1 edges, then one edge at a time, filling from an edge's
 outer end when it leaves the reached set, until every vertex is
-reached.  tau3 is found with one matching solve at ``lower``, then, if
-that falls short, by bisecting the later prefixes with the same solve,
-each on a copy of the mask.
+reached.  tau3 is found with one ``matching.maximum_matching`` solve
+at ``lower``, stopped at the target size, then, if that falls short, by
+bisecting the later prefixes with the same solve, each on a copy of
+the mask.
 
 Both tau2 and ``component_profiles`` read edge masks as one n-bit int
-per edge shift of the product (``_shift_rows``, by way of
+per edge shift of the product (``graph_core.shift_rows``, by way of
 ``ProductGraph.shift_plan``, built once per product on first use) and
 grow components by shifting and masking those ints (``_fill``); neither
 reads an edge list for it.  ``_fill`` takes its breadth-first layers
 from ``graph_core.layers``, the one layer step over shift rows, which
 ``bipartition_signature`` also runs over the host graph's rows.
-``_shift_rows`` gathers a list of masks eight to a byte plane, mask j
-of a block in bit j, so a trial group's profiles pay one gather per
-eight masks; tau2 passes its one mask, and ``component_profile`` is the
+``shift_rows`` gathers a list of masks eight to a byte plane, mask j of
+a block in bit j, so a trial group's profiles pay one gather per eight
+masks; tau2 passes its one mask, and ``component_profile`` is the
 one-sample case of ``component_profiles``.
 The profiles take the spacing of the isolated vertices from the host
 graph's shift rows (``ProductGraph.host_rows``, built once per product
@@ -63,13 +65,12 @@ arrays.  The hitting-time trials read them (``pg.edges`` and the
 degrees) and the matching solve walks them.
 """
 
-from collections.abc import Iterator
 from itertools import chain, compress, count
 from typing import NamedTuple
 
 from .catalog import TAU3_MODES
-from .graph_core import ProductGraph, _identity, layers
-from .matching import _solve
+from .graph_core import ProductGraph, _identity, layers, shift_rows
+from .matching import maximum_matching
 from .rng import (Xoshiro256StarStar, bernoulli_masks, lane_values, lockstep_words,
                   placements, split_lanes)
 
@@ -78,11 +79,6 @@ from .rng import (Xoshiro256StarStar, bernoulli_masks, lane_values, lockstep_wor
 # lane 4 KiB.
 _WORD_BLOCK = 512
 
-# _shift_rows packs eight masks to a byte plane: lane j's mask bytes (0
-# or 1) to 0 or bit j, and plane bytes to lane j's binary digits for
-# int(..., 2)
-_LANE_BITS = [bytes.maketrans(b"\x00\x01", bytes((0, 1 << j))) for j in range(8)]
-_LANE_DIGITS = [bytes(b"01"[b >> j & 1] for b in range(256)) for j in range(8)]
 # binary digits to bytes 0 or 1, for compress
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -154,7 +150,7 @@ def sample_percolations(pg: ProductGraph, p: float, seeds) -> list[PercolationSa
     return samples
 
 
-def double_exposures(pg: ProductGraph, p: float, seeds) -> tuple[bytes, bytes, bytes]:
+def double_exposures(pg: ProductGraph, p: float, seeds) -> tuple[bytes, bytes]:
     """Split G_p into two independent rounds G_p1 and G_p2 for each seed.
 
     The second round uses p2 = 1 / d**2 and the first solves
@@ -165,8 +161,9 @@ def double_exposures(pg: ProductGraph, p: float, seeds) -> tuple[bytes, bytes, b
     round is reproducible on its own: seed i's first round is
     ``sample_percolation(pg, p1, s1).mask``.  Each round is drawn for
     all the seeds by one ``bernoulli_masks`` call.  The result is the
-    batch's (first, second, union) masks, each joined as bytes with seed
-    i's mask at ``[i * m, (i + 1) * m)``.
+    batch's (first, second) masks, each joined as bytes with seed i's
+    mask at ``[i * m, (i + 1) * m)``; the caller ORs them for the union,
+    the sample of G_p.
     """
     if pg.d is None:
         raise ValueError("double exposure needs a regular product")
@@ -178,9 +175,7 @@ def double_exposures(pg: ProductGraph, p: float, seeds) -> tuple[bytes, bytes, b
                                  for word in split_lanes(seeds, 2))
     firsts = b"".join(bernoulli_masks(Xoshiro256StarStar.lanes(first_seeds), pg.m, p1))
     seconds = b"".join(bernoulli_masks(Xoshiro256StarStar.lanes(second_seeds), pg.m, p2))
-    # every byte is 0 or 1, so OR-ing the masks as integers ORs each byte
-    union = int.from_bytes(firsts, "little") | int.from_bytes(seconds, "little")
-    return firsts, seconds, union.to_bytes(len(firsts), "little")
+    return firsts, seconds
 
 
 def critical_p(pg: ProductGraph, omega: float = 1.0) -> float:
@@ -207,7 +202,7 @@ def _tau3(pg: ProductGraph, permutation, lower: int, target: int, mask) -> int |
     the edges up to the probe written in; ``hi = m + 1`` stands for
     "never", which gives None.
     """
-    if _solve(pg, mask, stop_at=target)[1] >= target:
+    if maximum_matching(pg, mask, stop_at=target).size >= target:
         return lower
     lo, hi = lower + 1, pg.m + 1
     while lo < hi:
@@ -215,7 +210,7 @@ def _tau3(pg: ProductGraph, permutation, lower: int, target: int, mask) -> int |
         probe = bytearray(mask)
         for eid in permutation[lower:mid]:
             probe[eid] = 1
-        if _solve(pg, probe, stop_at=target)[1] >= target:
+        if maximum_matching(pg, probe, stop_at=target).size >= target:
             hi = mid
         else:
             lo = mid + 1
@@ -263,7 +258,7 @@ def _hitting_suffix(pg: ProductGraph, items, positions) -> HittingTimes:
     # add one edge at a time, filling from its outer end when it leaves
     # the reached set, until nothing is left.  lower <= tau1 (equal for
     # even n).
-    [rows] = _shift_rows(pg, [mask])
+    [rows] = shift_rows(pg, [mask])
     rows = dict(rows)
     for eid in items[lower:tau1]:
         u, v = edges[eid]
@@ -326,46 +321,6 @@ def run_process(pg: ProductGraph, ordering: EdgeOrdering,
     return _hitting_suffix(pg, perm, range(pg.m - 1, -1, -1))
 
 
-def _shift_rows(pg: ProductGraph, masks) -> Iterator[list[tuple[int, int]]]:
-    """The edges of each 0/1 edge mask in ``masks`` as one n-bit int per
-    edge shift of the product: yields, mask by mask, the list of
-    ``(s, E_s)`` in ``pg.shift_plan`` order.
-
-    Every product edge is (u, u + s) for a shift s = (b - a) * stride_i
-    of a base edge a < b of factor i, and bit u of E_s is set iff edge
-    (u, u + s) is in the mask.  Base edges of one factor with the same
-    b - a share E_s, as their u are disjoint.  ``pg.shift_plan`` says
-    where each mask byte goes; it is built on the first call for a
-    product and reused after.
-
-    The masks go through the plan eight at a time.  Mask j of a block
-    becomes bit j of one byte plane, which is gathered once and moved
-    into an n-byte row per shift once; lane j's E_s is then read from
-    bit j of that row.  A block's rows are made when the caller reaches
-    it, not for every mask up front.
-    """
-    gather, groups = pg.shift_plan
-    n, m = pg.n, pg.m
-    for first in range(0, len(masks), 8):
-        block = masks[first:first + 8]
-        plane = block[0]  # its 0/1 bytes already are bit 0
-        if len(block) > 1:
-            bits = int.from_bytes(plane, "little")
-            for mask, lane_bit in zip(block[1:], _LANE_BITS[1:]):
-                bits |= int.from_bytes(mask.translate(lane_bit), "little")
-            plane = bits.to_bytes(m, "little")
-        picked = bytes(gather(plane))
-        lanes = [[] for _ in block]
-        for shift, moves in groups:
-            row = bytearray(n)
-            for dst, src in moves:
-                row[dst] = picked[src]
-            row.reverse()  # int(..., 2) reads the most significant bit first
-            for rows, digits in zip(lanes, _LANE_DIGITS):
-                rows.append((shift, int(row.translate(digits), 2)))
-        yield from lanes
-
-
 def _fill(rows, layer: int, rest: int) -> int:
     """``rest`` less every vertex reachable from ``layer`` over the shift
     rows ``(s, E_s)``; ``rest`` must not hold ``layer``.  The fill takes
@@ -383,8 +338,8 @@ def component_profile(pg: ProductGraph, sample: PercolationSample) -> ComponentP
 
 def component_profiles(pg: ProductGraph, samples) -> list[ComponentProfile]:
     """``component_profile(pg, sample)`` for every sample, with the masks
-    read as shift rows together (``_shift_rows``, one gather per eight
-    masks).  The spacing of the isolated vertices is read from the host
+    read as shift rows together (``graph_core.shift_rows``, one gather
+    per eight masks).  The spacing of the isolated vertices is read from the host
     graph's rows, ``pg.host_rows``.
 
     For each sample, the kept edges are one n-bit int E_s per edge
@@ -394,7 +349,7 @@ def component_profiles(pg: ProductGraph, samples) -> list[ComponentProfile]:
     """
     n = pg.n
     profiles = []
-    for rows in _shift_rows(pg, [sample.mask for sample in samples]):
+    for rows in shift_rows(pg, [sample.mask for sample in samples]):
         kept = []
         covered = 0
         for shift, bits in rows:

@@ -268,7 +268,7 @@ def prefix_hitting_times(pg: ProductGraph, ordering) -> tuple[int, int]:
 def reference_shift_rows(pg: ProductGraph, mask) -> dict[int, int]:
     """Bit u of ``rows[s]`` is set iff edge (u, u + s) is in the 0/1 edge
     mask, built edge by edge over ``pg.edges``; every shift of the
-    product has a row (reference for ``process._shift_rows``)."""
+    product has a row (reference for ``graph_core.shift_rows``)."""
     rows = dict.fromkeys((v - u for u, v in pg.edges), 0)
     for eid, (u, v) in enumerate(pg.edges):
         if mask[eid]:

@@ -160,8 +160,8 @@ def test_criterion_11_double_exposure_union_frequencies():
     # sigma, two sided), so a fresh seed fails somewhere on 32 edges
     # with probability about 1 - (1 - 0.0027)^32, roughly 8 percent;
     # the base seed is pinned and verified to pass.
-    _report_suite(11, "union = first | second and union inclusion frequency "
-                      "within 3 sigma of p on every Q4 edge over 10000 exposures",
+    _report_suite(11, "union inclusion frequency within 3 sigma of p on "
+                      "every Q4 edge over 10000 exposures",
                   _suite_coupling(BASE_SEED, sigmas=3.0))
 
 

@@ -635,24 +635,6 @@ def test_battery_catches_rotated_hitting_lanes(monkeypatch):
     assert aggregates["exit_status"] == 1
 
 
-def test_coupling_suite_reports_union_mismatch(monkeypatch):
-    exposures = battery.double_exposures
-    batches = []
-
-    def tampered(pg, p, seeds):
-        firsts, seconds, unions = exposures(pg, p, seeds)
-        if not batches:
-            unions = bytearray(unions)
-            unions[3 * pg.m] ^= 1  # byte 0 of trial 3's union
-            unions = bytes(unions)
-        batches.append(seeds)
-        return firsts, seconds, unions
-
-    monkeypatch.setattr(battery, "double_exposures", tampered)
-    assert battery._suite_coupling(5) == (1, 1, "union mismatch at trial 3")
-    assert len(batches) == 1
-
-
 def test_verify_all_rejects_other_kinds():
     with pytest.raises(ConfigError):
         verify_all(hitting("Q2"))

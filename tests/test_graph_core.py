@@ -97,6 +97,16 @@ def test_spec_from_dict_roundtrip():
         assert BaseGraphSpec.from_dict(spec.to_dict()) == spec
 
 
+def test_circulant_spec_in_code_equals_its_config():
+    # offsets keep the order given, as from_dict keeps it, so code and a
+    # config name one spec: one label, one canonical dict, one config hash
+    in_code = BaseGraphSpec.circulant(8, (3, 1, 7, 5))
+    from_config = BaseGraphSpec.from_dict({"kind": "circulant", "m": 8, "offsets": [3, 1, 7, 5]})
+    assert in_code == from_config
+    assert in_code.label() == from_config.label() == "Circ(8;3,1,7,5)"
+    assert in_code.to_dict() == from_config.to_dict()
+
+
 def test_spec_from_dict_rejects_unknown_kind_and_keys():
     with pytest.raises(GraphBuildError):
         BaseGraphSpec.from_dict({"kind": "moebius", "m": 5})

@@ -44,7 +44,7 @@ def test_profile_witnesses_attain_their_value():
 
 # the path 0-2-1: its middle vertex is the last, so the last vertex of
 # a product with it has more than the least degree
-PATH_MIDDLE_LAST = BaseGraph(order=3, degree=None, adjacency=((2,), (2,), (0, 1)), label="P3")
+PATH_MIDDLE_LAST = BaseGraph(order=3, degree=None, adjacency=((2,), (2,), (0, 1)))
 
 
 @pytest.mark.parametrize("name", ["K3xK2", "K3xK3", "C5xK2", "petersen", "P3xK3", "P3xC5",
@@ -175,7 +175,7 @@ def irregular(n: int, edges) -> BaseGraph:
     for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    return BaseGraph(order=n, degree=None, adjacency=tuple(map(tuple, adjacency)), label="G")
+    return BaseGraph(order=n, degree=None, adjacency=tuple(map(tuple, adjacency)))
 
 
 def min_degree(pg) -> int:
@@ -269,8 +269,7 @@ def test_cli_reports_a_cut_below_the_degree(tmp_path, capsys):
 def test_edge_connectivity_edge_cases():
     assert edge_connectivity(build_product((BaseGraphSpec.complete(2),))) == 1
     # bypass the builder validation to hit the disconnected-input guard
-    two_edges = BaseGraph(order=4, degree=1,
-                          adjacency=((1,), (0,), (3,), (2,)), label="2K2")
+    two_edges = BaseGraph(order=4, degree=1, adjacency=((1,), (0,), (3,), (2,)))
     with pytest.raises(ValueError):
         edge_connectivity(cartesian_product([two_edges]))
 

@@ -64,10 +64,15 @@ _BUILTIN_ATTRIBUTES = set().union(*(dir(t) for t in (str, bytes, bytearray, list
 # Members whose name is shared with another src class's member or a
 # builtin attribute, so a bare-name read does not show they are read.
 # Each maps to the src function that reads it on its own class (checked
-# by hand); the test checks that function reads the name.
-SHARED_NAME_READERS = {
-    "graph_core.py:BaseGraphSpec.label": "graph_core.py:build_base",
-    "graph_core.py:ProductGraph.label": "cli.py:_cmd_product",
+# by hand); the test checks that function reads the name.  None is
+# shared today.
+SHARED_NAME_READERS: dict[str, str] = {}
+
+# NamedTuple fields that src/ may leave unread, each with its reason.
+UNREAD_FIELDS = {
+    # perfbench/tracing.py passes keep_witnesses=False; the field goes
+    # once the layer timings come from the CLI's own run
+    "isoperimetry.py:IsoperimetricProfile.witnesses",
 }
 
 
@@ -107,6 +112,23 @@ def test_every_class_member_is_read_in_src():
         assert _attribute_reads(node)[member.rsplit(".", 1)[1]] > 0, (member, reader)
 
 
+def test_every_named_tuple_field_is_read_in_src():
+    """Each field of a NamedTuple class in src/prodperc is read as an
+    attribute somewhere in src/, save those listed in UNREAD_FIELDS: a
+    field that only tests read is code that only tests reach."""
+    reads = Counter()
+    fields = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads.update(_attribute_reads(tree))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    getattr(base, "id", None) == "NamedTuple" for base in cls.bases):
+                fields += [(f"{path.name}:{cls.name}.{node.target.id}", node.target.id)
+                           for node in cls.body if isinstance(node, ast.AnnAssign)]
+    unread = {site for site, name in fields if not reads[name]}
+    assert sorted(unread ^ UNREAD_FIELDS) == []
+
 
 def test_one_bulk_xoshiro_stepper():
     """The xoshiro256** state rotation ``s3 << 45`` appears in exactly two
@@ -135,7 +157,7 @@ def test_one_packed_seeder():
 
 def test_one_component_fill_over_shift_rows():
     """``ProductGraph.shift_plan`` is read by exactly one function in
-    src/prodperc, the shared rows helper ``process._shift_rows``, and no
+    src/prodperc, the shared rows helper ``graph_core.shift_rows``, and no
     union-find (``DisjointSet``, ``union_all``) is left beside it.
     ``component_profile`` holds no fill of its own: all it calls is
     ``component_profiles``."""
@@ -155,7 +177,7 @@ def test_one_component_fill_over_shift_rows():
             names = {getattr(node, field, None) for field in ("name", "id", "attr")}
             if names & {"DisjointSet", "union_all"}:
                 union_find.append(f"{path.name}:{node.lineno}")
-    assert readers == ["process.py:_shift_rows"]
+    assert readers == ["graph_core.py:shift_rows"]
     assert union_find == []
     assert one_profile_calls == ["component_profiles"]
 
@@ -207,8 +229,8 @@ def test_one_shift_row_layer_step():
 
 def test_augmenting_search_stays_in_matching():
     """No module in src/prodperc, scripts/ or perfbench/ but matching.py
-    names ``_phase``: tau3 reaches the search through ``_solve``
-    alone."""
+    names ``_phase``: tau3 reaches the search through
+    ``maximum_matching`` alone."""
     namers = []
     for path in [*SRC.glob("*.py"), *(path for folder in CALLERS for path in folder.glob("*.py"))]:
         if path == SRC / "matching.py":
@@ -221,8 +243,8 @@ def test_augmenting_search_stays_in_matching():
 
 def test_one_alternating_search():
     """In matching.py only ``_phase`` reads ``adj_flat`` or ``adj_eid``,
-    and both ``_solve`` and ``certified_deficiency`` call it: the solver
-    and the certificate share one search."""
+    and both ``maximum_matching`` and ``certified_deficiency`` call it:
+    the solver and the certificate share one search."""
     readers, callers = [], []
     for node in ast.parse((SRC / "matching.py").read_text(encoding="utf-8")).body:
         if not isinstance(node, ast.FunctionDef):
@@ -233,7 +255,7 @@ def test_one_alternating_search():
             if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_phase":
                 callers.append(node.name)
     assert sorted(set(readers)) == ["_phase"]
-    assert sorted(set(callers)) == ["_solve", "certified_deficiency"]
+    assert sorted(set(callers)) == ["certified_deficiency", "maximum_matching"]
 
 
 def test_obstructions_hold_vertex_masks_only():

@@ -14,7 +14,7 @@ from prodperc.battery import _tau3_certified
 from prodperc.catalog import build_catalog_product
 from prodperc.graph_core import (BaseGraphSpec, build_product, cartesian_product,
                                  components_from_bitmasks, full_mask,
-                                 neighbor_bitmasks, star)
+                                 neighbor_bitmasks, shift_rows, star)
 from prodperc.matching import maximum_matching
 from prodperc.process import (ComponentProfile, EdgeOrdering, HittingTimes,
                               PercolationSample, component_profile, component_profiles,
@@ -127,13 +127,13 @@ def test_one_matching_solve_per_trial(monkeypatch):
     # lower = 3 and edge 5 = (2, 3) gives tau3 = 4; Q8 seeds 0..19
     # include one more such trial.
     sizes = []
-    solve = process._solve
+    solve = process.maximum_matching
 
     def counting(pg, mask, **kwargs):
         sizes.append(sum(mask))
         return solve(pg, mask, **kwargs)
 
-    monkeypatch.setattr(process, "_solve", counting)
+    monkeypatch.setattr(process, "maximum_matching", counting)
     k4 = build_product((BaseGraphSpec.complete(4),))
     trials = [(k4, EdgeOrdering(permutation=(0, 1, 2, 5, 3, 4)))]
     q8 = build_catalog_product("Q8")
@@ -202,28 +202,27 @@ def test_percolation_reproducible():
 def test_double_exposure_probability_split():
     pg = build_catalog_product("petersen")  # d = 3
     p = 0.5
-    first, second, union = double_exposures(pg, p, [77])
+    first, second = double_exposures(pg, p, [77])
     p2 = 1.0 / 9.0
     p1 = 1.0 - (1.0 - p) / (1.0 - p2)
     assert abs((1.0 - p1) * (1.0 - p2) - (1.0 - p)) <= 1e-12
     s1, s2 = split_seeds(77, 2)
     assert first == sample_percolation(pg, p1, s1).mask
     assert second == sample_percolation(pg, p2, s2).mask
-    assert union == bytes(a | b for a, b in zip(first, second))
 
 
 def test_double_exposure_round_seeds_are_replayable():
     pg = build_catalog_product("Q4")
     p2 = 1.0 / (pg.d * pg.d)
     p1 = 1.0 - (1.0 - 0.4) / (1.0 - p2)
-    first, second, _ = double_exposures(pg, 0.4, [123])
+    first, second = double_exposures(pg, 0.4, [123])
     s1, s2 = split_seeds(123, 2)
     assert first == sample_percolation(pg, p1, s1).mask
     assert second == sample_percolation(pg, p2, s2).mask
     # a batch draws in lockstep and gives every seed its own rounds
     seeds = [123, 5, 123, (1 << 64) - 1]
-    firsts, seconds, unions = double_exposures(pg, 0.4, seeds)
-    assert len(firsts) == len(seconds) == len(unions) == len(seeds) * pg.m
+    firsts, seconds = double_exposures(pg, 0.4, seeds)
+    assert len(firsts) == len(seconds) == len(seeds) * pg.m
     for i, seed in enumerate(seeds):
         s1, s2 = split_seeds(seed, 2)
         trial = slice(i * pg.m, (i + 1) * pg.m)
@@ -467,7 +466,7 @@ def test_shift_rows_equal_edge_by_edge_rows(count):
         return gather(plane)
 
     vars(pg)["shift_plan"] = (counting, groups)
-    lanes = list(process._shift_rows(pg, masks))
+    lanes = list(shift_rows(pg, masks))
     assert len(gathers) == -(-count // 8)
     order = [shift for shift, _ in groups]
     assert [[shift for shift, _ in rows] for rows in lanes] == [order] * count
@@ -495,7 +494,7 @@ def test_profiles_gather_once_per_eight_samples(count):
 @pytest.mark.parametrize("name", sorted(PROFILE_PRODUCTS))
 def test_host_rows_are_the_rows_of_the_all_ones_mask(tmp_path, name):
     pg = _profile_product(tmp_path, name)
-    [rows] = process._shift_rows(pg, [full_mask(pg)])
+    [rows] = shift_rows(pg, [full_mask(pg)])
     assert pg.host_rows == tuple(rows)
     assert dict(rows) == reference_shift_rows(pg, full_mask(pg))
 
