@@ -7,6 +7,12 @@ obstruction enumeration plus structural checks), ``verify`` (the full
 invariant battery).  Exit codes: 0 success, 1 counterexample or
 assertion failure, 2 usage or configuration error.
 
+``run`` is the process entry point (``python -m prodperc`` and the
+``prodperc`` console script): it calls ``main``, flushes stdout and
+stderr, and leaves by ``os._exit`` without interpreter finalisation,
+unless a profiler or tracer is installed.  In-process callers use
+``main``.
+
 ``product`` loads only ``catalog`` and ``graph_core``; the other
 subcommands load ``experiments``, which loads what their kind runs.
 """
@@ -174,5 +180,48 @@ def main(argv=None) -> int:
         return 1
 
 
+def _observed() -> bool:
+    """Whether a profiler or tracer watches this process (cProfile,
+    trace, coverage; on Python 3.12 and later also a ``sys.monitoring``
+    tool), so its report must run at exit."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.getprofile() is not None or sys.gettrace() is not None
+            or monitoring is not None and any(map(monitoring.get_tool, range(6))))
+
+
+def run(argv=None) -> int:
+    """``main`` as a whole process: flush the standard streams, then leave
+    by ``os._exit(status)``, skipping interpreter finalisation.
+
+    A stdout flush that fails prints one ``i/o error`` line, as ``main``
+    does for a failed write, and makes the status ``status or 1``.
+    Finalisation would only free the product, the rows and the modules,
+    which the OS reclaims anyway, and it is safe to skip:
+
+    - reports are written in ``with`` blocks, closed before ``main``
+      returns;
+    - the package registers no ``atexit`` handler;
+    - ``experiments._forked_rows`` reaps every child, so no child or
+      thread is left.
+
+    Forked trial workers also leave by ``os._exit``, but without this
+    flush: they hold copies of the parent's stdio buffers.  Under a
+    profiler or tracer, ``run`` returns the status instead, so its
+    report at exit still runs.
+    """
+    status = main(argv)
+    try:
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        status = status or 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    if _observed():
+        return status
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -1,7 +1,9 @@
 """Oracles and helpers shared by the test modules."""
 
 import hashlib
+import inspect
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,6 +22,18 @@ def report_digest(text: str) -> str:
             if not line.startswith("# generated_at=")
             and '"generated_at"' not in line]
     return hashlib.sha256("".join(kept).encode("utf-8")).hexdigest()
+
+
+def mutant(func, old: str, new: str):
+    """``func`` recompiled with the one occurrence of ``old`` in its source
+    replaced by ``new``, in a copy of its module's namespace; the module
+    itself is left as it is."""
+    source = inspect.getsource(func)
+    assert source.count(old) == 1, f"{func.__name__} must hold {old!r} exactly once"
+    module = sys.modules[func.__module__]
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[func.__name__]
 
 
 def mask_from_edges(pg: ProductGraph, pairs) -> bytes:

@@ -1,6 +1,5 @@
 """Experiment configs, trial runners, reports, and the CLI."""
 
-import inspect
 import json
 import os
 import re
@@ -9,7 +8,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from helpers import report_digest
+from helpers import mutant, report_digest
 from prodperc import battery, cli, experiments, graph_core, matching, process
 from prodperc.cli import main
 from prodperc.experiments import (ConfigError, ExperimentConfig, emit_report,
@@ -602,16 +601,9 @@ def test_battery_catches_injected_fault(broken_matching):
 def test_battery_catches_a_search_that_skips_blossoms(monkeypatch):
     # _phase recompiled with `continue` at the top of its blossom
     # branch: the solver and the certificate's phase both run it
-    source = inspect.getsource(matching._phase)
-    anchor = next((line for line in source.splitlines(keepends=True)
-                   if line.strip() == "# blossom: find the lowest common ancestor of v and to"),
-                  None)
-    assert anchor is not None, "the blossom branch of _phase lost its anchor line"
-    indent = anchor[:len(anchor) - len(anchor.lstrip())]
-    namespace = dict(vars(matching))
-    exec(compile(source.replace(anchor, indent + "continue\n" + anchor), matching.__file__,
-                 "exec"), namespace)
-    monkeypatch.setattr(matching, "_phase", namespace["_phase"])
+    anchor = "# blossom: find the lowest common ancestor of v and to"
+    monkeypatch.setattr(matching, "_phase",
+                        mutant(matching._phase, anchor, "continue  " + anchor))
     monkeypatch.setattr(battery, "_suite_coupling", lambda seed: (1, 0, ""))
     rows, aggregates = battery.run_battery(0)
     failing = {row[0] for row in rows if row[2] > 0}

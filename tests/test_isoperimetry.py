@@ -1,13 +1,13 @@
 """Boundary profiles, analytic lower bounds, cuts, and tree counts."""
 
-import inspect
 import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import edge_boundary, reference_min_cut, reference_profile, reference_rooted_trees
+from helpers import (edge_boundary, mutant, reference_min_cut, reference_profile,
+                     reference_rooted_trees)
 from prodperc import isoperimetry
 from prodperc.catalog import build_catalog_product, tiny_names
 from prodperc.cli import main
@@ -196,14 +196,19 @@ def cut_cases():
     k6k2_k4 = irregular(16, clique(range(6)) + clique(range(6, 12)) + clique(range(12, 16))
                         + [(v, v + 6) for v in range(6)] + [(0, 12), (1, 13)])
     # one flow on this graph pushes a path back along an edge that
-    # carries flow, which no other case here does
+    # carries flow
     cancelling = irregular(9, [(0, 3), (0, 4), (1, 2), (1, 8), (2, 6), (2, 8), (3, 5), (3, 6),
                                (4, 5), (4, 7), (6, 7), (7, 8)])
+    # the flow from 0 to 1 cancels the flow on 2-4 along 0-3-4-2-5-1,
+    # then needs that edge again for 0-6-4-2-8-1, its third path
+    reused = irregular(9, [(0, 2), (0, 3), (0, 6), (0, 7), (1, 4), (1, 5), (1, 8), (2, 4),
+                           (2, 5), (2, 8), (3, 4), (3, 7), (4, 6), (5, 8), (6, 7)])
     return [("bridged", cartesian_product([bridged]), 1, 3),
             ("bridgedxK2", cartesian_product([bridged, build_base(BaseGraphSpec.complete(2))]), 2, 4),
             ("two K5 joined by two edges", cartesian_product([two_k5]), 2, 4),
             ("K6xK2 and K4 joined by two edges", cartesian_product([k6k2_k4]), 2, 3),
             ("a flow that cancels flow", cartesian_product([cancelling]), 2, 2),
+            ("a flow that reuses a cancelled edge", cartesian_product([reused]), 3, 3),
             ("star", cartesian_product([star(4)]), 1, 1)]
 
 
@@ -220,14 +225,28 @@ def test_edge_connectivity_matches_oracle_cases():
 def test_cut_oracle_catches_a_flow_to_the_first_sink_only():
     # edge_connectivity recompiled to run the flow to the second vertex
     # of the dominating set only
-    source = inspect.getsource(isoperimetry.edge_connectivity)
-    sinks = "for t in dominating[1:]:"
-    assert source.count(sinks) == 1, "edge_connectivity lost its sink loop"
-    namespace = dict(vars(isoperimetry))
-    exec(compile(source.replace(sinks, "for t in dominating[1:2]:"),
-                 isoperimetry.__file__, "exec"), namespace)
+    first_only = mutant(isoperimetry.edge_connectivity, "for t in dominating[1:]:",
+                        "for t in dominating[1:2]:")
     with pytest.raises(AssertionError, match="K6xK2 and K4"):
-        check_cuts_against_oracle(namespace["edge_connectivity"])
+        check_cuts_against_oracle(first_only)
+
+
+def test_cut_oracle_catches_a_cancel_that_clears_both_arcs():
+    # edge_connectivity recompiled so that a cancel leaves the edge with
+    # no residual arc, where it should restore both
+    cleared = mutant(isoperimetry.edge_connectivity, "res[w] |= 1 << u  # cancels flow w -> u",
+                     "res[u] ^= 1 << w")
+    with pytest.raises(AssertionError, match="reuses a cancelled edge"):
+        check_cuts_against_oracle(cleared)
+
+
+def test_cut_oracle_catches_a_cut_of_the_least_degree():
+    # edge_connectivity recompiled to return the least degree at once:
+    # every product the verify suite cuts has a cut equal to its degree
+    degree_only = mutant(isoperimetry.edge_connectivity, "best = min(map(int.bit_count, nbr))",
+                         "return min(map(int.bit_count, nbr))")
+    with pytest.raises(AssertionError, match="bridged"):
+        check_cuts_against_oracle(degree_only)
 
 
 @st.composite

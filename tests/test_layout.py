@@ -4,6 +4,8 @@ import ast
 from collections import Counter, defaultdict
 from pathlib import Path
 
+import pytest
+
 import prodperc
 
 SRC = Path(prodperc.__file__).parent
@@ -293,6 +295,35 @@ def test_one_obstruction_enumeration_limit():
                     callers.append(site)
     assert owners == ["obstructions.py:check_enumeration_limit"]
     assert callers == ["experiments.py:run_trials", "obstructions.py:find_minimal_obstructions"]
+
+
+def test_only_run_and_forked_children_skip_finalisation():
+    """``os._exit`` is called in src/prodperc only by ``cli.run``, after it
+    flushes stdio, and in the child branch (``if pid == 0``) of
+    ``experiments._forked_rows``, whose copies of the parent's stdio
+    buffers must not be flushed."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node id -> innermost enclosing function (walk is breadth-first)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(sub), func.name) for sub in ast.walk(func))
+        child = {id(sub) for node in ast.walk(tree)
+                 if isinstance(node, ast.If) and ast.unparse(node.test) == "pid == 0"
+                 for sub in ast.walk(node)}
+        calls += [f"{path.name}:{owner.get(id(sub), '<module>')}"
+                  + (" child" if id(sub) in child else "")
+                  for sub in ast.walk(tree) if isinstance(sub, ast.Call)
+                  and "_exit" in {getattr(sub.func, "attr", None), getattr(sub.func, "id", None)}]
+    assert sorted(calls) == ["cli.py:run", "experiments.py:_forked_rows child"]
+
+
+def test_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"prodperc": "prodperc.cli:run"}
 
 
 def _attribute_reads(tree) -> Counter:

@@ -1,11 +1,9 @@
 """Obstruction banding, minimal enumeration, and the structural checks."""
 
-import inspect
-
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (band_removal, deficiency_consistency, mask_from_edges,
+from helpers import (band_removal, deficiency_consistency, mask_from_edges, mutant,
                      reference_obstructions, vertex_mask)
 from prodperc import obstructions
 from prodperc.catalog import build_catalog_product, tiny_names
@@ -350,14 +348,10 @@ def test_pruned_scan_matches_oracle_on_workload_samples(q4_workload):
     check_scan_against_oracle(find_minimal_obstructions, pg, cases)
 
 
-@pytest.mark.parametrize("mutant", ["floor = 4 if u > 1 else 0", "floor = 3"],
+@pytest.mark.parametrize("floor", ["floor = 4 if u > 1 else 0", "floor = 3"],
                          ids=["floor_raised_to_4", "floor_at_size_1"])
-def test_scan_oracle_catches_a_wrong_degree_floor(q4_workload, mutant):
+def test_scan_oracle_catches_a_wrong_degree_floor(q4_workload, floor):
     # find_minimal_obstructions recompiled with its degree floor changed
-    source = inspect.getsource(obstructions.find_minimal_obstructions)
-    floor = "floor = 3 if u > 1 else 0"
-    assert source.count(floor) == 1, "find_minimal_obstructions lost its degree floor"
-    namespace = dict(vars(obstructions))
-    exec(compile(source.replace(floor, mutant), obstructions.__file__, "exec"), namespace)
+    scan = mutant(obstructions.find_minimal_obstructions, "floor = 3 if u > 1 else 0", floor)
     with pytest.raises(AssertionError, match="Q4 sample"):
-        check_scan_against_oracle(namespace["find_minimal_obstructions"], *q4_workload)
+        check_scan_against_oracle(scan, *q4_workload)

@@ -1,13 +1,12 @@
 """Generator stack: fixed vectors, ranges, and derivation rules."""
 
-import inspect
 import math
 from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import reference_mask, reference_shuffle
+from helpers import mutant, reference_mask, reference_shuffle
 from prodperc import rng
 from prodperc.catalog import build_catalog_product
 from prodperc.process import double_exposures, sample_percolation
@@ -278,16 +277,12 @@ def test_chunked_bernoulli_masks_match_one_generator_at_a_time(case, p):
 def test_chunk_test_catches_a_chunk_one_byte_off():
     # bernoulli_masks recompiled to write chunk 1 of every lane one byte
     # past its offset; 3 lanes of 7000 draws make 3 chunks
-    source = inspect.getsource(rng.bernoulli_masks)
-    offsets = "offsets = [c * length for c in range(chunks)]"
-    assert source.count(offsets) == 1, "bernoulli_masks lost its chunk offsets"
-    namespace = dict(vars(rng))
-    exec(compile(source.replace(offsets, offsets.replace("c * length", "c * length + (c == 1)")),
-                 rng.__file__, "exec"), namespace)
+    shifted = mutant(rng.bernoulli_masks, "offsets = [c * length for c in range(chunks)]",
+                     "offsets = [c * length + (c == 1) for c in range(chunks)]")
     assert max(1, min(_MASK_WIDTH // 3, 7000 // rng._MIN_CHUNK)) == 3
     check_chunked_masks(bernoulli_masks, [1, 2, 3], 7000, 0.5)
     with pytest.raises(AssertionError):
-        check_chunked_masks(namespace["bernoulli_masks"], [1, 2, 3], 7000, 0.5)
+        check_chunked_masks(shifted, [1, 2, 3], 7000, 0.5)
 
 
 @given(st.lists(st.one_of(U64, st.integers(min_value=0, max_value=3)),
