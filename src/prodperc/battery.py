@@ -23,8 +23,8 @@ import functools
 import math
 
 from .catalog import build_catalog_product, tiny_names
-from .graph_core import (BaseGraphSpec, ProductGraph, bipartition_signature,
-                         build_product, cartesian_product, full_mask, star)
+from .graph_core import (BaseGraphSpec, ProductGraph, base_from_edges, bipartition_signature,
+                         build_base, build_product, cartesian_product, full_mask, star)
 from .isoperimetry import (BoundParams, count_rooted_trees, edge_connectivity,
                            exhaustive_profile, f_star, rooted_tree_bound)
 from .matching import certified_deficiency, maximum_matching
@@ -35,11 +35,17 @@ from .process import (EdgeOrdering, double_exposures, hitting_times,
 from .rng import Xoshiro256StarStar, bernoulli_masks, derive_trial_seed
 
 # Rounds the coupling suite draws in one lockstep group.  Its 32-byte Q4
-# masks last one batch, so the trial runner's GROUP_LANES cap does not
-# apply.  On one pinned CPU of a 2-vCPU x86 VM the suite's 10 000 rounds
-# took 125-140 ms in batches of 32 and 78-83 ms in batches of 500, with
-# the same peak RSS (medians of 10 runs; 250: 84-88 ms, 1000: 63-85).
+# masks last one batch, so the trial runner's cap,
+# ``experiments.GROUP_LANES``, does not apply.  On one pinned CPU of a
+# 2-vCPU x86 VM the suite's 10 000 rounds took 125-140 ms in batches of
+# 32 and 78-83 ms in batches of 500, with the same peak RSS (medians of
+# 10 runs; 250: 84-88 ms, 1000: 63-85).
 _COUPLING_BATCH = 500
+
+# A cubic graph on 10 vertices: two copies of a 5-vertex graph whose
+# vertex 0 has degree 2, joined by the bridge 0-5.
+_HALF = ((0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+BRIDGED_CUBIC_EDGES = _HALF + tuple((u + 5, v + 5) for u, v in _HALF) + ((0, 5),)
 
 
 def _suite(outcomes):
@@ -107,10 +113,13 @@ def _suite_isoperimetry_bounds():
 
 @_suite
 def _suite_edge_connectivity():
-    """Global minimum cut equals the degree on regular products."""
-    for name in ("K3xK3", "Q4", "C5xC5", "K4xK3"):
+    """Global minimum cut: the degree, but 2 < 4 on bridged cubic x K2."""
+    for name in ("K3xK3", "Q4", "K4xK3"):
         pg = build_catalog_product(name)
         yield name if edge_connectivity(pg) != pg.d else None
+    bridged = cartesian_product([base_from_edges(10, BRIDGED_CUBIC_EDGES, "bridged"),
+                                 build_base(BaseGraphSpec.complete(2))])
+    yield "bridgedxK2" if edge_connectivity(bridged) != 2 else None
 
 
 @_suite

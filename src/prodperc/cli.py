@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .catalog import TAU3_MODES, ConfigError, resolve_product
+from .catalog import TAU3_MODES, ConfigError, product_label, resolve_product
 from .graph_core import GraphBuildError, build_product
 
 _KIND_BY_COMMAND = {
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         if trials:
             sp.add_argument("--trials", type=int, help="number of trials")
         sp.add_argument("--out", help="report path; omitted prints to stdout")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
+        sp.add_argument("--format", choices=("csv", "json"),
                         help="report format (default csv)")
         sp.add_argument("--workers", type=int,
                         help="forked worker processes (default and cap: the CPUs "
@@ -115,7 +115,7 @@ def _cmd_product(args) -> int:
         raise ConfigError("product subcommand needs --product or a config with one")
     specs, catalog_name = resolve_product(product)
     pg = build_product(specs)
-    print(f"label={catalog_name or 'x'.join(spec.label() for spec in specs)}")
+    print(f"label={product_label(specs, catalog_name)}")
     print(f"n={pg.n}")
     print(f"d={pg.d}")
     print(f"C={pg.C}")
@@ -135,9 +135,9 @@ def _cmd_experiment(args) -> int:
                 f"config kind {data['kind']!r} does not match the "
                 f"{args.command} subcommand ({kind})")
     data["kind"] = kind
-    # Each flag's dest is the config field it overrides.
-    for key, attr in {"product": "product", **CONFIG_KEYS}.items():
-        value = getattr(args, attr, None)
+    # Each flag's dest is the config key it overrides.
+    for key in ("product", *CONFIG_KEYS):
+        value = getattr(args, key, None)
         if value is not None:
             data[key] = value
     if "seed" not in data:
@@ -155,10 +155,10 @@ def _cmd_experiment(args) -> int:
     else:
         status, summary = 0, run_trials(config)
     if config.out:
-        emit_report(summary, config.out, config.fmt)
+        emit_report(summary, config.out, config.format)
         print(f"wrote {config.out}")
     else:
-        sys.stdout.write(render_report(summary, config.fmt))
+        sys.stdout.write(render_report(summary, config.format))
     return status
 
 

@@ -4,9 +4,9 @@ An :class:`ExperimentConfig` names a product (catalog entry or explicit
 base list), an experiment kind, a trial count, and a base seed.  Trial
 i derives its own seed as splitmix64(base_seed XOR i), so any row can
 be reproduced in isolation and results do not depend on scheduling.
-Trials run in groups of at most ``GROUP_LANES`` consecutive indices;
-a group draws its trials' random words in lockstep, the words each
-trial's own generator gives.
+Trials run in groups of at most ``GROUP_LANES`` (set here) consecutive
+indices; a group draws its trials' random words in lockstep, the words
+each trial's own generator gives.
 
 Kinds:
 
@@ -52,27 +52,32 @@ import os
 import time
 from typing import TYPE_CHECKING, NamedTuple
 
-from .catalog import TAU3_MODES, ConfigError, resolve_product
+from .catalog import TAU3_MODES, ConfigError, product_label, resolve_product
 from .graph_core import BaseGraphSpec, ProductGraph, build_product, is_integer
 
 if TYPE_CHECKING:
     from .process import ComponentProfile, HittingTimes, PercolationSample
 
-KINDS = ("hitting_times", "percolation_profile", "isoperimetry",
-         "obstructions", "verify_all")
-_PERCOLATION_KINDS = ("percolation_profile", "obstructions")
-
+# Report columns per kind; the kinds in the order errors list them.
 _COLUMNS = {
     "hitting_times": ("trial", "seed", "tau1", "tau2", "tau3", "coincident"),
     "percolation_profile": ("trial", "seed", "p", "components", "giant",
                             "isolated", "mid_components", "non_giant_isolated",
                             "min_isolated_distance", "structure_ok"),
+    "isoperimetry": ("k", "f_star", "f_exact"),
     "obstructions": ("trial", "seed", "p", "minimal_size", "minimal_count",
                      "three_checked", "three_counterexamples", "wsb_groups",
                      "wsb_max_group", "wsb_violations"),
-    "isoperimetry": ("k", "f_star", "f_exact"),
     "verify_all": ("suite", "instances", "counterexamples", "status", "detail"),
 }
+KINDS = tuple(_COLUMNS)
+_PERCOLATION_KINDS = ("percolation_profile", "obstructions")
+
+# Most trials one group draws in lockstep: every lane holds its whole
+# mask until its row, and fewer, larger groups balance worse over the
+# forked workers.  ``rng.bernoulli_masks`` widens a draw with chunk
+# lanes, so the cap bounds the masks held, not the cost per draw.
+GROUP_LANES = 32
 
 
 def round9(x: float) -> float:
@@ -102,7 +107,7 @@ class _ConfigFields(NamedTuple):
     component_threshold: float | None = None
     tau3_mode: str = "bisect"
     out: str | None = None
-    fmt: str = "csv"
+    format: str = "csv"
     workers: int | None = None
 
 
@@ -159,8 +164,8 @@ class ExperimentConfig(_ConfigFields):
             raise ConfigError("component_threshold must be positive")
         if self.tau3_mode not in TAU3_MODES:
             raise ConfigError(f"unknown tau3_mode {self.tau3_mode!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
         return self
@@ -188,7 +193,7 @@ class ExperimentConfig(_ConfigFields):
             specs, catalog_name = resolve_product(data["product"])
         elif kind != "verify_all":
             raise ConfigError("missing config key: product")
-        kwargs = {attr: data[key] for key, attr in CONFIG_KEYS.items() if key in data}
+        kwargs = {key: data[key] for key in CONFIG_KEYS if key in data}
         return cls(kind=kind, specs=specs, catalog_name=catalog_name, **kwargs)
 
     def canonical_dict(self) -> dict:
@@ -220,11 +225,7 @@ class ExperimentConfig(_ConfigFields):
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def product_label(self) -> str:
-        if self.catalog_name:
-            return self.catalog_name
-        if not self.specs:
-            return "builtin-corpus"
-        return "x".join(spec.label() for spec in self.specs)
+        return product_label(self.specs, self.catalog_name)
 
     def build(self) -> ProductGraph:
         if not self.specs:
@@ -240,12 +241,10 @@ class ExperimentConfig(_ConfigFields):
         raise ConfigError("neither p nor omega configured")
 
 
-# Config key -> ExperimentConfig field for every field a config sets
-# directly; "kind" and "product" (which resolves to specs and
-# catalog_name) are read separately.
-CONFIG_KEYS = {("format" if name == "fmt" else name): name
-               for name in ExperimentConfig._fields
-               if name not in ("kind", "specs", "catalog_name")}
+# The ExperimentConfig fields a config sets under their own names; "kind"
+# and "product" (resolved to specs and catalog_name) are read apart.
+CONFIG_KEYS = tuple(name for name in ExperimentConfig._fields
+                    if name not in ("kind", "specs", "catalog_name"))
 
 
 class TrialSummary(NamedTuple):
@@ -331,7 +330,6 @@ def _compute_rows(config: ExperimentConfig, pg: ProductGraph, indices) -> list[t
 def _trial_groups(trials: int, workers: int) -> list[range]:
     """Consecutive index ranges of near-equal size, at most GROUP_LANES
     long, as many as a multiple of ``workers`` allows."""
-    from .rng import GROUP_LANES
     count = -(-trials // GROUP_LANES)
     count = min(trials, -(-count // workers) * workers)
     size, extra = divmod(trials, count)

@@ -613,7 +613,7 @@ def cartesian_product(bases) -> ProductGraph:
     return ProductGraph(bases=bases, n=n, d=d, C=max(radices), strides=strides, m=m)
 
 
-def _declared_order(spec: BaseGraphSpec) -> int | None:
+def declared_order(spec: BaseGraphSpec) -> int | None:
     """Vertex count a spec declares; None for an edge list, whose file
     tells, or for a missing field."""
     if spec.kind == "complete_bipartite_balanced":
@@ -631,7 +631,7 @@ def build_product(specs) -> ProductGraph:
     specs = tuple(specs)
     cap = max_vertices_cap()
     # a missing or non-positive order is build_base's to reject
-    n = math.prod(order for order in map(_declared_order, specs)
+    n = math.prod(order for order in map(declared_order, specs)
                   if order is not None and order > 0)
     if n > cap:
         raise TooLargeError(f"product would have at least {n} vertices, cap is {cap}")

@@ -109,15 +109,12 @@ steps a group of more than one lane.  The stream feeds three loops:
     the unchunked one and the group ends exactly ``count`` words on.
     A block of steps holds 512 // J steps, the bytes of 512 unchunked
     ones.  Masks of at most 4095 draws are never chunked.
-  - The trial runner caps a group at ``GROUP_LANES = 32`` lanes,
-    since every lane's mask is held until its trial is computed and
-    fewer, larger groups balance worse over pool workers.  The
-    coupling suite, whose 32-byte Q4 masks last one batch, draws 500
-    rounds a group.  On a 2-vCPU x86 VM (Python 3.11, one pinned CPU,
-    Q14's 114 688 draws per lane, best of 3), a draw costs about 136 ns
-    per lane and step at 1 lane, 75 at 4, 56 at 10, 50 at 20, 54 at 32,
-    49 at 40 and 47 at 80; unchunked it was 771, 217, 105, 71, 69, 52
-    and 47.
+  - The trial runner caps a group at ``experiments.GROUP_LANES``
+    lanes, and the coupling suite draws 500 rounds a group.  On a
+    2-vCPU x86 VM (Python 3.11, one pinned CPU, Q14's 114 688 draws
+    per lane, best of 3), a draw costs about 136 ns per lane and step
+    at 1 lane, 75 at 4, 56 at 10, 50 at 20, 54 at 32, 49 at 40 and 47
+    at 80; unchunked it was 771, 217, 105, 71, 69, 52 and 47.
 """
 
 import math
@@ -151,8 +148,9 @@ def derive_trial_seed(base_seed: int, trial_index: int) -> int:
 def split_seeds(seed: int, count: int) -> list[int]:
     """First ``count`` outputs of the splitmix64 sequence started at ``seed``.
 
-    Used to derive independent sub-stream seeds, e.g. the two exposure
-    rounds of a double exposure.
+    A generator seeds its four state words from it; ``split_lanes``
+    gives the same outputs for many seeds at once (the two exposure
+    rounds of a double exposure among them).
     """
     return [splitmix64((seed + k * _GOLDEN) & MASK64) for k in range(count)]
 
@@ -345,12 +343,6 @@ def lockstep_words(gen, count: int) -> list[array]:
             lane_words.byteswap()
     return words
 
-
-# Most trials one group draws in lockstep: every lane holds its whole
-# mask until its row, and fewer, larger groups balance worse over pool
-# workers.  ``bernoulli_masks`` widens a draw with chunk lanes, so the
-# cap bounds the masks held, not the cost per draw.
-GROUP_LANES = 32
 
 # ``bernoulli_masks`` draws in chunk lanes: about this many lanes in all,
 # none shorter than ``_MIN_CHUNK`` steps.

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from prodperc.catalog import CATALOG
-from prodperc.graph_core import (ProductGraph, build_base,
-                                 components_from_bitmasks, neighbor_bitmasks)
+from prodperc.graph_core import (ProductGraph, components_from_bitmasks, declared_order,
+                                 neighbor_bitmasks)
 from prodperc.matching import maximum_matching
 from prodperc.obstructions import (ObstructionRecord, _record_from_components,
                                    default_threshold, find_minimal_obstructions)
@@ -306,7 +306,7 @@ def reference_gather_order(pg: ProductGraph) -> list[int]:
 
 def even_order_names(max_vertices: int) -> list[str]:
     """Catalog names with an even vertex count up to ``max_vertices``."""
-    orders = {name: math.prod(build_base(spec).order for spec in specs)
+    orders = {name: math.prod(map(declared_order, specs))
               for name, specs in CATALOG.items()}
     return [name for name, n in orders.items() if n % 2 == 0 and n <= max_vertices]
 

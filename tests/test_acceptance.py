@@ -79,7 +79,8 @@ def test_criterion_03_cube_profile_spot_values():
 
 
 def test_criterion_04_minimum_cut_meets_degree():
-    _report_suite(4, "global min cut equals degree on K3xK3, Q4, C5xC5, K4xK3",
+    _report_suite(4, "global min cut equals degree on K3xK3, Q4, K4xK3, and is 2, "
+                     "below degree 4, on the bridged cubic graph x K2",
                   _suite_edge_connectivity())
 
 

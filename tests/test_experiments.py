@@ -640,6 +640,28 @@ def test_cli_product(capsys):
     assert "label=Q3" in out and "n=8" in out and "d=3" in out
 
 
+def test_cli_product_config_may_be_an_experiment_config(tmp_path, capsys):
+    # product reads only the product key, so the benchmark can build the
+    # product of a full experiment config
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"kind": "percolation_profile",
+                                  "product": [{"kind": "cycle", "m": 5}, K2],
+                                  "seed": 3, "trials": 7, "omega": 1.0,
+                                  "out": str(tmp_path / "never.csv")}))
+    assert main(["product", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.startswith("label=C5xK2\nn=10\n")
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_cli_workers_help_states_the_group_size(capsys):
+    # cli states the size as a literal: it loads no experiments module
+    # while it parses arguments
+    with pytest.raises(SystemExit):
+        main(["process", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"groups of at most {experiments.GROUP_LANES} consecutive indices" in text
+
+
 def test_cli_product_unknown_name(capsys):
     assert main(["product", "--product", "Q99"]) == 2
     assert "error:" in capsys.readouterr().err

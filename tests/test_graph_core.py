@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import coordinates, mask_from_edges, reference_bipartition
-from prodperc.catalog import build_catalog_product, tiny_names
+from prodperc.catalog import CATALOG, build_catalog_product, tiny_names
 from prodperc.graph_core import (BaseGraphSpec, DisconnectedError,
                                  GraphBuildError, MalformedEdgeListError,
                                  NonRegularError, TooLargeError, TooSmallError,
                                  base_from_edges, bipartition_signature,
                                  build_base, build_product, cartesian_product,
-                                 full_mask, read_edge_list, star)
+                                 declared_order, full_mask, read_edge_list, star)
 
 
 def product_of(*specs):
@@ -105,6 +105,20 @@ def test_circulant_spec_in_code_equals_its_config():
     assert in_code == from_config
     assert in_code.label() == from_config.label() == "Circ(8;3,1,7,5)"
     assert in_code.to_dict() == from_config.to_dict()
+
+
+def test_declared_order_is_the_built_order(tmp_path):
+    # tiny_names and the size cap read the declared order without
+    # building the base; the built base is the oracle
+    specs = [spec for specs in CATALOG.values() for spec in specs]
+    specs += [BaseGraphSpec.complete_bipartite_balanced(3), BaseGraphSpec.circulant(8, (1, 7))]
+    for spec in specs:
+        assert declared_order(spec) == build_base(spec).order, spec
+    # an edge list declares none: its file tells
+    path = tmp_path / "c4.txt"
+    path.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
+    spec = BaseGraphSpec.edge_list(str(path))
+    assert declared_order(spec) is None and build_base(spec).order == 4
 
 
 def test_spec_from_dict_rejects_unknown_kind_and_keys():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (edge_boundary, mutant, reference_min_cut, reference_profile,
                      reference_rooted_trees)
-from prodperc import isoperimetry
+from prodperc import battery, isoperimetry
+from prodperc.battery import BRIDGED_CUBIC_EDGES
 from prodperc.catalog import build_catalog_product, tiny_names
 from prodperc.cli import main
 from prodperc.graph_core import (BaseGraph, BaseGraphSpec, TooLargeError, base_from_edges,
@@ -164,12 +165,6 @@ def test_edge_connectivity_meets_degree(name):
     assert edge_connectivity(pg) == pg.d
 
 
-# a cubic graph on 10 vertices: two copies of a 5-vertex graph whose
-# vertex 0 has degree 2, joined by the bridge 0-5
-_HALF = ((0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-BRIDGED_CUBIC_EDGES = _HALF + tuple((u + 5, v + 5) for u, v in _HALF) + ((0, 5),)
-
-
 def irregular(n: int, edges) -> BaseGraph:
     adjacency = [[] for _ in range(n)]
     for u, v in edges:
@@ -240,13 +235,22 @@ def test_cut_oracle_catches_a_cancel_that_clears_both_arcs():
         check_cuts_against_oracle(cleared)
 
 
+# edge_connectivity recompiled to return the least degree at once
+LEAST_DEGREE = ("best = min(map(int.bit_count, nbr))", "return min(map(int.bit_count, nbr))")
+
+
 def test_cut_oracle_catches_a_cut_of_the_least_degree():
-    # edge_connectivity recompiled to return the least degree at once:
-    # every product the verify suite cuts has a cut equal to its degree
-    degree_only = mutant(isoperimetry.edge_connectivity, "best = min(map(int.bit_count, nbr))",
-                         "return min(map(int.bit_count, nbr))")
+    # the bridged graphs' cuts lie below their degrees; verify's suite
+    # cuts the bridged cubic graph x K2 for the same reason (next test)
+    degree_only = mutant(isoperimetry.edge_connectivity, *LEAST_DEGREE)
     with pytest.raises(AssertionError, match="bridged"):
         check_cuts_against_oracle(degree_only)
+
+
+def test_verify_cut_suite_catches_a_cut_of_the_least_degree(monkeypatch):
+    monkeypatch.setattr(battery, "edge_connectivity",
+                        mutant(isoperimetry.edge_connectivity, *LEAST_DEGREE))
+    assert battery._suite_edge_connectivity() == (4, 1, "bridgedxK2")
 
 
 @st.composite

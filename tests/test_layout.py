@@ -272,6 +272,20 @@ def test_obstructions_hold_vertex_masks_only():
     assert named == []
 
 
+def test_one_product_label():
+    """``.label()`` is called in src/prodperc only by
+    ``graph_core.build_base``, for its error messages, and by
+    ``catalog.product_label``, the one place that names a product by its
+    spec labels."""
+    callers = sorted({f"{path.name}:{node.name}" for path in SRC.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.FunctionDef)
+                      and any(isinstance(sub, ast.Call)
+                              and getattr(sub.func, "attr", None) == "label"
+                              for sub in ast.walk(node))})
+    assert callers == ["catalog.py:product_label", "graph_core.py:build_base"]
+
+
 def test_one_obstruction_enumeration_limit():
     """Only ``obstructions.check_enumeration_limit`` compares ``u_max``
     with the constant 3 in src/prodperc, and the scan and the CLI's
